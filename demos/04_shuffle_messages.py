@@ -42,8 +42,11 @@ a_shuffle, _ = normalize(reconstruct(y_prime, 20))
 cfg = AggregationConfig(eps=eps, w=20, mode="experiment")
 a_central = aggregate_central(users, cfg, rng=make_rng((4, 1))).a_hat
 
-total_msgs = n * report["messages_per_user"]
-print(f"\nshuffled messages: {total_msgs}, wraparounds: {report['wraparound_violations']}")
+trace = report["trace"]
+print(f"\nshuffled messages: {trace['messages']}, wraparounds: {report['wraparound_violations']}, "
+      f"worst |sum| / (q/2): {report['max_sum_ratio']:.3f}")
+print(f"stage seconds: encode {trace['encode_s']:.3f}, shuffle {trace['shuffle_s']:.3f}, "
+      f"analyze {trace['analyze_s']:.3f}")
 err_s, _ = emd(a_true, a_shuffle)
 err_c, _ = emd(a_true, a_central)
 print(f"emd to truth, shuffle {err_s:.4f} vs central {err_c:.4f}")

@@ -42,12 +42,10 @@ from .noise import (
 from .pyramid import PyramidVec, apply_pyramid, partition_sums, pyramid_l1
 from .recovery import SupportSelection, l1_fit, reconstruct, restrict, select_support
 from .shuffle import (
-    ShuffleMessage,
     ShuffleParams,
     analyze,
     communication,
     compute_r,
-    encode_client,
     simulate_round,
 )
 
@@ -65,7 +63,6 @@ __all__ = [
     "MixtureSpec",
     "NoiseSchedule",
     "PyramidVec",
-    "ShuffleMessage",
     "ShuffleParams",
     "SparseDist",
     "SupportSelection",
@@ -90,7 +87,6 @@ __all__ = [
     "discrete_laplace_share",
     "emd",
     "emd_norm",
-    "encode_client",
     "heatmap",
     "heatmap_padded",
     "l1_fit",

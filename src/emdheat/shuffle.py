@@ -7,28 +7,40 @@ over Z_q, q = B*n.  The analyzer only ever sees the multiset of
 (coordinate, share) messages; summing shares mod q, recentering to the
 symmetric range, and dividing by B recovers the noisy sum.
 
+Messages are rows of an (N, 2) int64 array, column 0 the coordinate in
+[0, m) and column 1 the share in [0, q).  A client's block holds its r
+shares of coordinate 0, then of coordinate 1, and so on; a round
+concatenates the n blocks and applies one random permutation to the
+rows.  `analyze` rejects out-of-range rows and folds with int64
+arithmetic, which cannot overflow while n*r*(q-1) < 2**63.
+
 The integer-domain noise is calibrated so that the n-client aggregate
 divided by B converges to the central-model Laplace with scale 1/eps_i:
 one client changes a level's integer vector by up to B in l1, so the
 discrete Laplace parameter is exp(-eps_i / B).
+
+Decoding is exact only while every noisy coordinate sum lies in
+(-q/2, q/2]; a sum outside wraps around mod q and corrupts that
+coordinate.  `simulate_round` counts such coordinates and emits a
+RuntimeWarning when any wraps.  With the theory schedule (start level
+0) the root coordinate sums to n*B = q before noise, which lies outside
+that range, so it wraps in practically every round whatever the data
+and decodes near 0 instead of n; the experiment schedule starts below
+the root and does not have this problem.
 """
 
 from __future__ import annotations
 
 import math
+import time
+import warnings
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .grid import MASS_TOLERANCE, SparseDist, num_levels
 from .noise import NoiseSchedule, discrete_laplace_share
 from .pyramid import PyramidVec, partition_sums
-
-
-class ShuffleMessage(NamedTuple):
-    coord: int
-    share: int
 
 
 @dataclass(frozen=True)
@@ -96,8 +108,8 @@ def _unscaled_measurements(p: SparseDist, params: ShuffleParams) -> np.ndarray:
 
 def encode_client_detailed(
     p: SparseDist, params: ShuffleParams, rng: np.random.Generator
-) -> tuple[list[ShuffleMessage], np.ndarray, np.ndarray]:
-    """Messages plus the intermediate z and z' vectors (for diagnostics)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The client's (m*r, 2) message array plus z and z' (for diagnostics)."""
     if abs(p.total_mass - 1.0) > MASS_TOLERANCE:
         raise ValueError("client distribution must have unit mass")
     if p.resolution != params.resolution:
@@ -116,30 +128,34 @@ def encode_client_detailed(
     r = params.r
     shares = rng.integers(0, q, size=(params.m, r - 1), dtype=np.int64)
     last = (z_noised - shares.sum(axis=1)) % q
-    messages = []
-    for coord in range(params.m):
-        for b in range(r - 1):
-            messages.append(ShuffleMessage(coord, int(shares[coord, b])))
-        messages.append(ShuffleMessage(coord, int(last[coord])))
+    messages = np.empty((params.m * r, 2), dtype=np.int64)
+    messages[:, 0] = np.repeat(np.arange(params.m), r)
+    messages[:, 1] = np.concatenate([shares, last[:, None]], axis=1).ravel()
     return messages, z, z_noised
 
 
-def encode_client(
-    p: SparseDist, params: ShuffleParams, rng: np.random.Generator
-) -> list[ShuffleMessage]:
-    return encode_client_detailed(p, params, rng)[0]
-
-
-def analyze(messages: Iterable[ShuffleMessage], params: ShuffleParams) -> PyramidVec:
-    """Fold the multiset into y' (order never matters)."""
-    sums = np.zeros(params.m, dtype=np.int64)
+def analyze(messages: np.ndarray, params: ShuffleParams) -> PyramidVec:
+    """Fold an (N, 2) array of (coord, share) rows into y' (order never matters)."""
     q = params.q
-    for msg in messages:
-        if not 0 <= msg.coord < params.m:
-            raise ValueError(f"message coordinate {msg.coord} out of range")
-        if not 0 <= msg.share < q:
-            raise ValueError(f"message share {msg.share} outside Z_q")
-        sums[msg.coord] = (sums[msg.coord] + msg.share) % q
+    per_coord = params.n * params.r
+    # each coordinate folds at most n*r shares below q into an int64
+    if per_coord * (q - 1) >= 2**63:
+        raise ValueError(f"n*r*(q-1) = {per_coord * (q - 1)} overflows the int64 fold")
+    msgs = np.asarray(messages)
+    if msgs.ndim != 2 or msgs.shape[1] != 2 or not np.issubdtype(msgs.dtype, np.integer):
+        raise ValueError("messages must be an (N, 2) integer array of (coord, share) rows")
+    coords, shares = msgs[:, 0], msgs[:, 1]
+    if len(msgs):
+        if coords.min() < 0 or coords.max() >= params.m:
+            raise ValueError(f"message coordinate outside [0, {params.m})")
+        if shares.min() < 0 or shares.max() >= q:
+            raise ValueError(f"message share outside Z_q = [0, {q})")
+        if np.bincount(coords, minlength=params.m).max() > per_coord:
+            raise ValueError(f"a coordinate carries more than n*r = {per_coord} shares")
+
+    sums = np.zeros(params.m, dtype=np.int64)
+    np.add.at(sums, coords, shares)
+    sums %= q
 
     # symmetric centering: residues above q/2 represent negative sums
     signed = np.where(sums > q // 2, sums - q, sums).astype(float)
@@ -173,24 +189,50 @@ def simulate_round(
 ) -> tuple[PyramidVec, dict]:
     """Run all clients through a seeded shuffler and decode.
 
-    The report counts coordinates whose true noisy sum falls outside
-    (-q/2, q/2]; any such wraparound silently corrupts that coordinate.
+    The report adds to the communication counts:
+    - wraparound_violations: coordinates whose true noisy sum falls
+      outside (-q/2, q/2]; each such coordinate decodes wrongly, and a
+      RuntimeWarning names the count;
+    - max_sum_ratio: the largest |true sum| / (q/2), the headroom left
+      before a wrap (above 1 means a coordinate wrapped);
+    - trace: encode_s, shuffle_s and analyze_s wall seconds and the
+      number of messages shuffled.
     """
     if len(dists) != params.n:
         raise ValueError(f"expected {params.n} client distributions")
-    all_messages: list[ShuffleMessage] = []
+    per_client = params.m * params.r
+    all_messages = np.empty((params.n * per_client, 2), dtype=np.int64)
     true_sums = np.zeros(params.m, dtype=np.int64)
-    for p in dists:
+    t0 = time.perf_counter()
+    for k, p in enumerate(dists):
         msgs, _, z_noised = encode_client_detailed(p, params, rng)
-        all_messages.extend(msgs)
+        all_messages[k * per_client : (k + 1) * per_client] = msgs
         true_sums += z_noised
 
+    t1 = time.perf_counter()
     perm = rng.permutation(len(all_messages))
-    shuffled = [all_messages[i] for i in perm]
+    shuffled = np.take(all_messages, perm, axis=0)
+    t2 = time.perf_counter()
     y_prime = analyze(shuffled, params)
+    t3 = time.perf_counter()
 
     half = params.q / 2.0
     violations = int(np.count_nonzero((true_sums <= -half) | (true_sums > half)))
+    max_sum_ratio = float(np.abs(true_sums).max() / half)
+    if violations:
+        warnings.warn(
+            f"{violations} of {params.m} coordinates wrapped around mod q = {params.q}; "
+            f"worst |sum| / (q/2) = {max_sum_ratio:.3f}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     report = dict(communication(params))
     report["wraparound_violations"] = violations
+    report["max_sum_ratio"] = max_sum_ratio
+    report["trace"] = {
+        "encode_s": t1 - t0,
+        "shuffle_s": t2 - t1,
+        "analyze_s": t3 - t2,
+        "messages": len(shuffled),
+    }
     return y_prime, report

@@ -205,6 +205,17 @@ def test_sweep_outputs_and_schema(tmp_path):
     assert manifest["config"]["seed"] == 11
 
 
+def test_sweep_scores_dense_on_the_sweep_grid(tmp_path):
+    # aggregate_dense releases a coarser grid; its rows must not be dropped
+    out_dir = tmp_path / "dense"
+    args = SWEEP_ARGS[: SWEEP_ARGS.index("--algorithms")] + ["--algorithms", "ours,dense"]
+    assert main(args + ["--out-dir", str(out_dir)]) == 0
+    rows = read_rows(out_dir / "trials.csv")
+    assert [row["algorithm"] for row in rows] == ["ours", "dense"] * 2
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"]["errors"] == []
+
+
 def test_sweep_is_deterministic_modulo_wall_time(tmp_path):
     d1 = tmp_path / "r1"
     d2 = tmp_path / "r2"

@@ -1,5 +1,7 @@
 """Split-and-mix shuffle protocol: encoding, decoding, communication."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,10 @@ from emdheat.grid import SparseDist, num_levels
 from emdheat.noise import budget_schedule, make_rng
 from emdheat.pyramid import partition_sums
 from emdheat.shuffle import (
-    ShuffleMessage,
     ShuffleParams,
     analyze,
     communication,
     compute_r,
-    encode_client,
     encode_client_detailed,
     simulate_round,
 )
@@ -23,6 +23,16 @@ from helpers import delta, rand_sparse
 def make_params(B=64, n=6, eps=5.0, delta_=1e-2, d=4, start=1):
     schedule = budget_schedule(eps, num_levels(d), 20, 2 ** -0.5, start)
     return ShuffleParams.from_schedule(B, n, delta_, schedule, d)
+
+
+def spread_users(params):
+    # near-uniform users keep every quadrant sum far below q/2
+    data_rng = np.random.default_rng(30)
+    users = []
+    for _ in range(params.n):
+        dense = 1.0 + 0.3 * data_rng.random((4, 4))
+        users.append(SparseDist.from_dense(dense / dense.sum(), 4))
+    return users
 
 
 def test_reference_parameters():
@@ -76,38 +86,52 @@ def test_client_rounding_error_below_inverse_b():
 def test_encode_is_seed_deterministic():
     params = make_params()
     p = rand_sparse(np.random.default_rng(2), 4, 3)
-    m1 = encode_client(p, params, make_rng(82))
-    m2 = encode_client(p, params, make_rng(82))
-    assert m1 == m2
+    m1 = encode_client_detailed(p, params, make_rng(82))[0]
+    m2 = encode_client_detailed(p, params, make_rng(82))[0]
+    assert np.array_equal(m1, m2)
 
 
 def test_encode_validation():
     params = make_params()
     with pytest.raises(ValueError):
-        encode_client(delta(0, 0, 4, mass=0.5), params, make_rng(83))
+        encode_client_detailed(delta(0, 0, 4, mass=0.5), params, make_rng(83))
     with pytest.raises(ValueError):
-        encode_client(delta(0, 0, 8), params, make_rng(83))
+        encode_client_detailed(delta(0, 0, 8), params, make_rng(83))
 
 
 def test_analyze_rejects_malformed_messages():
     params = make_params()
     with pytest.raises(ValueError):
-        analyze([ShuffleMessage(params.m, 0)], params)
+        analyze(np.array([[params.m, 0]]), params)
     with pytest.raises(ValueError):
-        analyze([ShuffleMessage(0, params.q)], params)
+        analyze(np.array([[0, params.q]]), params)
     with pytest.raises(ValueError):
-        analyze([ShuffleMessage(0, -1)], params)
+        analyze(np.array([[0, -1]]), params)
+    with pytest.raises(ValueError):
+        analyze(np.array([[-1, 0]]), params)
+    # more shares for one coordinate than n clients send
+    with pytest.raises(ValueError):
+        analyze(np.zeros((params.n * params.r + 1, 2), dtype=np.int64), params)
+
+
+def test_fold_overflow_guard():
+    # n*r*(q-1) bounds every coordinate's int64 sum before the mod
+    params = make_params()
+    per_coord = params.n * params.r
+    q_max = (2**63 - 1) // per_coord + 1
+    one = np.array([[0, 1]])
+    analyze(one, dataclasses.replace(params, q=q_max))
+    with pytest.raises(ValueError, match="overflow"):
+        analyze(one, dataclasses.replace(params, q=q_max + 1))
 
 
 def test_analyze_is_order_invariant():
     params = make_params()
     rng = make_rng(84)
-    msgs = []
     users = [rand_sparse(np.random.default_rng(3 + i), 4, 3) for i in range(4)]
-    for p in users:
-        msgs.extend(encode_client(p, params, rng))
+    msgs = np.concatenate([encode_client_detailed(p, params, rng)[0] for p in users])
     forward = analyze(msgs, params)
-    backward = analyze(list(reversed(msgs)), params)
+    backward = analyze(msgs[::-1], params)
     for a, b in zip(forward.levels, backward.levels):
         np.testing.assert_array_equal(a, b)
 
@@ -121,10 +145,10 @@ def test_decoded_vector_matches_aggregate_exactly():
     for i in range(params.n):
         p = rand_sparse(np.random.default_rng(10 + i), 4, 4)
         batch, _, z_noised = encode_client_detailed(p, params, rng)
-        msgs.extend(batch)
+        msgs.append(batch)
         true += z_noised
     assert np.all(np.abs(true) < params.q // 2)
-    y_prime = analyze(msgs, params)
+    y_prime = analyze(np.concatenate(msgs), params)
     for lv, offset, count in params.level_slices():
         side = 1 << lv
         expect = 2.0 ** -lv * true[offset : offset + count].reshape(side, side) / params.B
@@ -132,17 +156,30 @@ def test_decoded_vector_matches_aggregate_exactly():
 
 
 def test_simulate_round_spread_data_has_no_wraparound():
-    # near-uniform users keep every quadrant sum far below q/2
     params = make_params()
-    data_rng = np.random.default_rng(30)
-    users = []
-    for _ in range(params.n):
-        dense = 1.0 + 0.3 * data_rng.random((4, 4))
-        users.append(SparseDist.from_dense(dense / dense.sum(), 4))
-    y_prime, report = simulate_round(users, params, make_rng(86))
+    y_prime, report = simulate_round(spread_users(params), params, make_rng(86))
     assert report["wraparound_violations"] == 0
+    assert 0.0 < report["max_sum_ratio"] <= 1.0
     assert y_prime.start_level == 1
     assert report["r"] == params.r
+
+
+def test_simulate_round_replays_exactly():
+    # replaying the encoders on an identically seeded stream gives the
+    # noisy sums the round decoded; without wraparound y' is exact
+    params = make_params()
+    users = spread_users(params)
+    y_prime, report = simulate_round(users, params, make_rng(89))
+    rng = make_rng(89)
+    true = sum(encode_client_detailed(p, params, rng)[2] for p in users)
+    assert report["wraparound_violations"] == 0
+    for lv, offset, count in params.level_slices():
+        side = 1 << lv
+        expect = 2.0**-lv * (true[offset : offset + count].reshape(side, side) / params.B)
+        np.testing.assert_array_equal(y_prime.level(lv), expect)
+    trace = report["trace"]
+    assert trace["messages"] == params.n * params.r * params.m
+    assert min(trace["encode_s"], trace["shuffle_s"], trace["analyze_s"]) >= 0.0
 
 
 def test_simulate_round_flags_saturation():
@@ -152,8 +189,10 @@ def test_simulate_round_flags_saturation():
     schedule = budget_schedule(1.0, num_levels(2), 4, 0.8, 0)
     params = ShuffleParams.from_schedule(8, 4, 1e-2, schedule, 2)
     users = [delta(0, 0, 2) for _ in range(4)]
-    _, report = simulate_round(users, params, make_rng(87))
+    with pytest.warns(RuntimeWarning, match="wrapped around"):
+        _, report = simulate_round(users, params, make_rng(87))
     assert report["wraparound_violations"] >= 1
+    assert report["max_sum_ratio"] > 1.0
 
 
 def test_simulate_round_checks_user_count():
