@@ -22,6 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from .emd import SLACK_RATE, _grid_arcs, _incidence
 from .grid import MASS_TOLERANCE, GridPoint, SparseDist, num_levels
 from .noise import NoiseSchedule, budget_schedule, laplace, make_rng, pivot_level
 from .pyramid import PyramidVec, partition_sums
@@ -130,38 +131,13 @@ def _dense_fit(noisy: np.ndarray, resolution: int) -> np.ndarray:
     """
     d = resolution
     n_cells = d * d
-    arcs = []
-    for y in range(d):
-        for x in range(d):
-            u = y * d + x
-            if x + 1 < d:
-                arcs.append((u, u + 1))
-                arcs.append((u + 1, u))
-            if y + 1 < d:
-                arcs.append((u, u + d))
-                arcs.append((u + d, u))
-    n_arcs = len(arcs)
-    n_vars = n_cells + n_arcs + 2 * n_cells
-
-    rows, cols, data = [], [], []
-    for u in range(n_cells):
-        rows.append(u)
-        cols.append(u)
-        data.append(-1.0)
-    for j, (u, v) in enumerate(arcs):
-        col = n_cells + j
-        rows.extend([u, v])
-        cols.extend([col, col])
-        data.extend([1.0, -1.0])
-    for u in range(n_cells):
-        rows.extend([u, u])
-        cols.extend([n_cells + n_arcs + u, n_cells + n_arcs + n_cells + u])
-        data.extend([1.0, -1.0])
-    a_eq = sparse.coo_matrix((data, (rows, cols)), shape=(n_cells, n_vars)).tocsr()
-
-    cost = np.zeros(n_vars)
-    cost[n_cells : n_cells + n_arcs] = 1.0 / d
-    cost[n_cells + n_arcs :] = 2.0
+    coords = np.arange(d)
+    arcs, length = _grid_arcs(coords, coords)
+    eye = sparse.identity(n_cells, format="csr")
+    a_eq = sparse.hstack([-eye, _incidence(n_cells, arcs), eye, -eye], format="csr")
+    cost = np.concatenate(
+        [np.zeros(n_cells), length / d, np.full(2 * n_cells, SLACK_RATE)]
+    )
     b_eq = -noisy.reshape(-1)
 
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")

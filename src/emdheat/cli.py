@@ -64,6 +64,7 @@ TRIAL_CSV_FIELDS = [
     "kl",
     "emd",
     "emd_is_surrogate",
+    "wraparound_violations",
     "wall_ms",
 ]
 
@@ -140,6 +141,7 @@ def _sweep_trial(task: dict) -> tuple[list[dict], list[str]]:
     for alg_idx, algorithm in enumerate(task["algorithms"]):
         mech_rng = _branch_rng(master, 2, dgrid, n, trial, alg_idx, task["eps_index"])
         start = time.perf_counter()
+        wraparound = 0
         try:
             if algorithm == "ours":
                 cfg = AggregationConfig(eps=eps, w=w, mode=task["mode"], gamma=task["gamma"])
@@ -162,7 +164,8 @@ def _sweep_trial(task: dict) -> tuple[list[dict], list[str]]:
                 params = ShuffleParams.from_schedule(
                     b_scale, n, task["shuffle_delta"], schedule, dgrid
                 )
-                y_prime, _ = simulate_round(users, params, mech_rng)
+                y_prime, report = simulate_round(users, params, mech_rng)
+                wraparound = report["wraparound_violations"]
                 a_hat, _ = normalize(reconstruct(y_prime, w))
             else:
                 raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -188,6 +191,7 @@ def _sweep_trial(task: dict) -> tuple[list[dict], list[str]]:
                 "kl": met["kl"],
                 "emd": met["emd"],
                 "emd_is_surrogate": met["emd_is_surrogate"],
+                "wraparound_violations": wraparound,
                 "wall_ms": wall_ms,
             }
         )

@@ -1,36 +1,52 @@
 """Exact earth mover's distance oracles on the unit-square grid.
 
-Two LP formulations sit behind one contract, picked per instance:
+Both oracles are min-cost flows with the l1 ground distance.  One
+builder, `_flow_graph`, picks per instance whichever of two graphs has
+fewer arcs; both give the exact distance:
 
-* grid-flow: min-cost flow on the 4-neighbor graph of the support
-  bounding box.  The l1 ground distance is the shortest-path metric of
-  that graph (edge length 1/d), so the formulation is exact and needs
-  O(bbox) variables instead of O(|supp(p)| * |supp(q)|).
-* bipartite: the textbook transportation LP on supp(p) x supp(q), used
-  when supports are scattered over a grid too large to enumerate.
+* Hanan grid: the distinct x and y coordinates of the support, with
+  directed arcs between neighbouring nodes whose lengths are the
+  coordinate gaps (Hanan 1966).  Every l1 distance between two support
+  cells is the length of a monotone path through it, so min-cost flow
+  on about 4 arcs per node is exact L1 transport (Ling & Okada,
+  EMD-L1).  A dense support makes this the 4-neighbour bounding box; a
+  scattered one gives a much smaller grid.
+* bipartite: one arc per (source, sink) pair, supp(p) x supp(q) for
+  `emd` and all ordered pairs i != j of the support for `emd_norm`.
+  This wins when a few points are spread far apart.
 
-The EMD norm extends the distance to signed, unbalanced vectors: mass
-may be created or destroyed at a slack rate of 2 per unit, the l1
-diameter of the domain.  Both solvers run scipy's dual-simplex HiGHS,
-which returns vertex (hence acyclic-flow) solutions deterministically.
+Grid LPs are solved in dual form: node potentials phi with
+phi_u - phi_v <= len(u -> v), maximizing sum_u b_u phi_u.  The EMD-norm
+slack (mass created or destroyed at rate 2 per unit, the l1 diameter of
+the domain) becomes the bound |phi_u| <= 2 at support nodes, and the
+optimal flow is read back from the arc constraints' marginals.  On a
+grid the dual has one variable per node instead of one per arc and
+solves faster.  Bipartite LPs, which have many more arcs than nodes,
+are solved in primal form, where the dual form is slower.  Both run
+scipy's dual-simplex HiGHS, which returns vertex (hence acyclic-flow)
+solutions deterministically.
+
+`emd` returns the LP objective at once; its `TransportPlan` walks the
+flow into (source, sink) paths only when `flows` is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .grid import GridPoint, SparseDist, l1_distance
+from .grid import GridPoint, SparseDist
 
 SLACK_RATE = 2.0
 MAX_COMBINED_SUPPORT = 2000
-_NEIGHBOR_CELL_CUTOFF = 16384
+_MAX_ARCS = 1_500_000
 _FLOW_EPS = 1e-12
 _BALANCE_TOL = 1e-9
 
@@ -42,88 +58,150 @@ class CapacityError(ValueError):
     """
 
 
-@dataclass
 class TransportPlan:
-    """An optimal transport plan: flows keyed (source, sink), plus cost."""
+    """An optimal transport plan: its cost, and flows keyed (source, sink).
 
-    flows: dict[tuple[GridPoint, GridPoint], float]
-    cost: float
+    The flows are built by `build` on first access, so callers that only
+    need the cost never pay for the path decomposition.
+    """
+
+    def __init__(
+        self,
+        cost: float,
+        build: Callable[[], dict[tuple[GridPoint, GridPoint], float]] = dict,
+    ) -> None:
+        self.cost = cost
+        self._build = build
+
+    @cached_property
+    def flows(self) -> dict[tuple[GridPoint, GridPoint], float]:
+        return self._build()
 
 
-def _solve(c, a_eq, b_eq) -> np.ndarray:
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
+@dataclass
+class _FlowGraph:
+    """A directed graph for one instance; lengths in common-grid units."""
+
+    n_nodes: int
+    arcs: np.ndarray  # (m, 2) tail, head
+    length: np.ndarray  # (m,)
+    terminal: np.ndarray  # node of each input cell
+    grid: bool
+
+
+def _cell_arrays(points: list[GridPoint], d: int) -> np.ndarray:
+    """(k, 2) integer coordinates of grid points on the common grid d.
+
+    Powers of two nest exactly: a point ix/r equals (ix * d/r)/d.
+    """
+    out = np.empty((len(points), 2), dtype=np.int64)
+    for k, p in enumerate(points):
+        f = d // p.resolution
+        out[k] = (p.ix * f, p.iy * f)
+    return out
+
+
+def _grid_arcs(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directed 4-neighbour arcs of the grid xs x ys, nodes row-major.
+
+    Arcs come node by node: u -> right, right -> u, u -> below,
+    below -> u.  Each has the gap between its endpoints' coordinates as
+    its length.
+    """
+    nx, ny = len(xs), len(ys)
+    u = np.arange(nx * ny).reshape(ny, nx)
+    gap_x = np.broadcast_to(np.append(np.diff(xs), 0), (ny, nx))
+    gap_y = np.broadcast_to(np.append(np.diff(ys), 0)[:, None], (ny, nx))
+    tails = np.stack([u, u + 1, u, u + nx], axis=-1)
+    heads = np.stack([u + 1, u, u + nx, u], axis=-1)
+    length = np.stack([gap_x, gap_x, gap_y, gap_y], axis=-1)
+    has_right, has_down = u % nx < nx - 1, u < nx * (ny - 1)
+    keep = np.stack([has_right, has_right, has_down, has_down], axis=-1)
+    return np.stack([tails[keep], heads[keep]], axis=1), length[keep]
+
+
+def _flow_graph(cells: np.ndarray, n_src: int | None = None) -> _FlowGraph:
+    """The smaller of the Hanan grid and the bipartite graph of `cells`.
+
+    cells are distinct (k, 2) coordinates.  With n_src, the first n_src
+    cells are sources and the rest sinks, and the bipartite graph joins
+    every source to every sink; without it, every ordered pair of
+    distinct cells.  Ties go to the bipartite graph.
+    """
+    k = len(cells)
+    xs, ix = np.unique(cells[:, 0], return_inverse=True)
+    ys, iy = np.unique(cells[:, 1], return_inverse=True)
+    nx, ny = len(xs), len(ys)
+    grid_arcs = 2 * (ny * (nx - 1) + nx * (ny - 1))
+    pair_arcs = k * (k - 1) if n_src is None else n_src * (k - n_src)
+    if min(grid_arcs, pair_arcs) > _MAX_ARCS:
+        raise CapacityError(
+            f"exact EMD needs {min(grid_arcs, pair_arcs)} arcs, "
+            f"above the {_MAX_ARCS} limit"
+        )
+    if grid_arcs < pair_arcs:
+        arcs, length = _grid_arcs(xs, ys)
+        return _FlowGraph(nx * ny, arcs, length, iy * nx + ix, True)
+    if n_src is None:
+        tails, heads = np.nonzero(~np.eye(k, dtype=bool))
+    else:
+        tails = np.repeat(np.arange(n_src), k - n_src)
+        heads = n_src + np.tile(np.arange(k - n_src), n_src)
+    length = np.abs(cells[tails] - cells[heads]).sum(axis=1)
+    return _FlowGraph(k, np.stack([tails, heads], axis=1), length, np.arange(k), False)
+
+
+def _incidence(n_nodes: int, arcs: np.ndarray) -> sparse.csr_matrix:
+    """Node-arc incidence: +1 where an arc leaves a node, -1 where it enters."""
+    m = len(arcs)
+    cols = np.arange(m)
+    return sparse.csr_matrix(
+        (
+            np.concatenate([np.ones(m), -np.ones(m)]),
+            (np.concatenate([arcs[:, 0], arcs[:, 1]]), np.concatenate([cols, cols])),
+        ),
+        shape=(n_nodes, m),
+    )
+
+
+def _linprog(*args, **kwargs):
+    res = linprog(*args, method="highs-ds", **kwargs)
     if res.status != 0:
         raise RuntimeError(f"transportation LP failed: {res.message}")
-    return res.x
+    return res
 
 
-def _unify(points: list[tuple[GridPoint, float]]):
-    """Map (possibly mixed-resolution) grid points onto one common grid.
+def _min_cost_flow(
+    g: _FlowGraph, supply: np.ndarray, d: int, slack: float | None = None
+) -> tuple[float, np.ndarray]:
+    """Cost and arc flows of the cheapest flow with net outflow `supply`.
 
-    Powers of two nest exactly: a point ix/d equals (ix * D/d)/D on the
-    finer grid D.  Returns the common resolution and merged per-cell
-    values keyed by (ix, iy) on that grid.
+    supply holds one value per terminal.  Without slack it must sum to
+    zero; with slack, mass may also be created or destroyed at each
+    terminal at that rate per unit.
     """
-    if not points:
-        return 1, {}
-    d = max(p.resolution for p, _ in points)
-    merged: dict[tuple[int, int], float] = {}
-    for p, v in points:
-        f = d // p.resolution
-        key = (p.ix * f, p.iy * f)
-        merged[key] = merged.get(key, 0.0) + v
-    return d, merged
-
-
-def _bbox(cells) -> tuple[int, int, int, int]:
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
-def _neighbor_arcs(w: int, h: int) -> np.ndarray:
-    """Directed 4-neighbor arcs over a w x h box, nodes row-major."""
-    arcs = []
-    for y in range(h):
-        base = y * w
-        for x in range(w):
-            u = base + x
-            if x + 1 < w:
-                arcs.append((u, u + 1))
-                arcs.append((u + 1, u))
-            if y + 1 < h:
-                arcs.append((u, u + w))
-                arcs.append((u + w, u))
-    return np.array(arcs, dtype=np.int64).reshape(-1, 2)
-
-
-def _incidence(n_nodes: int, arcs: np.ndarray, extra_cols=()):
-    """Node-arc incidence as sparse COO: +1 leaving, -1 entering.
-
-    extra_cols appends single-entry columns (node, sign) for slack
-    variables.
-    """
-    n_arcs = len(arcs)
-    rows = np.concatenate([arcs[:, 0], arcs[:, 1]]) if n_arcs else np.empty(0, int)
-    cols = (
-        np.concatenate([np.arange(n_arcs), np.arange(n_arcs)])
-        if n_arcs
-        else np.empty(0, int)
-    )
-    data = (
-        np.concatenate([np.ones(n_arcs), -np.ones(n_arcs)])
-        if n_arcs
-        else np.empty(0)
-    )
-    extra_rows = [node for node, _ in extra_cols]
-    extra_col_idx = [n_arcs + j for j in range(len(extra_cols))]
-    extra_data = [sign for _, sign in extra_cols]
-    rows = np.concatenate([rows, np.array(extra_rows, dtype=int)])
-    cols = np.concatenate([cols, np.array(extra_col_idx, dtype=int)])
-    data = np.concatenate([data, np.array(extra_data, dtype=float)])
-    return sparse.coo_matrix(
-        (data, (rows, cols)), shape=(n_nodes, n_arcs + len(extra_cols))
-    ).tocsr()
+    b = np.zeros(g.n_nodes)
+    b[g.terminal] = supply
+    cost = g.length / d
+    if g.grid:
+        # dual: maximize b.phi subject to phi_u - phi_v <= cost(u -> v);
+        # slack bounds phi at terminals, and the arc rows' marginals are
+        # minus the optimal flows
+        bounds = np.tile([-np.inf, np.inf], (g.n_nodes, 1))
+        if slack is not None:
+            bounds[g.terminal] = (-slack, slack)
+        res = _linprog(
+            -b, A_ub=_incidence(g.n_nodes, g.arcs).T.tocsr(), b_ub=cost, bounds=bounds
+        )
+        return float(-res.fun), -res.ineqlin.marginals
+    a_eq, c = _incidence(g.n_nodes, g.arcs), cost
+    if slack is not None:
+        # every node of a bipartite graph is a terminal
+        eye = sparse.identity(g.n_nodes, format="csr")
+        a_eq = sparse.hstack([a_eq, eye, -eye], format="csr")
+        c = np.concatenate([cost, np.full(2 * g.n_nodes, slack)])
+    res = _linprog(c, A_eq=a_eq, b_eq=b, bounds=(0, None))
+    return float(res.fun), res.x[: len(g.arcs)]
 
 
 def _decompose_flows(arcs, flow, supply, demand, n_nodes):
@@ -189,144 +267,68 @@ def emd(p: SparseDist, q: SparseDist) -> tuple[float, TransportPlan]:
     The distributions may live at different (power-of-two) resolutions;
     distances are taken between real coordinates.  Total masses must
     agree within 1e-9; a tiny residual imbalance is rescaled away so the
-    LP is exactly feasible.
+    LP is exactly feasible.  The plan's flows are decomposed on first
+    access; the returned cost is the LP objective.
     """
     mp, mq = p.total_mass, q.total_mass
     if abs(mp - mq) > _BALANCE_TOL * max(1.0, mp, mq):
         raise ValueError(f"mass mismatch: {mp} vs {mq}")
     if mp == 0.0 or mq == 0.0:
-        return 0.0, TransportPlan({}, 0.0)
-    sup_p, sup_q = p.support(), q.support()
-    if len(sup_p) + len(sup_q) > MAX_COMBINED_SUPPORT:
+        return 0.0, TransportPlan(0.0)
+    pts_p, pts_q = p.support(), q.support()
+    if len(pts_p) + len(pts_q) > MAX_COMBINED_SUPPORT:
         raise CapacityError(
-            f"combined support {len(sup_p) + len(sup_q)} exceeds "
+            f"combined support {len(pts_p) + len(pts_q)} exceeds "
             f"{MAX_COMBINED_SUPPORT}; use pyramid_l1 as an upper bound"
         )
-    scale = mp / mq
-    d, cells_p = _unify([(pt, m) for pt, m in p.entries.items()])
-    d2, cells_q = _unify([(pt, m * scale) for pt, m in q.entries.items()])
-    if d2 != d:
-        # re-unify both onto the finer grid
-        dd = max(d, d2)
-        cells_p = {(x * (dd // d), y * (dd // d)): v for (x, y), v in cells_p.items()}
-        cells_q = {
-            (x * (dd // d2), y * (dd // d2)): v for (x, y), v in cells_q.items()
-        }
-        d = dd
+    d = max(p.resolution, q.resolution)
+    cells_p, cells_q = _cell_arrays(pts_p, d), _cell_arrays(pts_q, d)
+    mass_p = np.array([p.entries[pt] for pt in pts_p])
+    mass_q = np.array([q.entries[pt] for pt in pts_q]) * (mp / mq)
 
-    # original-point lookup for plan endpoints (one point per common cell)
-    f_p = d // p.resolution
-    f_q = d // q.resolution
-    src_at = {(pt.ix * f_p, pt.iy * f_p): pt for pt in sup_p}
-    dst_at = {(pt.ix * f_q, pt.iy * f_q): pt for pt in sup_q}
-
-    flows: dict[tuple[GridPoint, GridPoint], float] = {}
     # cancel overlapping mass in place (zero-distance flow)
-    for cell in set(cells_p) & set(cells_q):
-        amt = min(cells_p[cell], cells_q[cell])
-        if amt > 0:
-            flows[(src_at[cell], dst_at[cell])] = amt
-            cells_p[cell] -= amt
-            cells_q[cell] -= amt
-    cells_p = {c: v for c, v in cells_p.items() if v > _FLOW_EPS * max(1.0, mp)}
-    cells_q = {c: v for c, v in cells_q.items() if v > _FLOW_EPS * max(1.0, mp)}
-    rem_p = sum(cells_p.values())
-    rem_q = sum(cells_q.values())
+    _, ip, iq = np.intersect1d(
+        cells_p[:, 1] * d + cells_p[:, 0],
+        cells_q[:, 1] * d + cells_q[:, 0],
+        return_indices=True,
+    )
+    shared = np.minimum(mass_p[ip], mass_q[iq])
+    mass_p[ip] -= shared
+    mass_q[iq] -= shared
+    stay = [(pts_p[i], pts_q[j], float(a)) for i, j, a in zip(ip, iq, shared) if a > 0]
+
+    keep_p = mass_p > _FLOW_EPS * max(1.0, mp)
+    keep_q = mass_q > _FLOW_EPS * max(1.0, mp)
+    rem_p, rem_q = mass_p[keep_p].sum(), mass_q[keep_q].sum()
     if min(rem_p, rem_q) <= _BALANCE_TOL * max(1.0, mp):
         # residue is cancellation dust on both sides; not worth an LP
-        cost = _plan_cost(flows)
-        return cost, TransportPlan(flows, cost)
+        return 0.0, TransportPlan(0.0, lambda: _sum_flows(stay))
     # filtering may break balance at machine precision; restore it exactly
-    cells_q = {c: v * (rem_p / rem_q) for c, v in cells_q.items()}
+    src = [pts_p[i] for i in np.flatnonzero(keep_p)]
+    dst = [pts_q[j] for j in np.flatnonzero(keep_q)]
+    supply = np.concatenate([mass_p[keep_p], -mass_q[keep_q] * (rem_p / rem_q)])
+    g = _flow_graph(np.concatenate([cells_p[keep_p], cells_q[keep_q]]), len(src))
+    cost, flow = _min_cost_flow(g, supply, d)
 
-    union = list(cells_p) + [c for c in cells_q if c not in cells_p]
-    x0, y0, x1, y1 = _bbox(union)
-    bw, bh = x1 - x0 + 1, y1 - y0 + 1
-
-    if bw * bh <= _NEIGHBOR_CELL_CUTOFF:
-        lp_cost, triples = _grid_flow_transport(cells_p, cells_q, d, x0, y0, bw, bh)
-        for (cs, ct, amt) in triples:
-            key = (src_at[cs], dst_at[ct])
-            flows[key] = flows.get(key, 0.0) + amt
-    else:
-        pts_p = list(cells_p.items())
-        pts_q = list(cells_q.items())
-        lp_cost, plan = _bipartite_transport(pts_p, pts_q, d)
-        for (cs, ct, amt) in plan:
-            key = (src_at[cs], dst_at[ct])
-            flows[key] = flows.get(key, 0.0) + amt
+    def build() -> dict[tuple[GridPoint, GridPoint], float]:
+        ends = src + dst
+        node_pt = {int(node): ends[k] for k, node in enumerate(g.terminal)}
+        out = {int(g.terminal[k]): v for k, v in enumerate(supply) if v > 0}
+        into = {int(g.terminal[k]): -v for k, v in enumerate(supply) if v < 0}
+        triples = _decompose_flows(g.arcs, flow.copy(), out, into, g.n_nodes)
+        return _sum_flows(stay, [(node_pt[s], node_pt[t], a) for s, t, a in triples])
 
     # the LP objective is the exact distance; the decomposed plan may
     # shed feasibility-tolerance dust and is kept for inspection only
-    return lp_cost, TransportPlan(flows, lp_cost)
+    return cost, TransportPlan(cost, build)
 
 
-def _plan_cost(flows: dict[tuple[GridPoint, GridPoint], float]) -> float:
-    return float(sum(amt * l1_distance(a, b) for (a, b), amt in flows.items()))
-
-
-def _grid_flow_transport(cells_p, cells_q, d, x0, y0, bw, bh):
-    def node(cell):
-        return (cell[1] - y0) * bw + (cell[0] - x0)
-
-    n_nodes = bw * bh
-    arcs = _neighbor_arcs(bw, bh)
-    b = np.zeros(n_nodes)
-    for cell, v in cells_p.items():
-        b[node(cell)] += v
-    for cell, v in cells_q.items():
-        b[node(cell)] -= v
-    c = np.full(len(arcs), 1.0 / d)
-    x = _solve(c, _incidence(n_nodes, arcs), b)
-    cost = float(c @ x)
-
-    supply = {node(cell): v for cell, v in cells_p.items()}
-    demand = {node(cell): v for cell, v in cells_q.items()}
-    triples = _decompose_flows(arcs, x.copy(), supply, demand, n_nodes)
-    back = {}
-    for cell in cells_p:
-        back[node(cell)] = cell
-    back_q = {}
-    for cell in cells_q:
-        back_q[node(cell)] = cell
-    return cost, [(back[s], back_q[t], amt) for s, t, amt in triples]
-
-
-def _bipartite_transport(pts_p, pts_q, d):
-    n_p, n_q = len(pts_p), len(pts_q)
-    if n_p * n_q > 1_500_000:
-        raise CapacityError(
-            f"bipartite transportation with {n_p * n_q} variables is too large"
-        )
-    px = np.array([c[0][0] for c in pts_p], dtype=float)
-    py = np.array([c[0][1] for c in pts_p], dtype=float)
-    qx = np.array([c[0][0] for c in pts_q], dtype=float)
-    qy = np.array([c[0][1] for c in pts_q], dtype=float)
-    dist = (
-        np.abs(px[:, None] - qx[None, :]) + np.abs(py[:, None] - qy[None, :])
-    ) / d
-    c = dist.ravel()
-    rows_p = np.repeat(np.arange(n_p), n_q)
-    rows_q = n_p + np.tile(np.arange(n_q), n_p)
-    cols = np.arange(n_p * n_q)
-    a_eq = sparse.coo_matrix(
-        (
-            np.ones(2 * n_p * n_q),
-            (np.concatenate([rows_p, rows_q]), np.concatenate([cols, cols])),
-        ),
-        shape=(n_p + n_q, n_p * n_q),
-    ).tocsr()
-    b_eq = np.concatenate(
-        [[v for _, v in pts_p], [v for _, v in pts_q]]
-    )
-    x = _solve(c, a_eq, b_eq)
-    cost = float(c @ x)
-    x = x.reshape(n_p, n_q)
-    total = b_eq[:n_p].sum()
-    plan = []
-    for i, j in zip(*np.nonzero(x > _FLOW_EPS * max(1.0, total))):
-        plan.append((pts_p[i][0], pts_q[j][0], float(x[i, j])))
-    return cost, plan
+def _sum_flows(*parts) -> dict[tuple[GridPoint, GridPoint], float]:
+    flows: dict[tuple[GridPoint, GridPoint], float] = {}
+    for part in parts:
+        for a, b, amt in part:
+            flows[(a, b)] = flows.get((a, b), 0.0) + amt
+    return flows
 
 
 def emd_norm(
@@ -337,74 +339,34 @@ def emd_norm(
     Minimizes EMD(p, q) + 2 * ||r||_1 over decompositions p - q + r = w
     with p, q nonnegative and of equal mass.  Realized as a min-cost
     flow: net outflow at each support cell equals w there, and slack
-    variables create/destroy mass at rate 2 per unit.  For mass-balanced
-    w the slack is never profitable and the value equals EMD(w+, w-).
+    creates/destroys mass at rate 2 per unit.  For mass-balanced w the
+    slack is never profitable and the value equals EMD(w+, w-).
     """
     if isinstance(w, np.ndarray):
         arr = np.asarray(w, dtype=float)
-        if resolution is None:
-            resolution = arr.shape[0]
-        entries = {}
-        for iy, ix in zip(*np.nonzero(arr)):
-            entries[GridPoint(int(ix), int(iy), resolution)] = float(arr[iy, ix])
-        w = entries
-    items = [(p, v) for p, v in w.items() if v != 0.0]
-    if not items:
+        d = arr.shape[0] if resolution is None else resolution
+        iy, ix = np.nonzero(arr)
+        cells, values = np.stack([ix, iy], axis=1), arr[iy, ix]
+    else:
+        items = [(pt, v) for pt, v in w.items() if v != 0.0]
+        d = max((pt.resolution for pt, _ in items), default=1)
+        cells = _cell_arrays([pt for pt, _ in items], d)
+        values = np.array([v for _, v in items], dtype=float)
+    if not len(values):
         return 0.0
-    if len(items) > MAX_COMBINED_SUPPORT:
+    if len(values) > MAX_COMBINED_SUPPORT:
         raise CapacityError(
-            f"support {len(items)} exceeds {MAX_COMBINED_SUPPORT}; "
+            f"support {len(values)} exceeds {MAX_COMBINED_SUPPORT}; "
             "use pyramid_l1 as an upper bound"
         )
-    d, cells = _unify(items)
-    cells = {c: v for c, v in cells.items() if v != 0.0}
-    if not cells:
+    # mixed resolutions may put several points on one cell
+    cells, where = np.unique(cells, axis=0, return_inverse=True)
+    values = np.bincount(where.ravel(), weights=values, minlength=len(cells))
+    cells, values = cells[values != 0.0], values[values != 0.0]
+    if not len(values):
         return 0.0
-    scale = max(abs(v) for v in cells.values())
-
-    x0, y0, x1, y1 = _bbox(list(cells))
-    bw, bh = x1 - x0 + 1, y1 - y0 + 1
-
-    if bw * bh <= _NEIGHBOR_CELL_CUTOFF:
-        def node(cell):
-            return (cell[1] - y0) * bw + (cell[0] - x0)
-
-        n_nodes = bw * bh
-        arcs = _neighbor_arcs(bw, bh)
-        support_nodes = [node(c) for c in cells]
-        extra = []
-        for u in support_nodes:
-            extra.append((u, 1.0))   # r+ : mass created at u
-            extra.append((u, -1.0))  # r- : mass destroyed at u
-        a_eq = _incidence(n_nodes, arcs, extra)
-        b = np.zeros(n_nodes)
-        for cell, v in cells.items():
-            b[node(cell)] = v
-        c = np.concatenate(
-            [np.full(len(arcs), 1.0 / d), np.full(len(extra), SLACK_RATE)]
-        )
-    else:
-        pts = list(cells.items())
-        n = len(pts)
-        if n * (n - 1) > 1_500_000:
-            raise CapacityError(f"{n} scattered support points is too large")
-        coords = np.array([c for c, _ in pts], dtype=float)
-        pair_arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        arcs = np.array(pair_arcs, dtype=np.int64).reshape(-1, 2)
-        dist = (
-            np.abs(coords[arcs[:, 0], 0] - coords[arcs[:, 1], 0])
-            + np.abs(coords[arcs[:, 0], 1] - coords[arcs[:, 1], 1])
-        ) / d
-        extra = []
-        for u in range(n):
-            extra.append((u, 1.0))
-            extra.append((u, -1.0))
-        a_eq = _incidence(n, arcs, extra)
-        b = np.array([v for _, v in pts])
-        c = np.concatenate([dist, np.full(len(extra), SLACK_RATE)])
-
-    x = _solve(c, a_eq, b)
-    val = float(c @ x)
+    scale = np.abs(values).max()
+    val, _ = _min_cost_flow(_flow_graph(cells), values, d, SLACK_RATE)
     return 0.0 if val < _FLOW_EPS * max(1.0, scale) else val
 
 

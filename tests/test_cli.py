@@ -216,6 +216,21 @@ def test_sweep_scores_dense_on_the_sweep_grid(tmp_path):
     assert manifest["config"]["errors"] == []
 
 
+def test_sweep_records_shuffle_wraparound(tmp_path):
+    # theory mode measures the root level, whose sum n*B equals q and wraps
+    out_dir = tmp_path / "shuffle"
+    args = SWEEP_ARGS[: SWEEP_ARGS.index("--algorithms")] + [
+        "--algorithms", "ours,shuffle-256", "--mode", "theory",
+    ]
+    with pytest.warns(RuntimeWarning, match="wrap"):
+        assert main(args + ["--out-dir", str(out_dir)]) == 0
+    rows = read_rows(out_dir / "trials.csv")
+    assert [row["algorithm"] for row in rows] == ["ours", "shuffle-256"] * 2
+    for row in rows:
+        wraps = int(row["wraparound_violations"])
+        assert wraps == 0 if row["algorithm"] == "ours" else wraps >= 1
+
+
 def test_sweep_is_deterministic_modulo_wall_time(tmp_path):
     d1 = tmp_path / "r1"
     d2 = tmp_path / "r2"

@@ -1,7 +1,10 @@
 """Exact EMD oracles: transportation distance, EMD norm, best-k-sparse."""
 
+import importlib
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from emdheat.emd import (
     CapacityError,
@@ -12,6 +15,9 @@ from emdheat.emd import (
 from emdheat.grid import GridPoint, SparseDist, l1_distance
 
 from helpers import delta, gp, rand_signed, rand_sparse
+
+# the package re-exports the function emd() under the module's name
+emd_module = importlib.import_module("emdheat.emd")
 
 
 def test_emd_unit_step():
@@ -148,3 +154,156 @@ def test_best_k_sparse_error_regime_guard():
     rng = np.random.default_rng(28)
     with pytest.raises(ValueError):
         best_k_sparse_error(rand_sparse(rng, 16, 4), 3)
+
+
+# --- formulation coverage: each instance family is checked against a
+# direct transportation LP over every pair of support points
+
+def direct_transport(p: SparseDist, q: SparseDist) -> float:
+    """Textbook transportation LP on supp(p) x supp(q), dense constraints."""
+    sp, sq = list(p.entries), list(q.entries)
+    cost = np.array([l1_distance(a, b) for a in sp for b in sq])
+    a_eq = np.zeros((len(sp) + len(sq), len(sp) * len(sq)))
+    for i in range(len(sp)):
+        for j in range(len(sq)):
+            a_eq[i, i * len(sq) + j] = 1.0
+            a_eq[len(sp) + j, i * len(sq) + j] = 1.0
+    b_eq = [p.entries[a] for a in sp] + [q.entries[b] * p.total_mass / q.total_mass for b in sq]
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def direct_norm(w: dict[GridPoint, float]) -> float:
+    """EMD norm as a dense LP: flows between every ordered pair, plus slack."""
+    pts = list(w)
+    n = len(pts)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    n_vars = len(pairs) + 2 * n
+    cost = np.array([l1_distance(pts[i], pts[j]) for i, j in pairs] + [2.0] * (2 * n))
+    a_eq = np.zeros((n, n_vars))
+    for col, (i, j) in enumerate(pairs):
+        a_eq[i, col] += 1.0
+        a_eq[j, col] -= 1.0
+    for i in range(n):
+        a_eq[i, len(pairs) + i] = 1.0  # mass created at i
+        a_eq[i, len(pairs) + n + i] = -1.0  # mass destroyed at i
+    res = linprog(cost, A_eq=a_eq, b_eq=[w[pt] for pt in pts], bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@pytest.fixture
+def graphs(monkeypatch):
+    """Record whether each exact solve ran on the grid (True) or bipartite graph."""
+    seen: list[bool] = []
+    solve = emd_module._min_cost_flow
+
+    def spy(g, *args, **kwargs):
+        seen.append(g.grid)
+        return solve(g, *args, **kwargs)
+
+    monkeypatch.setattr(emd_module, "_min_cost_flow", spy)
+    return seen
+
+
+def test_emd_dense_bbox_matches_direct_lp(graphs):
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        p = rand_sparse(rng, 8, 40)
+        q = rand_sparse(rng, 8, 40)
+        cost, _ = emd(p, q)
+        assert cost == pytest.approx(direct_transport(p, q), abs=1e-9)
+    assert graphs == [True] * 4
+
+
+def test_emd_scattered_supports_match_direct_lp(graphs):
+    rng = np.random.default_rng(32)
+    for _ in range(6):
+        p = rand_sparse(rng, 1024, int(rng.integers(1, 6)))
+        q = rand_sparse(rng, 1024, int(rng.integers(1, 6)))
+        cost, _ = emd(p, q)
+        assert cost == pytest.approx(direct_transport(p, q), abs=1e-9)
+    assert graphs == [False] * 6
+
+
+def test_emd_hanan_grid_of_scattered_supports_matches_direct_lp(graphs):
+    # many points on few distinct rows and columns: the Hanan grid is
+    # much smaller than the bounding box and than the bipartite graph
+    rng = np.random.default_rng(33)
+    d = 256
+    xs, ys = rng.choice(d, 5, replace=False), rng.choice(d, 4, replace=False)
+    cells = [(int(x), int(y)) for x in xs for y in ys]
+    for _ in range(4):
+        order = rng.permutation(len(cells))
+        p = SparseDist(d, {gp(*cells[i], d): float(m) for i, m in zip(order[:10], rng.dirichlet(np.ones(10)))})
+        q = SparseDist(d, {gp(*cells[i], d): float(m) for i, m in zip(order[10:], rng.dirichlet(np.ones(10)))})
+        cost, _ = emd(p, q)
+        assert cost == pytest.approx(direct_transport(p, q), abs=1e-9)
+    assert graphs == [True] * 4
+
+
+def test_emd_mixed_resolutions_match_direct_lp(graphs):
+    rng = np.random.default_rng(34)
+    for d_p, d_q, k_p, k_q in [(8, 16, 64, 40), (64, 8, 3, 40), (16, 512, 100, 5), (16, 4, 200, 16)]:
+        p = rand_sparse(rng, d_p, k_p)
+        q = rand_sparse(rng, d_q, k_q)
+        cost, _ = emd(p, q)
+        assert cost == pytest.approx(direct_transport(p, q), abs=1e-9)
+    assert graphs == [True, False, False, True]
+
+
+def test_emd_norm_signed_unbalanced_matches_direct_lp(graphs):
+    rng = np.random.default_rng(35)
+    cases = [rand_signed(rng, 8, 50) for _ in range(3)]  # dense: grid
+    cases += [rand_signed(rng, 1024, int(rng.integers(1, 8))) for _ in range(3)]  # scattered
+    coarse = rand_signed(rng, 4, 6)
+    fine = rand_signed(rng, 64, 6)
+    cases.append({**coarse, **fine})  # mixed resolutions
+    for w in cases:
+        assert sum(w.values()) != pytest.approx(0.0)
+        assert emd_norm(w) == pytest.approx(direct_norm(w), abs=1e-9)
+    assert graphs[:3] == [True] * 3 and graphs[3:6] == [False] * 3
+
+
+def test_emd_plan_flows_after_hanan_grid_solve(graphs):
+    d = 128
+    rows, cols = [5, 60, 61, 120], [3, 40, 90, 127]
+    p = SparseDist(d, {gp(x, y, d): 0.125 for x in cols for y in rows[:2]})
+    q = SparseDist(d, {gp(x, y, d): 0.125 for x in cols for y in rows[2:]})
+    cost, plan = emd(p, q)
+    assert graphs == [True]
+    assert cost == pytest.approx(direct_transport(p, q), abs=1e-9)
+    out: dict[GridPoint, float] = {}
+    inn: dict[GridPoint, float] = {}
+    for (a, b), amt in plan.flows.items():
+        assert amt > 0
+        out[a] = out.get(a, 0.0) + amt
+        inn[b] = inn.get(b, 0.0) + amt
+    assert out == pytest.approx(p.entries, abs=1e-7)
+    assert inn == pytest.approx(q.entries, abs=1e-7)
+    plan_cost = sum(amt * l1_distance(a, b) for (a, b), amt in plan.flows.items())
+    assert plan_cost == pytest.approx(cost, abs=1e-7)
+
+
+def test_grid_arcs_match_neighbour_loop():
+    # the order matters: aggregate_dense's LP lists its arcs this way
+    def loop(xs, ys):
+        arcs, lengths = [], []
+        w = len(xs)
+        for y in range(len(ys)):
+            for x in range(w):
+                u = y * w + x
+                if x + 1 < w:
+                    arcs += [(u, u + 1), (u + 1, u)]
+                    lengths += [xs[x + 1] - xs[x]] * 2
+                if y + 1 < len(ys):
+                    arcs += [(u, u + w), (u + w, u)]
+                    lengths += [ys[y + 1] - ys[y]] * 2
+        return arcs, lengths
+
+    for xs, ys in [(range(4), range(4)), ([0, 3, 4, 9], [2, 7]), ([5], [1, 2, 8]), ([6], [6])]:
+        arcs, lengths = emd_module._grid_arcs(np.array(xs), np.array(ys))
+        want_arcs, want_lengths = loop(list(xs), list(ys))
+        assert arcs.reshape(-1, 2).tolist() == [list(a) for a in want_arcs]
+        assert lengths.tolist() == want_lengths
