@@ -6,7 +6,9 @@ coarse grid chosen from the total budget, noise every cell, repair with
 a transport-norm projection.  baseline_laplace: per-cell noise with an
 optional keep-top-t-percent threshold.
 
-All mechanisms take the unnormalized sum s = sum_u p_u.  Each user's
+All mechanisms take the unnormalized sum s = sum_u p_u, formed by
+grid.user_sum in O(total support) and densified once to the d x d array
+the measurements need; no user is expanded to a dense array.  Each user's
 distribution has unit mass and the level sums partition the grid, so
 one user changes each level of P s by at most 1 in l1; Lap(1/eps_i)
 per cell therefore spends eps_i per level and sum(eps_i) = eps total.
@@ -16,6 +18,7 @@ Everything after the noisy release is post-processing.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +26,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .emd import SLACK_RATE, _grid_arcs, _incidence
-from .grid import MASS_TOLERANCE, GridPoint, SparseDist, num_levels
+from .grid import GridPoint, SparseDist, num_levels, user_sum
 from .noise import NoiseSchedule, budget_schedule, laplace, make_rng, pivot_level
 from .pyramid import PyramidVec, partition_sums
 from .recovery import reconstruct
@@ -63,26 +66,38 @@ class AggregationConfig:
 
 @dataclass
 class AggregateResult:
+    """A release plus its trace.
+
+    `trace` holds the stage timings `sum_s`, `measure_s` (partition sums
+    and noise) and `reconstruct_s`, the sizes `n_users`, `input_entries`
+    and `sum_support`, and the per-level Laplace scales `noise_scales`.
+    """
+
     a_hat: SparseDist
     s_hat: SparseDist
     y_prime: PyramidVec | None
     schedule: NoiseSchedule | None
     degenerate: bool = False
     n_users: int = 0
+    trace: dict = field(default_factory=dict)
 
 
-def _checked_sum(dists: list[SparseDist]) -> tuple[np.ndarray, int]:
-    if not dists:
-        raise ValueError("need at least one user distribution")
-    resolution = dists[0].resolution
-    total = np.zeros((resolution, resolution))
-    for p in dists:
-        if p.resolution != resolution:
-            raise ValueError("user distributions must share one resolution")
-        if abs(p.total_mass - 1.0) > MASS_TOLERANCE:
-            raise ValueError("every user distribution must have unit mass")
-        total += p.to_dense()
-    return total, len(dists)
+def _dense_sum(dists: list[SparseDist], resolution: int | None = None) -> tuple[np.ndarray, dict]:
+    """The checked user sum densified once, with its trace entries.
+
+    With `resolution`, every user is re-gridded to it before summing.
+    """
+    start = time.perf_counter()
+    summands = dists if resolution is None else [p.at_resolution(resolution) for p in dists]
+    total = user_sum(summands)
+    s = total.to_dense()
+    trace = {
+        "sum_s": time.perf_counter() - start,
+        "n_users": len(dists),
+        "input_entries": sum(len(p.entries) for p in dists),
+        "sum_support": len(total.entries),
+    }
+    return s, trace
 
 
 def aggregate_central(
@@ -91,24 +106,31 @@ def aggregate_central(
     rng: np.random.Generator | None = None,
 ) -> AggregateResult:
     """Noisy pyramid release of the user sum, then sparse recovery."""
-    s, n = _checked_sum(dists)
-    resolution = dists[0].resolution
+    s, trace = _dense_sum(dists)
+    resolution = s.shape[0]
     ell = num_levels(resolution)
     start = cfg.start_level(resolution)
     schedule = budget_schedule(cfg.eps, ell, cfg.w, cfg.effective_gamma, start)
     if rng is None:
         rng = make_rng(cfg.seed)
 
+    t0 = time.perf_counter()
     levels = []
     for i in range(start, ell + 1):
         sums = partition_sums(s, i)
         noise = laplace(schedule.scale(i), rng, sums.shape)
         levels.append(2.0 ** -i * (sums + noise))
     y_prime = PyramidVec(resolution, start, levels)
+    t1 = time.perf_counter()
 
     s_hat = reconstruct(y_prime, cfg.w)
     a_hat, degenerate = normalize(s_hat)
-    return AggregateResult(a_hat, s_hat, y_prime, schedule, degenerate, n)
+    trace.update(
+        measure_s=t1 - t0,
+        reconstruct_s=time.perf_counter() - t1,
+        noise_scales=[schedule.scale(i) for i in range(start, ell + 1)],
+    )
+    return AggregateResult(a_hat, s_hat, y_prime, schedule, degenerate, len(dists), trace)
 
 
 def normalize(s_hat: SparseDist) -> tuple[SparseDist, bool]:
@@ -157,20 +179,25 @@ def aggregate_dense(
         raise ValueError("eps must be positive")
     if not dists:
         raise ValueError("need at least one user distribution")
-    resolution = dists[0].resolution
     n = len(dists)
     ell_star = max(0, int(math.floor(math.log2(math.sqrt(eps * n)))))
-    coarse = min(1 << ell_star, resolution)
-    snapped = [p.at_resolution(coarse) for p in dists]
-    s, _ = _checked_sum(snapped)
+    coarse = min(1 << ell_star, dists[0].resolution)
+    s, trace = _dense_sum(dists, coarse)
 
     if rng is None:
         rng = make_rng(seed)
+    t0 = time.perf_counter()
     noisy = s + laplace(1.0 / eps, rng, s.shape)
+    t1 = time.perf_counter()
     fit = _dense_fit(noisy, coarse)
     s_hat = SparseDist.from_dense(fit, coarse)
     a_hat, degenerate = normalize(s_hat)
-    return AggregateResult(a_hat, s_hat, None, None, degenerate, n)
+    trace.update(
+        measure_s=t1 - t0,
+        reconstruct_s=time.perf_counter() - t1,
+        noise_scales=[1.0 / eps],
+    )
+    return AggregateResult(a_hat, s_hat, None, None, degenerate, n, trace)
 
 
 def baseline_laplace(
@@ -185,7 +212,7 @@ def baseline_laplace(
         raise ValueError("eps must be positive")
     if threshold_pct is not None and not 0 < threshold_pct <= 100:
         raise ValueError("threshold_pct must lie in (0, 100]")
-    s, _ = _checked_sum(dists)
+    s = user_sum(dists).to_dense()
     d = s.shape[0]
     if rng is None:
         rng = make_rng(seed)

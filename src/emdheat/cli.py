@@ -45,7 +45,7 @@ from .datagen import (
     synth_users,
     write_dataset,
 )
-from .grid import GridPoint, SparseDist, next_pow2, num_levels
+from .grid import GridPoint, next_pow2, num_levels, user_sum
 from .heatmap import HeatmapGrid, heatmap, heatmap_padded, metrics, read_csv, read_pgm, write_csv, write_pgm
 from .noise import budget_schedule, make_rng
 from .recovery import reconstruct
@@ -78,21 +78,13 @@ def _branch_seed(master: int, *coords: int) -> int:
     return int(np.random.SeedSequence((master, *coords)).generate_state(1, np.uint64)[0])
 
 
-def write_manifest(out_path: Path, config: dict) -> None:
+def write_manifest(out_path: Path, config: dict, trace: dict | None = None) -> None:
     manifest = {"config": config, "version": __version__}
+    if trace is not None:
+        manifest["trace"] = trace
     with open(out_path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
-
-
-def _mean_dist(users: dict[str, SparseDist] | list[SparseDist]) -> SparseDist:
-    dists = list(users.values()) if isinstance(users, dict) else users
-    if not dists:
-        raise ValueError("no user distributions")
-    total = np.zeros((dists[0].resolution, dists[0].resolution))
-    for p in dists:
-        total += p.to_dense()
-    return SparseDist.from_dense(total / len(dists), dists[0].resolution)
 
 
 def embed_square(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +125,7 @@ def _sweep_trial(task: dict) -> tuple[list[dict], list[str]]:
     data_seed = _branch_seed(master, 1, dgrid, n, trial)
     spec = random_mixture_spec(task["gaussians"], n, task["samples"], dgrid, data_seed)
     users, _ = synth_users(spec)
-    true_avg = _mean_dist(users)
+    true_avg = user_sum(users).scaled(1.0 / len(users))
     h_true = heatmap(true_avg, sigma)
 
     rows: list[dict] = []
@@ -362,13 +354,16 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     users, manifest = read_dataset(args.input)
     dists = [users[uid] for uid in sorted(users)]
     rng = make_rng(args.seed)
+    trace = None
     if args.algorithm == "ours":
         cfg = AggregationConfig(eps=args.eps, w=args.w, mode=args.mode, gamma=args.gamma)
-        a_hat = aggregate_central(dists, cfg, rng=rng).a_hat
+        res = aggregate_central(dists, cfg, rng=rng)
+        a_hat, trace = res.a_hat, res.trace
     elif args.algorithm == "baseline":
         a_hat = baseline_laplace(dists, args.eps, args.top_pct, rng=rng)
     elif args.algorithm == "dense":
-        a_hat = aggregate_dense(dists, args.eps, rng=rng).a_hat
+        res = aggregate_dense(dists, args.eps, rng=rng)
+        a_hat, trace = res.a_hat, res.trace
     else:
         raise SystemExit(f"unknown algorithm {args.algorithm!r}")
     write_dataset(
@@ -377,14 +372,14 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         a_hat.resolution,
         {"algorithm": args.algorithm, "eps": args.eps, "source": str(args.input)},
     )
-    write_manifest(Path(args.out).with_suffix(".manifest.json"), vars_clean(args))
+    write_manifest(Path(args.out).with_suffix(".manifest.json"), vars_clean(args), trace)
     print(f"wrote aggregate to {args.out}")
     return 0
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     users, manifest = read_dataset(args.input)
-    avg = _mean_dist(users)
+    avg = user_sum(list(users.values())).scaled(1.0 / len(users))
     if args.padded:
         grid = heatmap_padded(avg, args.sigma, args.pad)
     else:
@@ -449,7 +444,7 @@ def _cmd_shuffle_sim(args: argparse.Namespace) -> int:
             args.gaussians, args.n, args.samples, args.delta_grid, args.seed
         )
         users, _ = synth_users(spec)
-        h_true = heatmap(_mean_dist(users), args.sigma)
+        h_true = heatmap(user_sum(users).scaled(1.0 / len(users)), args.sigma)
         sim_rows = []
         for alg_idx, b_scale in enumerate(b_values):
             params = ShuffleParams.from_schedule(

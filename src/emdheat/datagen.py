@@ -253,14 +253,25 @@ def build_cells(
     return datasets
 
 
+def _dataset_path(csv_path: str | Path) -> Path:
+    csv_path = Path(csv_path)
+    if csv_path.suffix != ".csv":
+        raise ValueError(f"datasets are CSV files named *.csv, got {str(csv_path)!r}")
+    return csv_path
+
+
 def write_dataset(
     csv_path: str | Path,
     users: dict[str, SparseDist],
     resolution: int,
     manifest_extra: dict | None = None,
 ) -> None:
-    """CSV of user_id, ix, iy, mass plus a JSON manifest alongside."""
-    csv_path = Path(csv_path)
+    """CSV of user_id, ix, iy, mass plus a JSON manifest alongside.
+
+    The manifest is `csv_path` with its `.csv` suffix replaced by `.json`;
+    any other suffix raises ValueError before a file is written.
+    """
+    csv_path = _dataset_path(csv_path)
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["user_id", "ix", "iy", "mass"])
@@ -278,7 +289,7 @@ def write_dataset(
 
 def read_dataset(csv_path: str | Path) -> tuple[dict[str, SparseDist], dict]:
     """Inverse of write_dataset; the manifest supplies the resolution."""
-    csv_path = Path(csv_path)
+    csv_path = _dataset_path(csv_path)
     with open(csv_path.with_suffix(".json")) as f:
         manifest = json.load(f)
     resolution = int(manifest["resolution"])

@@ -11,7 +11,8 @@ points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -230,3 +231,55 @@ class SparseDist:
             for p, m in self.entries.items():
                 out[GridPoint(p.ix * factor, p.iy * factor, resolution)] = m
         return SparseDist(resolution, out)
+
+
+def user_sum(dists: Sequence[SparseDist]) -> SparseDist:
+    """The unnormalized sum of unit-mass user distributions, in O(total support).
+
+    Raises ValueError, naming the first offending user by index, unless
+    there is at least one user, all share one resolution and each has
+    total mass 1 within MASS_TOLERANCE.  Each cell's masses are added in
+    user order starting from 0.0, as a running sum of dense arrays would
+    add them, so `user_sum(dists).to_dense()` equals that sum bit for bit.
+    """
+    n = len(dists)
+    if n == 0:
+        raise ValueError("need at least one user distribution")
+    d = dists[0].resolution
+    resolutions = np.fromiter((p.resolution for p in dists), dtype=np.int64, count=n)
+    odd = np.flatnonzero(resolutions != d)
+    if odd.size:
+        u = int(odd[0])
+        raise ValueError(
+            f"user distributions must share one resolution: user {u} has "
+            f"resolution {int(resolutions[u])}, user 0 has {d}"
+        )
+    sizes = np.fromiter((len(p.entries) for p in dists), dtype=np.int64, count=n)
+    total = int(sizes.sum())
+    masses = np.fromiter(
+        chain.from_iterable(p.entries.values() for p in dists), dtype=float, count=total
+    )
+    # GridPoints are (ix, iy, resolution) tuples; flattening them twice
+    # is several times faster than a fromiter over tuples
+    points = np.fromiter(
+        chain.from_iterable(chain.from_iterable(p.entries for p in dists)),
+        dtype=np.int64,
+        count=3 * total,
+    ).reshape(total, 3)
+    # bincount accumulates in input order, so each user's mass is the
+    # same left-to-right sum that SparseDist.total_mass computes
+    user_mass = np.bincount(np.repeat(np.arange(n), sizes), weights=masses, minlength=n)
+    off = np.flatnonzero(np.abs(user_mass - 1.0) > MASS_TOLERANCE)
+    if off.size:
+        u = int(off[0])
+        raise ValueError(
+            f"every user distribution must have unit mass: user {u} has "
+            f"total mass {float(user_mass[u])!r}"
+        )
+    cells, inverse = np.unique(points[:, 1] * d + points[:, 0], return_inverse=True)
+    sums = np.bincount(inverse, weights=masses, minlength=cells.size)
+    iy, ix = np.divmod(cells, d)
+    entries = {
+        GridPoint(x, y, d): m for x, y, m in zip(ix.tolist(), iy.tolist(), sums.tolist())
+    }
+    return SparseDist(d, entries)

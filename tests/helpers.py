@@ -54,3 +54,13 @@ def signed_to_dense(z: dict[GridPoint, float], d: int) -> np.ndarray:
     for p, v in z.items():
         arr[p.iy, p.ix] += v
     return arr
+
+
+def dense_loop_sum(dists: list[SparseDist]) -> np.ndarray:
+    """Reference user sum: every user's masses added into one d x d array."""
+    d = dists[0].resolution
+    total = np.zeros((d, d))
+    for p in dists:
+        for g, m in p.entries.items():
+            total[g.iy, g.ix] += m
+    return total

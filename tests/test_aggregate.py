@@ -1,5 +1,7 @@
 """End-to-end aggregation mechanisms: central, dense, baseline, coreset."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,10 @@ from emdheat.aggregate import (
 )
 from emdheat.emd import emd, emd_norm
 from emdheat.grid import GridPoint, SparseDist
-from emdheat.noise import pivot_level
+from emdheat.noise import budget_schedule, pivot_level
 from emdheat.pyramid import partition_sums
 
-from helpers import delta, gp, rand_sparse
+from helpers import delta, dense_loop_sum, gp, rand_sparse
 
 
 def test_config_validation():
@@ -85,6 +87,14 @@ def test_aggregate_central_input_validation():
         aggregate_central([delta(0, 0, 4, mass=0.8)], cfg)
     with pytest.raises(ValueError):
         aggregate_central([delta(0, 0, 4), delta(0, 0, 8)], cfg)
+    # a bad user further down the list is named with what was found
+    good = [delta(1, 2, 4), delta(3, 3, 4), delta(0, 1, 4)]
+    with pytest.raises(ValueError, match=r"user 2 has total mass 0\.5"):
+        aggregate_central(good[:2] + [delta(2, 2, 4, mass=0.5)] + good[2:], cfg)
+    with pytest.raises(ValueError, match=r"user 3 has resolution 8, user 0 has 4"):
+        aggregate_central(good + [delta(0, 0, 8)], cfg)
+    with pytest.raises(ValueError, match=r"user 1 has total mass 1\.25"):
+        baseline_laplace([good[0], delta(2, 2, 4, mass=1.25)], eps=1.0)
 
 
 def test_per_level_sensitivity_bounded_by_one():
@@ -191,3 +201,46 @@ def test_coreset_returns_unnormalized_sum():
     assert s_hat.total_mass == pytest.approx(3.0, abs=1e-6)
     assert s_hat.entries[gp(1, 1, 8)] == pytest.approx(2.0, abs=1e-6)
     assert s_hat.entries[gp(6, 2, 8)] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["theory", "experiment"])
+def test_aggregate_central_replays_exactly(mode):
+    # y' level i is 2^-i (partition sums of the sum + Lap(1/eps_i)), drawn
+    # level by level from the given RNG
+    rng = np.random.default_rng(55)
+    dists = [rand_sparse(rng, 32, int(rng.integers(1, 9))) for _ in range(40)]
+    cfg = AggregationConfig(eps=2.0, w=12, mode=mode)
+    res = aggregate_central(dists, cfg, rng=np.random.default_rng(56))
+
+    s = dense_loop_sum(dists)
+    start = cfg.start_level(32)
+    schedule = budget_schedule(cfg.eps, 5, cfg.w, cfg.effective_gamma, start)
+    replay = np.random.default_rng(56)
+    assert res.y_prime.start_level == start
+    assert len(res.y_prime.levels) == 5 - start + 1
+    for i, level in zip(range(start, 6), res.y_prime.levels):
+        sums = partition_sums(s, i)
+        expected = 2.0 ** -i * (sums + replay.laplace(0.0, 1.0 / schedule.epsilon(i), sums.shape))
+        assert np.array_equal(level, expected)
+
+
+def test_aggregate_trace():
+    rng = np.random.default_rng(57)
+    dists = [rand_sparse(rng, 16, int(rng.integers(1, 12))) for _ in range(60)]
+    entries = sum(len(p.entries) for p in dists)
+
+    central = aggregate_central(dists, AggregationConfig(eps=1.0, w=10, mode="experiment", seed=2))
+    dense = aggregate_dense(dists, eps=1.0, seed=2)
+    for res in (central, dense):
+        trace = json.loads(json.dumps(res.trace))
+        assert trace == res.trace
+        assert trace["n_users"] == 60
+        assert trace["input_entries"] == entries
+        assert 0 < trace["sum_support"] <= trace["input_entries"]
+        for key in ("sum_s", "measure_s", "reconstruct_s"):
+            assert trace[key] >= 0.0
+    schedule = central.schedule
+    levels = range(central.y_prime.start_level, 5)
+    assert central.trace["noise_scales"] == [schedule.scale(i) for i in levels]
+    assert central.trace["sum_support"] == len(np.flatnonzero(dense_loop_sum(dists)))
+    assert dense.trace["noise_scales"] == [1.0]

@@ -8,6 +8,8 @@ import pytest
 
 from emdheat.cli import TRIAL_CSV_FIELDS, _branch_seed, embed_square, main
 from emdheat.datagen import read_dataset
+from emdheat.grid import SparseDist, user_sum
+from emdheat.heatmap import heatmap, read_csv
 
 
 def read_rows(path):
@@ -69,6 +71,53 @@ def test_aggregate_subcommand(tmp_path):
     agg, manifest = read_dataset(out)
     assert manifest["algorithm"] == "ours"
     assert agg["aggregate"].total_mass == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("algorithm", ["ours", "dense"])
+def test_aggregate_manifest_carries_trace(tmp_path, algorithm):
+    data = tmp_path / "data.csv"
+    main(["synth", "--n", "12", "--delta-grid", "16", "--samples", "10",
+          "--seed", "3", "--out", str(data)])
+    users, _ = read_dataset(data)
+    out = tmp_path / "agg.csv"
+    rc = main(["aggregate", "--input", str(data), "--eps", "2", "--algorithm", algorithm,
+               "--out", str(out)])
+    assert rc == 0
+    trace = json.loads((tmp_path / "agg.manifest.json").read_text())["trace"]
+    assert trace["n_users"] == 12
+    assert trace["input_entries"] == sum(len(p.entries) for p in users.values())
+    assert 0 < trace["sum_support"] <= trace["input_entries"]
+    assert trace["noise_scales"] and all(b > 0 for b in trace["noise_scales"])
+    assert {"sum_s", "measure_s", "reconstruct_s"} <= trace.keys()
+
+
+def test_synth_rejects_a_non_csv_name_and_writes_nothing(tmp_path):
+    with pytest.raises(ValueError, match=r"\.csv"):
+        main(["synth", "--n", "3", "--delta-grid", "8",
+              "--out", str(tmp_path / "users.jsonl.gz")])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mean_matches_the_dense_mean(tmp_path):
+    # the CLI's mean of users (user_sum scaled by 1/n) against the dense
+    # running sum divided by n, directly and through `emdheat heatmap`
+    data = tmp_path / "data.csv"
+    main(["synth", "--n", "40", "--gaussians", "4", "--delta-grid", "64",
+          "--samples", "20", "--seed", "8", "--out", str(data)])
+    users, _ = read_dataset(data)
+    dists = list(users.values())
+    dense = np.zeros((64, 64))
+    for p in dists:
+        dense += p.to_dense()
+    dense /= len(dists)
+    mean = user_sum(dists).scaled(1.0 / len(dists))
+    np.testing.assert_allclose(mean.to_dense(), dense, rtol=0, atol=1e-12)
+
+    grid_csv = tmp_path / "h.csv"
+    main(["heatmap", "--input", str(data), "--sigma", "0.05",
+          "--out", str(tmp_path / "h.pgm"), "--csv-out", str(grid_csv)])
+    expected = heatmap(SparseDist.from_dense(dense, 64), 0.05).values
+    np.testing.assert_allclose(read_csv(grid_csv), expected, rtol=0, atol=1e-12)
 
 
 def test_aggregate_rejects_unknown_algorithm(tmp_path):

@@ -210,6 +210,16 @@ def test_dataset_round_trip(tmp_path):
         assert back[uid].entries == users[uid].entries
 
 
+@pytest.mark.parametrize("name", ["users.jsonl.gz", "users.json", "users.csv.gz", "users"])
+def test_dataset_io_rejects_a_non_csv_name(tmp_path, name):
+    users = {"alice": SparseDist(8, {gp(1, 2, 8): 1.0})}
+    with pytest.raises(ValueError, match=r"\.csv"):
+        write_dataset(tmp_path / name, users, 8)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError, match=r"\.csv"):
+        read_dataset(tmp_path / name)
+
+
 def test_read_dataset_rejects_foreign_header(tmp_path):
     path = tmp_path / "cell.csv"
     path.write_text("a,b,c,d\n")

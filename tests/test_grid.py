@@ -1,5 +1,7 @@
 """Grid geometry: snapping, cell navigation, sparse distributions."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,10 @@ from emdheat.grid import (
     num_levels,
     parent,
     snap,
+    user_sum,
 )
 
-from helpers import gp
+from helpers import dense_loop_sum, gp, rand_sparse
 
 
 def test_snap_origin():
@@ -193,3 +196,56 @@ def test_minus_sparse_difference():
 def test_support_sorted_row_major():
     d = SparseDist(4, {gp(3, 1, 4): 0.2, gp(0, 1, 4): 0.3, gp(2, 0, 4): 0.5})
     assert d.support() == [gp(2, 0, 4), gp(0, 1, 4), gp(3, 1, 4)]
+
+
+def pooled_users(rng, d, n, pool_size, k):
+    """n users whose k-point supports come from one shared pool of cells."""
+    pool = rng.choice(d * d, size=pool_size, replace=False)
+    users = []
+    for _ in range(n):
+        cells = rng.choice(pool, size=k, replace=False)
+        masses = rng.dirichlet(np.ones(k))
+        users.append(
+            SparseDist(d, {gp(int(c % d), int(c // d), d): float(m) for c, m in zip(cells, masses)})
+        )
+    return users
+
+
+def test_user_sum_matches_dense_loop_with_overlapping_supports():
+    rng = np.random.default_rng(61)
+    for d, n, k in ((4, 30, 5), (8, 50, 12), (16, 7, 40)):
+        dists = [rand_sparse(rng, d, k) for _ in range(n)]
+        out = user_sum(dists)
+        assert out.resolution == d
+        assert np.array_equal(out.to_dense(), dense_loop_sum(dists))
+        assert len(out.entries) <= sum(len(p.entries) for p in dists)
+        assert all(m > 0 for m in out.entries.values())
+
+
+def test_user_sum_matches_dense_loop_on_fine_grid():
+    rng = np.random.default_rng(62)
+    dists = pooled_users(rng, 1024, 300, 150, 20)
+    out = user_sum(dists)
+    assert np.array_equal(out.to_dense(), dense_loop_sum(dists))
+    assert len(out.entries) <= 150
+
+
+def test_user_sum_single_user_is_the_user():
+    rng = np.random.default_rng(63)
+    p = rand_sparse(rng, 32, 9)
+    assert user_sum([p]).entries == p.entries
+    assert user_sum([p]).resolution == 32
+
+
+def test_user_sum_validation_names_the_user():
+    rng = np.random.default_rng(64)
+    good = [rand_sparse(rng, 8, 3) for _ in range(4)]
+    with pytest.raises(ValueError, match="at least one"):
+        user_sum([])
+    with pytest.raises(ValueError, match=r"user 2 has resolution 16"):
+        user_sum(good[:2] + [rand_sparse(rng, 16, 3)] + good[2:])
+    light = rand_sparse(rng, 8, 3, mass=0.8)
+    with pytest.raises(ValueError, match=f"user 3 has total mass {re.escape(repr(light.total_mass))}"):
+        user_sum(good[:3] + [light] + good[3:])
+    with pytest.raises(ValueError, match=r"user 1 has total mass 0\.0"):
+        user_sum([good[0], SparseDist(8)])
