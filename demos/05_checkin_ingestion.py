@@ -16,7 +16,7 @@ import numpy as np
 from emdheat.aggregate import AggregationConfig, aggregate_central
 from emdheat.datagen import build_cells, parse_checkins
 from emdheat.emd import emd
-from emdheat.grid import SparseDist
+from emdheat.grid import user_sum
 from emdheat.noise import make_rng
 
 rng = np.random.default_rng(17)
@@ -50,8 +50,7 @@ for cell in cells:
 # aggregate the busiest cell under eps = 2
 busiest = cells[0]
 users = list(busiest.users.values())
-dense = sum(p.to_dense() for p in users) / len(users)
-a_true = SparseDist.from_dense(dense, 64)
+a_true = user_sum(users).scaled(1.0 / len(users))
 
 cfg = AggregationConfig(eps=2.0, w=20, mode="experiment")
 a_hat = aggregate_central(users, cfg, rng=make_rng(5)).a_hat

@@ -26,7 +26,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .emd import SLACK_RATE, _grid_arcs, _incidence
-from .grid import GridPoint, SparseDist, num_levels, user_sum
+from .grid import GridPoint, SparseDist, num_levels, shared_resolution, user_sum
 from .noise import NoiseSchedule, budget_schedule, laplace, make_rng, pivot_level
 from .pyramid import PyramidVec, partition_sums
 from .recovery import reconstruct
@@ -88,6 +88,8 @@ def _dense_sum(dists: list[SparseDist], resolution: int | None = None) -> tuple[
     With `resolution`, every user is re-gridded to it before summing.
     """
     start = time.perf_counter()
+    # before re-gridding, which would hide a mismatch from user_sum
+    shared_resolution(dists)
     summands = dists if resolution is None else [p.at_resolution(resolution) for p in dists]
     total = user_sum(summands)
     s = total.to_dense()

@@ -38,6 +38,7 @@ from .datagen import (
     BBox,
     build_cells,
     filter_date_range,
+    in_bbox,
     open_maybe_gzip,
     parse_checkins,
     random_mixture_spec,
@@ -303,8 +304,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    t0 = time.perf_counter()
     with open_maybe_gzip(args.input) as f:
         records, skipped = parse_checkins(f)
+    parse_s = time.perf_counter() - t0
+    records_parsed = len(records)
     start = date.fromisoformat(args.date_from) if args.date_from else None
     end = date.fromisoformat(args.date_to) if args.date_to else None
     if start or end:
@@ -316,6 +320,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         if len(parts) != 4:
             raise SystemExit("--bbox needs lon_min,lon_max,lat_min,lat_max")
         bbox = BBox(*parts)
+    t0 = time.perf_counter()
     cells = build_cells(
         records,
         args.delta_grid,
@@ -324,10 +329,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         top_cells=args.top_cells,
         min_users=args.min_users,
     )
+    build_s = time.perf_counter() - t0
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not cells:
         print("warning: no records inside the bounding box", file=sys.stderr)
+    t0 = time.perf_counter()
     for ds in cells:
         path = out_dir / f"cell_{ds.rank:02d}.csv"
         write_dataset(
@@ -342,9 +349,18 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 "meets_min_users": ds.meets_min_users,
             },
         )
+    trace = {
+        "parse_s": parse_s,
+        "build_s": build_s,
+        "write_s": time.perf_counter() - t0,
+        "records_parsed": records_parsed,
+        "records_in_bbox": int(in_bbox(records, bbox).sum()),
+        "skipped_lines": skipped,
+    }
     write_manifest(
         out_dir / "manifest.json",
         {**vars_clean(args), "skipped_lines": skipped, "cells_written": len(cells)},
+        trace,
     )
     print(f"wrote {len(cells)} cell datasets to {out_dir} ({skipped} lines skipped)")
     return 0

@@ -2,9 +2,16 @@
 
 Synthetic users draw from a shared Gaussian mixture; sparsity of the
 pooled support is steered by the component count, covariance size, and
-samples per user.  Ingestion reads tab-separated check-in logs, filters
-to a bounding box, ranks a coarse partition by activity, and turns each
-busy cell into one dataset of per-user empirical distributions.
+samples per user.  Each user's samples are counted per grid cell with
+np.unique, never in a d x d array.
+
+Ingestion reads tab-separated check-in logs, filters to a bounding box,
+ranks a coarse partition by activity, and turns each busy cell into one
+dataset of per-user empirical distributions.  Binning, ranking and the
+per-user grouping run on numpy columns of the parsed records; every
+point goes through the same float operations as snapping it alone with
+grid.snap, so the datasets, their dict order and every mass are those
+of a per-record loop.
 """
 
 from __future__ import annotations
@@ -15,12 +22,15 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
+from functools import partial
+from itertools import count, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .grid import GridPoint, SparseDist, snap
+from .grid import GridPoint, SparseDist, grid_points, is_power_of_two
 from .noise import make_rng
 
 
@@ -85,7 +95,7 @@ def synth_users(spec: MixtureSpec) -> tuple[list[SparseDist], float]:
 
     rng = make_rng(spec.seed)
     d = spec.resolution
-    pooled = np.zeros((d, d), dtype=np.int64)
+    occupied = []
     users = []
     for _ in range(spec.n_users):
         comps = rng.integers(0, spec.num_gaussians, size=spec.samples_per_user)
@@ -99,13 +109,15 @@ def synth_users(spec: MixtureSpec) -> tuple[list[SparseDist], float]:
             ok = np.all((draw >= 0.0) & (draw < 1.0), axis=1)
             pts[pending[ok]] = draw[ok]
             pending = pending[~ok]
-        counts = np.zeros((d, d), dtype=np.int64)
         ix = np.floor(pts[:, 0] * d).astype(int)
         iy = np.floor(pts[:, 1] * d).astype(int)
-        np.add.at(counts, (iy, ix), 1)
-        pooled += counts
-        users.append(SparseDist.from_dense(counts / spec.samples_per_user, d))
-    sparsity = np.count_nonzero(pooled) / float(d * d)
+        # row-major cell order, as SparseDist.from_dense lists a dense array
+        cells, counts = np.unique(iy * d + ix, return_counts=True)
+        occupied.append(cells)
+        cy, cx = np.divmod(cells, d)
+        masses = (counts / spec.samples_per_user).tolist()
+        users.append(SparseDist(d, dict(zip(grid_points(cx.tolist(), cy.tolist(), d), masses))))
+    sparsity = np.unique(np.concatenate(occupied)).size / float(d * d)
     return users, sparsity
 
 
@@ -126,6 +138,9 @@ class BBox(NamedTuple):
 
 US_BBOX = BBox(-135.0, -60.0, 0.0, 50.0)
 
+# the largest float below 1.0: in-cell offsets stay inside [0, 1)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
 
 def parse_checkins(lines: Iterable[str]) -> tuple[list[CheckinRecord], int]:
     """Tab-separated user_id, timestamp, lat, lon[, location_id] lines.
@@ -134,19 +149,25 @@ def parse_checkins(lines: Iterable[str]) -> tuple[list[CheckinRecord], int]:
     (bad field count, unparseable timestamp or number, out-of-range
     coordinates).
     """
-    records = []
+    records: list[CheckinRecord] = []
+    append = records.append
+    # CheckinRecord is a plain NamedTuple; building it with tuple.__new__
+    # skips the Python-level constructor call per line
+    make = partial(tuple.__new__, CheckinRecord)
+    parse_stamp = datetime.fromisoformat
     skipped = 0
     for line in lines:
         line = line.rstrip("\n").rstrip("\r")
         if not line:
             continue
         parts = line.split("\t")
-        if len(parts) not in (4, 5):
+        n = len(parts)
+        if n != 4 and n != 5:
             skipped += 1
             continue
         try:
             # datetime.fromisoformat in 3.10 rejects a trailing Z
-            stamp = datetime.fromisoformat(parts[1].replace("Z", "+00:00"))
+            stamp = parse_stamp(parts[1].replace("Z", "+00:00"))
             lat = float(parts[2])
             lon = float(parts[3])
         except ValueError:
@@ -155,8 +176,7 @@ def parse_checkins(lines: Iterable[str]) -> tuple[list[CheckinRecord], int]:
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
             skipped += 1
             continue
-        loc = parts[4] if len(parts) == 5 else None
-        records.append(CheckinRecord(parts[0], stamp, lat, lon, loc))
+        append(make((parts[0], stamp, lat, lon, parts[4] if n == 5 else None)))
     return records, skipped
 
 
@@ -194,6 +214,19 @@ class CellDataset:
         return len(self.users)
 
 
+def _column(records: list[CheckinRecord], index: int, dtype) -> np.ndarray:
+    return np.fromiter(map(itemgetter(index), records), dtype=dtype, count=len(records))
+
+
+def _bbox_mask(lon: np.ndarray, lat: np.ndarray, bbox: BBox) -> np.ndarray:
+    return (bbox.lon_min < lon) & (lon < bbox.lon_max) & (bbox.lat_min < lat) & (lat < bbox.lat_max)
+
+
+def in_bbox(records: list[CheckinRecord], bbox: BBox = US_BBOX) -> np.ndarray:
+    """Boolean mask of the records strictly inside `bbox`, as build_cells keeps them."""
+    return _bbox_mask(_column(records, 3, float), _column(records, 2, float), bbox)
+
+
 def build_cells(
     records: list[CheckinRecord],
     resolution: int,
@@ -202,37 +235,52 @@ def build_cells(
     top_cells: int = 30,
     min_users: int = 200,
 ) -> list[CellDataset]:
-    """Filter, rank a coarse partition by activity, build per-cell datasets."""
+    """Filter, rank a coarse partition by activity, build per-cell datasets.
+
+    Records strictly inside `bbox` are binned into a `coarse` x `coarse`
+    partition; cells are ranked by check-in count (ties by row-major
+    index) and the top `top_cells` become datasets.  A user's
+    distribution is the empirical distribution of their check-ins in the
+    cell, snapped to the `resolution` grid of the cell's unit square.
+    Users appear in order of their first check-in in the cell, and each
+    user's entries in order of first visit.
+    """
     lon_span = bbox.lon_max - bbox.lon_min
     lat_span = bbox.lat_max - bbox.lat_min
+    lon = _column(records, 3, float)
+    lat = _column(records, 2, float)
+    keep = np.flatnonzero(_bbox_mask(lon, lat, bbox))
+    # the IEEE operations of binning one record at a time with snap(),
+    # in the same order, so every point lands on the same grid point
+    xs = (lon[keep] - bbox.lon_min) / lon_span * coarse
+    ys = (lat[keep] - bbox.lat_min) / lat_span * coarse
+    cxs = np.minimum(xs.astype(np.int64), coarse - 1)
+    cys = np.minimum(ys.astype(np.int64), coarse - 1)
+    cells, cell_of, cell_count = np.unique(
+        cys * coarse + cxs, return_inverse=True, return_counts=True
+    )
+    # stable: equal counts keep ascending cell index
+    ranked = np.argsort(-cell_count, kind="stable")[:top_cells]
+    if ranked.size and not is_power_of_two(resolution):
+        raise ValueError(f"resolution must be a power of two, got {resolution}")
+    u = np.clip(xs - cxs, 0.0, _BELOW_ONE)
+    v = np.clip(ys - cys, 0.0, _BELOW_ONE)
+    point = (v * resolution).astype(np.int64) * resolution + (u * resolution).astype(np.int64)
+    # a user's code is the position of their first record
+    first_seen: dict[str, int] = {}
+    uids = list(map(itemgetter(0), records))
+    user = np.fromiter(map(first_seen.setdefault, uids, count()), dtype=np.int64, count=len(uids))
+    user = user[keep]
+    # record positions grouped by cell, record order within each cell
+    by_cell = np.argsort(cell_of, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(cell_count)))
 
-    per_cell: dict[int, list[tuple[str, float, float]]] = {}
-    for rec in records:
-        if not (bbox.lon_min < rec.lon < bbox.lon_max):
-            continue
-        if not (bbox.lat_min < rec.lat < bbox.lat_max):
-            continue
-        x = (rec.lon - bbox.lon_min) / lon_span
-        y = (rec.lat - bbox.lat_min) / lat_span
-        cx = min(int(x * coarse), coarse - 1)
-        cy = min(int(y * coarse), coarse - 1)
-        u = min(max(x * coarse - cx, 0.0), math.nextafter(1.0, 0.0))
-        v = min(max(y * coarse - cy, 0.0), math.nextafter(1.0, 0.0))
-        per_cell.setdefault(cy * coarse + cx, []).append((rec.user_id, u, v))
-
-    ranked = sorted(per_cell.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     datasets = []
-    for rank, (idx, points) in enumerate(ranked[:top_cells]):
+    for rank, c in enumerate(ranked.tolist()):
+        rows = by_cell[starts[c] : starts[c + 1]]
+        users = _cell_users(user[rows], point[rows], uids, resolution)
+        idx = int(cells[c])
         cx, cy = idx % coarse, idx // coarse
-        counts: dict[str, dict[GridPoint, float]] = {}
-        for user_id, u, v in points:
-            p = snap(u, v, resolution)
-            bucket = counts.setdefault(user_id, {})
-            bucket[p] = bucket.get(p, 0.0) + 1.0
-        users = {
-            uid: SparseDist(resolution, pts).scaled(1.0 / sum(pts.values()))
-            for uid, pts in counts.items()
-        }
         cell_bounds = BBox(
             bbox.lon_min + cx / coarse * lon_span,
             bbox.lon_min + (cx + 1) / coarse * lon_span,
@@ -245,12 +293,44 @@ def build_cells(
                 cx,
                 cy,
                 cell_bounds,
-                len(points),
+                int(cell_count[c]),
                 users,
                 len(users) >= min_users,
             )
         )
     return datasets
+
+
+def _cell_users(
+    user: np.ndarray, point: np.ndarray, uids: list[str], resolution: int
+) -> dict[str, SparseDist]:
+    """Per-user empirical distributions of one cell's check-ins, given in record order.
+
+    `user` holds codes that index `uids`; `point` holds flat grid indices.
+    """
+    codes, first, user = np.unique(user, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    # rank users by first check-in
+    rank = np.empty(codes.size, dtype=np.int64)
+    rank[by_first] = np.arange(codes.size)
+    user = rank[user]
+    cell_points, point = np.unique(point, return_inverse=True)
+    pairs, pair_first, pair_count = np.unique(
+        user * cell_points.size + point, return_index=True, return_counts=True
+    )
+    pair_user, pair_point = np.divmod(pairs, cell_points.size)
+    order = np.lexsort((pair_first, pair_user))
+    sizes = np.bincount(pair_user, minlength=codes.size)
+    # count * (1 / total), not count / total: the masses that scaling
+    # the user's counts by 1 / total gives, to the last bit
+    scale = 1.0 / np.bincount(user, minlength=codes.size).astype(float)
+    masses = (pair_count[order] * np.repeat(scale, sizes)).tolist()
+    iy, ix = np.divmod(cell_points[pair_point[order]], resolution)
+    entries = zip(grid_points(ix.tolist(), iy.tolist(), resolution), masses)
+    return {
+        uids[code]: SparseDist(resolution, dict(islice(entries, size)))
+        for code, size in zip(codes[by_first].tolist(), sizes.tolist())
+    }
 
 
 def _dataset_path(csv_path: str | Path) -> Path:
@@ -272,13 +352,17 @@ def write_dataset(
     any other suffix raises ValueError before a file is written.
     """
     csv_path = _dataset_path(csv_path)
+    # rows in user-id order, each user's points in (iy, ix) order; csv
+    # writes a float as its repr, which reads back bit for bit
+    by_row_major = itemgetter(1, 0)
+    rows = []
+    for uid in sorted(users):
+        entries = users[uid].entries
+        rows += [(uid, p.ix, p.iy, entries[p]) for p in sorted(entries, key=by_row_major)]
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["user_id", "ix", "iy", "mass"])
-        for uid in sorted(users):
-            dist = users[uid]
-            for p in dist.support():
-                writer.writerow([uid, p.ix, p.iy, repr(dist.entries[p])])
+        writer.writerows(rows)
     manifest = {"resolution": resolution, "n_users": len(users)}
     if manifest_extra:
         manifest.update(manifest_extra)
@@ -295,15 +379,18 @@ def read_dataset(csv_path: str | Path) -> tuple[dict[str, SparseDist], dict]:
     resolution = int(manifest["resolution"])
 
     raw: dict[str, dict[GridPoint, float]] = {}
+    last, points = None, {}
     with open(csv_path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader)
         if header[:4] != ["user_id", "ix", "iy", "mass"]:
             raise ValueError(f"unexpected dataset header: {header}")
-        for row in reader:
-            uid, ix, iy, mass = row[0], int(row[1]), int(row[2]), float(row[3])
-            point = GridPoint(ix, iy, resolution)
-            raw.setdefault(uid, {})[point] = mass
+        # one pass; write_dataset groups rows by user, so the user's dict
+        # is looked up once per run of equal ids
+        for uid, ix, iy, mass in map(itemgetter(0, 1, 2, 3), reader):
+            if uid != last:
+                last, points = uid, raw.setdefault(uid, {})
+            points[GridPoint(int(ix), int(iy), resolution)] = float(mass)
     users = {uid: SparseDist(resolution, pts) for uid, pts in raw.items()}
     return users, manifest
 

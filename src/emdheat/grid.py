@@ -11,7 +11,8 @@ points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -34,6 +35,11 @@ class GridPoint(NamedTuple):
     @property
     def y(self) -> float:
         return self.iy / self.resolution
+
+
+def grid_points(ix: Iterable[int], iy: Iterable[int], resolution: int) -> list[GridPoint]:
+    """GridPoints from coordinate columns, without a Python-level call per point."""
+    return list(map(partial(tuple.__new__, GridPoint), zip(ix, iy, repeat(resolution))))
 
 
 class CellId(NamedTuple):
@@ -233,14 +239,11 @@ class SparseDist:
         return SparseDist(resolution, out)
 
 
-def user_sum(dists: Sequence[SparseDist]) -> SparseDist:
-    """The unnormalized sum of unit-mass user distributions, in O(total support).
+def shared_resolution(dists: Sequence[SparseDist]) -> int:
+    """The one resolution of a nonempty batch of users.
 
-    Raises ValueError, naming the first offending user by index, unless
-    there is at least one user, all share one resolution and each has
-    total mass 1 within MASS_TOLERANCE.  Each cell's masses are added in
-    user order starting from 0.0, as a running sum of dense arrays would
-    add them, so `user_sum(dists).to_dense()` equals that sum bit for bit.
+    Raises ValueError if there is no user, or naming the first user
+    whose resolution differs from user 0's.
     """
     n = len(dists)
     if n == 0:
@@ -254,6 +257,20 @@ def user_sum(dists: Sequence[SparseDist]) -> SparseDist:
             f"user distributions must share one resolution: user {u} has "
             f"resolution {int(resolutions[u])}, user 0 has {d}"
         )
+    return d
+
+
+def user_sum(dists: Sequence[SparseDist]) -> SparseDist:
+    """The unnormalized sum of unit-mass user distributions, in O(total support).
+
+    Raises ValueError, naming the first offending user by index, unless
+    there is at least one user, all share one resolution and each has
+    total mass 1 within MASS_TOLERANCE.  Each cell's masses are added in
+    user order starting from 0.0, as a running sum of dense arrays would
+    add them, so `user_sum(dists).to_dense()` equals that sum bit for bit.
+    """
+    n = len(dists)
+    d = shared_resolution(dists)
     sizes = np.fromiter((len(p.entries) for p in dists), dtype=np.int64, count=n)
     total = int(sizes.sum())
     masses = np.fromiter(
@@ -279,7 +296,4 @@ def user_sum(dists: Sequence[SparseDist]) -> SparseDist:
     cells, inverse = np.unique(points[:, 1] * d + points[:, 0], return_inverse=True)
     sums = np.bincount(inverse, weights=masses, minlength=cells.size)
     iy, ix = np.divmod(cells, d)
-    entries = {
-        GridPoint(x, y, d): m for x, y, m in zip(ix.tolist(), iy.tolist(), sums.tolist())
-    }
-    return SparseDist(d, entries)
+    return SparseDist(d, dict(zip(grid_points(ix.tolist(), iy.tolist(), d), sums.tolist())))

@@ -163,6 +163,18 @@ def test_aggregate_dense_clamps_shallow():
     assert res.a_hat.resolution == 1
 
 
+def test_aggregate_dense_rejects_mixed_resolutions():
+    rng = np.random.default_rng(58)
+    dists = [rand_sparse(rng, 64, 3) for _ in range(30)] + [delta(1, 2, 4)]
+    # eps * n = 31 puts the coarse grid at d=4, where the odd user already lives
+    for run in (
+        lambda: aggregate_dense(dists, eps=1.0, seed=5),
+        lambda: aggregate_central(dists, AggregationConfig(eps=1.0)),
+    ):
+        with pytest.raises(ValueError, match="user 30 has resolution 4, user 0 has 64"):
+            run()
+
+
 def test_baseline_zero_noise_is_normalized_average():
     rng = np.random.default_rng(56)
     dists = [rand_sparse(rng, 8, 4) for _ in range(5)]

@@ -120,6 +120,36 @@ def test_mean_matches_the_dense_mean(tmp_path):
     np.testing.assert_allclose(read_csv(grid_csv), expected, rtol=0, atol=1e-12)
 
 
+def test_ingest_writes_cells_and_trace(tmp_path):
+    rng = np.random.default_rng(12)
+    lines = []
+    # two cities of 40 and 25 users, two check-ins each, plus one far away
+    for city, (lon, lat, n) in enumerate([(-97.7, 30.25, 40), (-122.4, 37.75, 25)]):
+        for u in range(n):
+            for _ in range(2):
+                lines.append(f"c{city}u{u}\t2010-05-01T12:00:00Z\t"
+                             f"{lat + rng.uniform(-0.01, 0.01):.6f}\t{lon + rng.uniform(-0.01, 0.01):.6f}")
+    lines.append("far\t2010-05-01T12:00:00Z\t60.0\t-100.0")  # north of the box
+    lines += ["bad\tyesterday\t30.0\t-97.0", "short\t2010-05-01T12:00:00Z"]
+    log = tmp_path / "log.tsv"
+    log.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "cells"
+    rc = main(["ingest", "--input", str(log), "--delta-grid", "16", "--top-cells", "2",
+               "--min-users", "30", "--out-dir", str(out_dir)])
+    assert rc == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"]["cells_written"] == 2
+    trace = manifest["trace"]
+    assert trace["records_parsed"] == 131
+    assert trace["records_in_bbox"] == 130
+    assert trace["skipped_lines"] == 2
+    assert all(trace[k] >= 0.0 for k in ("parse_s", "build_s", "write_s"))
+    users, cell = read_dataset(out_dir / "cell_00.csv")
+    assert (len(users), cell["checkin_count"], cell["meets_min_users"]) == (40, 80, True)
+    users, cell = read_dataset(out_dir / "cell_01.csv")
+    assert (len(users), cell["checkin_count"], cell["meets_min_users"]) == (25, 50, False)
+
+
 def test_aggregate_rejects_unknown_algorithm(tmp_path):
     data = tmp_path / "data.csv"
     main(["synth", "--n", "2", "--delta-grid", "8", "--out", str(data)])

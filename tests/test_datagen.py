@@ -1,6 +1,7 @@
 """Synthetic mixtures and check-in ingestion."""
 
 import gzip
+import math
 from datetime import date, timezone
 
 import numpy as np
@@ -13,6 +14,7 @@ from emdheat.datagen import (
     MixtureSpec,
     build_cells,
     filter_date_range,
+    in_bbox,
     open_maybe_gzip,
     parse_checkins,
     random_mixture_spec,
@@ -22,7 +24,7 @@ from emdheat.datagen import (
 )
 from emdheat.grid import SparseDist
 
-from helpers import gp
+from helpers import assert_same_cells, dense_count_synth, gp, loop_build_cells, rand_sparse
 
 
 def test_parse_single_line():
@@ -59,6 +61,19 @@ def test_parse_skips_malformed_lines():
     records, skipped = parse_checkins(lines)
     assert skipped == 6
     assert [r.user_id for r in records] == ["u9"]
+
+
+def test_parse_line_endings():
+    lines = [
+        "u1\t2010-01-15T08:00:00Z\t30.24\t-97.79\tL1\r\n",
+        "u2\t2010-01-15T08:00:00Z\t30.24\t-97.79\n",
+        "\r\n",
+        "\n\r",  # not a blank line once its line feeds are stripped
+    ]
+    records, skipped = parse_checkins(lines)
+    assert skipped == 1
+    assert [(r.user_id, r.location_id) for r in records] == [("u1", "L1"), ("u2", None)]
+    assert all(type(r) is CheckinRecord for r in records)
 
 
 def test_filter_date_range_inclusive():
@@ -138,6 +153,104 @@ def test_build_cells_repeat_user_aggregates():
     assert max(dist.entries.values()) == pytest.approx(2 / 3)
 
 
+def venue_log(seed: int, n_users: int, bbox: BBox) -> list[str]:
+    """A city log: users check in at shared venues, a few trips out of town."""
+    rng = np.random.default_rng(seed)
+    venues = rng.uniform(0.02, 0.98, size=(200, 2))
+    lons = bbox.lon_min + venues[:, 0] * (bbox.lon_max - bbox.lon_min)
+    lats = bbox.lat_min + venues[:, 1] * (bbox.lat_max - bbox.lat_min)
+    lines = []
+    for u in range(n_users):
+        favourites = rng.choice(len(venues), size=6, replace=False)
+        for v in rng.choice(favourites, size=int(rng.integers(5, 25))):
+            lines.append(f"user{u}\t2011-03-05T14:00:00Z\t{lats[v]:.6f}\t{lons[v]:.6f}\tvenue{v}")
+        if rng.random() < 0.1:
+            lines.append(f"user{u}\t2011-03-05T14:00:00Z\t{bbox.lat_max + 1.0:.6f}\t{lons[0]:.6f}")
+    # interleave users, as a real log orders check-ins by time
+    order = rng.permutation(len(lines))
+    return [lines[i] for i in order]
+
+
+CITY = BBox(-97.9, -97.5, 30.1, 30.5)
+
+
+@pytest.mark.parametrize(
+    "resolution, coarse, top_cells, min_users",
+    [(16, 300, 3, 25), (1024, 300, 30, 1), (8, 1000, 200, 1)],
+)
+def test_build_cells_matches_loop_on_city_lines(resolution, coarse, top_cells, min_users):
+    records, _ = parse_checkins(city_lines())
+    kwargs = dict(coarse=coarse, top_cells=top_cells, min_users=min_users)
+    assert_same_cells(
+        build_cells(records, resolution, **kwargs),
+        loop_build_cells(records, resolution, **kwargs),
+    )
+
+
+@pytest.mark.parametrize(
+    "resolution, coarse, top_cells",
+    [(1024, 1, 1), (64, 4, 5), (32, 7, 100)],
+)
+def test_build_cells_matches_loop_on_generated_log(resolution, coarse, top_cells):
+    records, skipped = parse_checkins(venue_log(7, 300, CITY))
+    assert skipped == 0
+    kwargs = dict(bbox=CITY, coarse=coarse, top_cells=top_cells, min_users=20)
+    got = build_cells(records, resolution, **kwargs)
+    assert_same_cells(got, loop_build_cells(records, resolution, **kwargs))
+    assert len(got) == min(top_cells, coarse * coarse)
+    in_city = int(in_bbox(records, CITY).sum())
+    assert 0 < in_city < len(records)
+    if coarse == 1:
+        assert got[0].checkin_count == in_city
+        assert got[0].n_users == 300
+
+
+def test_build_cells_matches_loop_on_edge_points():
+    west, east = US_BBOX.lon_min, US_BBOX.lon_max
+    # x rounds to exactly 1.0 here: clipped into the last coarse cell
+    top = math.nextafter(east, -math.inf)
+    assert (top - west) / (east - west) == 1.0
+    records = [
+        CheckinRecord("edge", None, 25.0, west),  # on the western edge: dropped
+        CheckinRecord("top", None, 25.0, top),
+        CheckinRecord("top", None, 25.0, top),
+        CheckinRecord("mid", None, 25.0, -100.0),  # on a coarse-cell boundary
+        CheckinRecord("mid", None, 25.0, -100.0 + 1e-9),
+        CheckinRecord("mid", None, 26.0, -100.0),
+        CheckinRecord("top", None, 49.99, top),
+    ]
+    for coarse in (1, 3, 300):
+        kwargs = dict(coarse=coarse, top_cells=10, min_users=1)
+        got = build_cells(records, 1024, **kwargs)
+        assert_same_cells(got, loop_build_cells(records, 1024, **kwargs))
+        assert sum(c.checkin_count for c in got) == 6
+    east_cell = build_cells(records, 1024, coarse=3, top_cells=10, min_users=1)[1]
+    assert east_cell.cell_x == 2
+    assert list(east_cell.users) == ["top"]
+    assert east_cell.users["top"].entries == {gp(1023, 512, 1024): 1.0}
+
+
+def test_build_cells_rejects_non_power_of_two_resolution():
+    records, _ = parse_checkins(city_lines())
+    for build in (build_cells, loop_build_cells):
+        with pytest.raises(ValueError, match="power of two"):
+            build(records, 12)
+        # nothing in the box: no grid is built, so nothing to reject
+        assert build(records, 12, bbox=BBox(0.0, 1.0, 0.0, 1.0)) == []
+
+
+def test_in_bbox_is_strict():
+    records, _ = parse_checkins(
+        [
+            "a\t2010-05-01T12:00:00Z\t25.0\t-135.0",
+            "b\t2010-05-01T12:00:00Z\t25.0\t-134.9",
+            "c\t2010-05-01T12:00:00Z\t50.0\t-100.0",
+        ]
+    )
+    assert in_bbox(records).tolist() == [False, True, False]
+    assert in_bbox([]).tolist() == []
+
+
 def test_mixture_spec_validation():
     with pytest.raises(ValueError):
         MixtureSpec(np.zeros((0, 2)), np.zeros((0, 2, 2)), 1, 1, 8)
@@ -169,6 +282,20 @@ def test_synth_users_deterministic():
     u2, s2 = synth_users(spec)
     assert s1 == s2
     assert all(a.entries == b.entries for a, b in zip(u1, u2))
+
+
+@pytest.mark.parametrize(
+    "gaussians, n, samples, d, seed", [(5, 12, 40, 16, 1), (8, 100, 40, 64, 2), (3, 20, 50, 1024, 3)]
+)
+def test_synth_users_matches_dense_counts(gaussians, n, samples, d, seed):
+    spec = random_mixture_spec(gaussians, n, samples, d, seed=seed)
+    users, sparsity = synth_users(spec)
+    want, want_sparsity = dense_count_synth(spec)
+    assert sparsity == want_sparsity
+    assert len(users) == len(want)
+    for p, q in zip(users, want):
+        assert list(p.entries) == list(q.entries)
+        assert np.array_equal(list(p.entries.values()), list(q.entries.values()))
 
 
 def test_degenerate_blob_is_maximally_sparse():
@@ -208,6 +335,38 @@ def test_dataset_round_trip(tmp_path):
     assert back.keys() == users.keys()
     for uid in users:
         assert back[uid].entries == users[uid].entries
+
+
+def test_dataset_round_trip_is_bit_exact_on_a_fine_grid(tmp_path):
+    rng = np.random.default_rng(61)
+    users = {f"u{k:04d}": rand_sparse(rng, 1024, int(rng.integers(1, 40))) for k in range(300)}
+    path = tmp_path / "fine.csv"
+    write_dataset(path, users, 1024)
+    back, manifest = read_dataset(path)
+    assert manifest == {"resolution": 1024, "n_users": 300}
+    assert list(back) == sorted(users)
+    for uid, p in users.items():
+        q = back[uid]
+        assert q.resolution == 1024
+        assert list(q.entries) == p.support()
+        assert all(q.entries[g] == m for g, m in p.entries.items())
+    # the on-disk format: rows by user id, then (iy, ix); masses as repr
+    lines = ["user_id,ix,iy,mass"] + [
+        f"{uid},{g.ix},{g.iy},{users[uid].entries[g]!r}"
+        for uid in sorted(users)
+        for g in users[uid].support()
+    ]
+    assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+
+def test_read_dataset_merges_a_user_split_across_rows(tmp_path):
+    path = tmp_path / "cell.csv"
+    path.write_text("user_id,ix,iy,mass\nb,0,0,0.5\na,1,1,1.0\nb,1,0,0.25\nb,0,0,0.25\n")
+    (tmp_path / "cell.json").write_text('{"resolution": 2, "n_users": 2}\n')
+    users, _ = read_dataset(path)
+    assert list(users) == ["b", "a"]
+    # a repeated point keeps its first position and its last mass
+    assert list(users["b"].entries.items()) == [(gp(0, 0, 2), 0.25), (gp(1, 0, 2), 0.25)]
 
 
 @pytest.mark.parametrize("name", ["users.jsonl.gz", "users.json", "users.csv.gz", "users"])
