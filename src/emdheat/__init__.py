@@ -27,7 +27,7 @@ from .datagen import (
     random_mixture_spec,
     synth_users,
 )
-from .emd import CapacityError, TransportPlan, best_k_sparse_error, emd, emd_norm
+from .emd import CapacityError, TransportPlan, emd, emd_norm
 from .grid import CellId, GridPoint, SparseDist, children, containing_cell, parent, snap
 from .heatmap import HeatmapGrid, heatmap, heatmap_padded, metrics
 from .noise import (
@@ -72,7 +72,6 @@ __all__ = [
     "analyze",
     "apply_pyramid",
     "baseline_laplace",
-    "best_k_sparse_error",
     "brute_kmedian",
     "budget_schedule",
     "build_cells",

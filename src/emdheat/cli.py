@@ -47,7 +47,9 @@ from .datagen import (
     write_dataset,
 )
 from .grid import GridPoint, next_pow2, num_levels, user_sum
-from .heatmap import HeatmapGrid, heatmap, heatmap_padded, metrics, read_csv, read_pgm, write_csv, write_pgm
+from .heatmap import (
+    HeatmapGrid, checked_mass, heatmap, heatmap_padded, metrics, read_csv, read_pgm, write_csv, write_pgm,
+)
 from .noise import budget_schedule, make_rng
 from .recovery import reconstruct
 from .shuffle import ShuffleParams, communication, simulate_round
@@ -413,8 +415,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     b = _load_grid(args.b)
     if a.shape != b.shape:
         raise SystemExit(f"grid shapes differ: {a.shape} vs {b.shape}")
-    a_emb, mask = embed_square(a / a.sum())
-    b_emb, _ = embed_square(b / b.sum())
+    a_emb, mask = embed_square(a / checked_mass(a, "a"))
+    b_emb, _ = embed_square(b / checked_mass(b, "b"))
     d = a_emb.shape[0]
     h = HeatmapGrid(a_emb, args.sigma, True, d, 0)
     g = HeatmapGrid(b_emb, args.sigma, True, d, 0)

@@ -17,6 +17,7 @@ of a per-record loop.
 from __future__ import annotations
 
 import csv
+import gc
 import gzip
 import json
 import math
@@ -156,27 +157,35 @@ def parse_checkins(lines: Iterable[str]) -> tuple[list[CheckinRecord], int]:
     make = partial(tuple.__new__, CheckinRecord)
     parse_stamp = datetime.fromisoformat
     skipped = 0
-    for line in lines:
-        line = line.rstrip("\n").rstrip("\r")
-        if not line:
-            continue
-        parts = line.split("\t")
-        n = len(parts)
-        if n != 4 and n != 5:
-            skipped += 1
-            continue
-        try:
-            # datetime.fromisoformat in 3.10 rejects a trailing Z
-            stamp = parse_stamp(parts[1].replace("Z", "+00:00"))
-            lat = float(parts[2])
-            lon = float(parts[3])
-        except ValueError:
-            skipped += 1
-            continue
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            skipped += 1
-            continue
-        append(make((parts[0], stamp, lat, lon, parts[4] if n == 5 else None)))
+    # the kept records are acyclic, yet each allocation counts toward a
+    # cyclic collection that rescans them all: about a quarter of the parse
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        for line in lines:
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            parts = line.split("\t")
+            n = len(parts)
+            if n != 4 and n != 5:
+                skipped += 1
+                continue
+            try:
+                # datetime.fromisoformat in 3.10 rejects a trailing Z
+                stamp = parse_stamp(parts[1].replace("Z", "+00:00"))
+                lat = float(parts[2])
+                lon = float(parts[3])
+            except ValueError:
+                skipped += 1
+                continue
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                skipped += 1
+                continue
+            append(make((parts[0], stamp, lat, lon, parts[4] if n == 5 else None)))
+    finally:
+        if gc_was_on:
+            gc.enable()
     return records, skipped
 
 

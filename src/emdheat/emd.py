@@ -1,8 +1,8 @@
 """Exact earth mover's distance oracles on the unit-square grid.
 
 Both oracles are min-cost flows with the l1 ground distance.  One
-builder, `_flow_graph`, picks per instance whichever of two graphs has
-fewer arcs; both give the exact distance:
+builder, `_flow_graph`, picks per instance whichever of three graph
+shapes has the fewest arcs; all give the exact distance:
 
 * Hanan grid: the distinct x and y coordinates of the support, with
   directed arcs between neighbouring nodes whose lengths are the
@@ -11,6 +11,14 @@ fewer arcs; both give the exact distance:
   on about 4 arcs per node is exact L1 transport (Ling & Okada,
   EMD-L1).  A dense support makes this the 4-neighbour bounding box; a
   scattered one gives a much smaller grid.
+* one-sided Hanan grid (`emd` only): the Hanan grid of one side, the
+  core, with each cell of the other side as a leaf joined only to the
+  corners of the core-grid cell that contains it.  Every core node lies
+  outside the open interior of that cell, in the closed quadrant at one
+  of its corners, so an l1 shortest path from the leaf to it passes
+  through that corner.  A leaf outside the core's bounding box clamps to
+  2 corners or 1, and one on a grid line has fewer.  This wins when a
+  large support meets a small one: the grid spans only the small side.
 * bipartite: one arc per (source, sink) pair, supp(p) x supp(q) for
   `emd` and all ordered pairs i != j of the support for `emd_norm`.
   This wins when a few points are spread far apart.
@@ -34,8 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from math import comb
 from typing import Callable, Mapping
 
 import numpy as np
@@ -80,13 +86,18 @@ class TransportPlan:
 
 @dataclass
 class _FlowGraph:
-    """A directed graph for one instance; lengths in common-grid units."""
+    """A directed graph for one instance; lengths in common-grid units.
+
+    kind is "grid" (Hanan, solved in dual form) or "pair" (bipartite);
+    leaves is the side, "sources" or "sinks", hung off a grid as leaves.
+    """
 
     n_nodes: int
     arcs: np.ndarray  # (m, 2) tail, head
     length: np.ndarray  # (m,)
     terminal: np.ndarray  # node of each input cell
-    grid: bool
+    kind: str
+    leaves: str | None = None
 
 
 def _cell_arrays(points: list[GridPoint], d: int) -> np.ndarray:
@@ -120,19 +131,69 @@ def _grid_arcs(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([tails[keep], heads[keep]], axis=1), length[keep]
 
 
+def _hanan(
+    cells: np.ndarray, leaf: np.ndarray, side: str | None
+) -> tuple[int, Callable[[], _FlowGraph]]:
+    """Arc count and builder of the Hanan grid of cells[~leaf], cells[leaf] as leaves.
+
+    Along each axis a leaf takes the grid line at or below it and the one
+    above it, or a single line when it lies on one or outside the grid,
+    so it joins 4, 2 or 1 corners.  Leaves are the sources (arcs leaf ->
+    corner) or the sinks (corner -> leaf), as side says.
+    """
+    core, pts = cells[~leaf], cells[leaf]
+    xs, ys = np.unique(core[:, 0]), np.unique(core[:, 1])
+    nx, ny = len(xs), len(ys)
+    lines, ok = [], []
+    for coords, v in ((xs, pts[:, 0]), (ys, pts[:, 1])):
+        lo = np.searchsorted(coords, v, side="right") - 1
+        hi = np.searchsorted(coords, v, side="left")
+        lines.append(np.stack([lo, hi], axis=1).clip(0, len(coords) - 1))
+        ok.append(np.stack([lo >= 0, (hi < len(coords)) & (hi != lo)], axis=1))
+    along_x, along_y = [0, 1, 0, 1], [0, 0, 1, 1]  # the four (x, y) line pairs
+    keep = ok[0][:, along_x] & ok[1][:, along_y]
+    cx, cy = lines[0][:, along_x][keep], lines[1][:, along_y][keep]
+    owner = np.nonzero(keep)[0]
+
+    def build() -> _FlowGraph:
+        arcs, length = _grid_arcs(xs, ys)
+        terminal = np.empty(len(cells), dtype=np.int64)
+        terminal[~leaf] = np.searchsorted(ys, core[:, 1]) * nx + np.searchsorted(xs, core[:, 0])
+        terminal[leaf] = nx * ny + np.arange(len(pts))
+        ends = [nx * ny + owner, cy * nx + cx]
+        if side == "sinks":
+            ends.reverse()
+        corner_gap = np.abs(pts[owner] - np.stack([xs[cx], ys[cy]], axis=1)).sum(axis=1)
+        return _FlowGraph(
+            nx * ny + len(pts),
+            np.concatenate([arcs, np.stack(ends, axis=1)]),
+            np.concatenate([length, corner_gap]),
+            terminal,
+            "grid",
+            side,
+        )
+
+    return 2 * (ny * (nx - 1) + nx * (ny - 1)) + len(owner), build
+
+
 def _flow_graph(cells: np.ndarray, n_src: int | None = None) -> _FlowGraph:
-    """The smaller of the Hanan grid and the bipartite graph of `cells`.
+    """The Hanan or bipartite graph of `cells` with the fewest arcs.
 
     cells are distinct (k, 2) coordinates.  With n_src, the first n_src
-    cells are sources and the rest sinks, and the bipartite graph joins
-    every source to every sink; without it, every ordered pair of
-    distinct cells.  Ties go to the bipartite graph.
+    cells are sources and the rest sinks: the bipartite graph joins every
+    source to every sink, and the Hanan grid may span one side only, with
+    the other side as leaves.  Without it, the bipartite graph joins every
+    ordered pair of distinct cells and the Hanan grid spans them all.
+    Ties go to the bipartite graph, then to the grid without leaves.
     """
     k = len(cells)
-    xs, ix = np.unique(cells[:, 0], return_inverse=True)
-    ys, iy = np.unique(cells[:, 1], return_inverse=True)
-    nx, ny = len(xs), len(ys)
-    grid_arcs = 2 * (ny * (nx - 1) + nx * (ny - 1))
+    sides = {None: np.zeros(k, dtype=bool)}
+    if n_src is not None:
+        is_src = np.arange(k) < n_src
+        sides.update(sources=is_src, sinks=~is_src)
+    grid_arcs, build = min(
+        (_hanan(cells, leaf, side) for side, leaf in sides.items()), key=lambda h: h[0]
+    )
     pair_arcs = k * (k - 1) if n_src is None else n_src * (k - n_src)
     if min(grid_arcs, pair_arcs) > _MAX_ARCS:
         raise CapacityError(
@@ -140,15 +201,14 @@ def _flow_graph(cells: np.ndarray, n_src: int | None = None) -> _FlowGraph:
             f"above the {_MAX_ARCS} limit"
         )
     if grid_arcs < pair_arcs:
-        arcs, length = _grid_arcs(xs, ys)
-        return _FlowGraph(nx * ny, arcs, length, iy * nx + ix, True)
+        return build()
     if n_src is None:
         tails, heads = np.nonzero(~np.eye(k, dtype=bool))
     else:
         tails = np.repeat(np.arange(n_src), k - n_src)
         heads = n_src + np.tile(np.arange(k - n_src), n_src)
     length = np.abs(cells[tails] - cells[heads]).sum(axis=1)
-    return _FlowGraph(k, np.stack([tails, heads], axis=1), length, np.arange(k), False)
+    return _FlowGraph(k, np.stack([tails, heads], axis=1), length, np.arange(k), "pair")
 
 
 def _incidence(n_nodes: int, arcs: np.ndarray) -> sparse.csr_matrix:
@@ -183,7 +243,7 @@ def _min_cost_flow(
     b = np.zeros(g.n_nodes)
     b[g.terminal] = supply
     cost = g.length / d
-    if g.grid:
+    if g.kind == "grid":
         # dual: maximize b.phi subject to phi_u - phi_v <= cost(u -> v);
         # slack bounds phi at terminals, and the arc rows' marginals are
         # minus the optimal flows
@@ -368,40 +428,3 @@ def emd_norm(
     scale = np.abs(values).max()
     val, _ = _min_cost_flow(_flow_graph(cells), values, d, SLACK_RATE)
     return 0.0 if val < _FLOW_EPS * max(1.0, scale) else val
-
-
-def best_k_sparse_error(x: SparseDist, k: int) -> float:
-    """Brute-force optimal k-sparse EMD approximation error.
-
-    Equals the k-median transport cost: every candidate support C of k
-    grid points receives each mass at its nearest center, so the error
-    is min over C of sum_p x(p) * min_{c in C} ||p - c||_1.  Exhaustive
-    over all candidate supports; intended for the small-grid test
-    regime.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    sup = x.support()
-    if len(sup) <= k:
-        return 0.0
-    d = x.resolution
-    n_cand = d * d
-    if comb(n_cand, k) > 250_000:
-        raise CapacityError(
-            f"C({n_cand},{k}) candidate supports is beyond the brute-force "
-            "regime; use clustering.brute_kmedian on coarse candidates"
-        )
-    masses = np.array([x.entries[p] for p in sup])
-    sx = np.array([p.ix for p in sup], dtype=float)
-    sy = np.array([p.iy for p in sup], dtype=float)
-    cand = np.array([(cx, cy) for cy in range(d) for cx in range(d)], dtype=float)
-    dists = (
-        np.abs(sx[:, None] - cand[None, :, 0])
-        + np.abs(sy[:, None] - cand[None, :, 1])
-    ) / d
-    best = np.inf
-    for combo in combinations(range(n_cand), k):
-        cost = float(masses @ dists[:, combo].min(axis=1))
-        if cost < best:
-            best = cost
-    return best

@@ -105,6 +105,14 @@ def heatmap_padded(p: SparseDist, sigma: float, pad: int | None = None) -> Heatm
     return HeatmapGrid(values, sigma, True, d, pad)
 
 
+def checked_mass(values: np.ndarray, name: str) -> float:
+    """Total mass of heatmap `name`; ValueError unless positive and finite."""
+    total = float(np.sum(values))
+    if not (math.isfinite(total) and total > 0.0):
+        raise ValueError(f"heatmap {name} has total mass {total}, not positive and finite")
+    return total
+
+
 def _emd_between(h: HeatmapGrid, g: HeatmapGrid) -> tuple[float, bool]:
     """Exact EMD when supports are small, else the pyramid surrogate.
 
@@ -140,9 +148,14 @@ def metrics(h: HeatmapGrid, g: HeatmapGrid, mask: np.ndarray | None = None) -> d
     mask, when given, marks the valid cells of an embedded rectangular
     grid: excluded cells must carry no mass and do not enter sim,
     pearson, or kl.
+
+    Raises ValueError naming the heatmap, a (h) or b (g), whose total
+    mass is not positive and finite.
     """
     if h.values.shape != g.values.shape:
         raise ValueError("heatmap shapes differ")
+    checked_mass(h.values, "a")
+    checked_mass(g.values, "b")
     if mask is not None:
         if mask.shape != h.values.shape:
             raise ValueError("mask shape differs from heatmap shape")

@@ -9,7 +9,7 @@ import pytest
 from emdheat.cli import TRIAL_CSV_FIELDS, _branch_seed, embed_square, main
 from emdheat.datagen import read_dataset
 from emdheat.grid import SparseDist, user_sum
-from emdheat.heatmap import heatmap, read_csv
+from emdheat.heatmap import HeatmapGrid, heatmap, read_csv, write_pgm
 
 
 def read_rows(path):
@@ -203,6 +203,16 @@ def test_metrics_rejects_shape_mismatch(tmp_path):
     np.savetxt(b, np.ones((3, 3)), delimiter=",")
     with pytest.raises(SystemExit):
         main(["metrics", "--a", str(a), "--b", str(b)])
+
+
+def test_metrics_rejects_an_all_zero_pgm(tmp_path):
+    zero, ones = tmp_path / "zero.pgm", tmp_path / "ones.pgm"
+    write_pgm(HeatmapGrid(np.zeros((8, 8)), 0.05, False, 8, 0), str(zero))
+    write_pgm(HeatmapGrid(np.ones((8, 8)), 0.05, False, 8, 0), str(ones))
+    with pytest.raises(ValueError, match="heatmap a has total mass 0.0"):
+        main(["metrics", "--a", str(zero), "--b", str(ones)])
+    with pytest.raises(ValueError, match="heatmap b has total mass 0.0"):
+        main(["metrics", "--a", str(ones), "--b", str(zero)])
 
 
 def test_shuffle_sim_communication_table(tmp_path):

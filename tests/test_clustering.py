@@ -19,7 +19,7 @@ from emdheat.clustering import (
 from emdheat.emd import emd
 from emdheat.grid import SparseDist
 
-from helpers import gp, rand_sparse
+from helpers import delta, gp, rand_sparse
 
 
 def test_collinear_points_single_center():
@@ -73,6 +73,22 @@ def test_brute_kmedian_enumeration_budget():
     x = SparseDist(64, {gp(0, 0, 64): 1.0})
     with pytest.raises(ValueError):
         brute_kmedian(x, 5, subgrid_candidates(64, 8))
+    rng = np.random.default_rng(28)
+    with pytest.raises(ValueError):
+        brute_kmedian(rand_sparse(rng, 16, 4), 3, subgrid_candidates(16, 16))
+
+
+def test_brute_kmedian_already_sparse():
+    rng = np.random.default_rng(27)
+    x = rand_sparse(rng, 8, 2)
+    _, cost = brute_kmedian(x, 2, subgrid_candidates(8, 8))
+    assert cost == pytest.approx(0.0, abs=1e-12)
+
+
+def test_brute_kmedian_sparser_than_k():
+    # d=4, not 8: 64 candidates choose 5 is past the enumeration budget
+    _, cost = brute_kmedian(delta(1, 2, 4), 5, subgrid_candidates(4, 4))
+    assert cost == pytest.approx(0.0, abs=1e-12)
 
 
 def test_extra_center_never_hurts():

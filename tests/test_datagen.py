@@ -1,5 +1,6 @@
 """Synthetic mixtures and check-in ingestion."""
 
+import gc
 import gzip
 import math
 from datetime import date, timezone
@@ -74,6 +75,42 @@ def test_parse_line_endings():
     assert skipped == 1
     assert [(r.user_id, r.location_id) for r in records] == [("u1", "L1"), ("u2", None)]
     assert all(type(r) is CheckinRecord for r in records)
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic garbage collector's state after the test."""
+    was_on = gc.isenabled()
+    yield
+    (gc.enable if was_on else gc.disable)()
+
+
+@pytest.mark.parametrize("on", [True, False])
+def test_parse_restores_the_collector_state(collector, on):
+    (gc.enable if on else gc.disable)()
+    seen = []
+
+    def lines():
+        yield "u1\t2010-01-15T08:00:00Z\t30.24\t-97.79\tL1"
+        seen.append(gc.isenabled())  # read while the parse loop runs
+        yield "u2\t2010-01-15T08:00:00Z\t30.24\t-97.79"
+
+    records, skipped = parse_checkins(lines())
+    assert (len(records), skipped) == (2, 0)
+    assert seen == [False]
+    assert gc.isenabled() == on
+
+
+def test_parse_restores_the_collector_when_lines_raise(collector):
+    gc.enable()
+
+    def lines():
+        yield "u1\t2010-01-15T08:00:00Z\t30.24\t-97.79\tL1"
+        raise OSError("read failed")
+
+    with pytest.raises(OSError, match="read failed"):
+        parse_checkins(lines())
+    assert gc.isenabled()
 
 
 def test_filter_date_range_inclusive():

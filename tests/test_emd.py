@@ -1,17 +1,13 @@
-"""Exact EMD oracles: transportation distance, EMD norm, best-k-sparse."""
+"""Exact EMD oracles: transportation distance and EMD norm."""
 
 import importlib
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
-from emdheat.emd import (
-    CapacityError,
-    best_k_sparse_error,
-    emd,
-    emd_norm,
-)
+from emdheat.emd import CapacityError, emd, emd_norm
 from emdheat.grid import GridPoint, SparseDist, l1_distance
 
 from helpers import delta, gp, rand_signed, rand_sparse
@@ -135,39 +131,22 @@ def test_emd_norm_accepts_dense_array():
     assert emd_norm(z) == pytest.approx(1.5)
 
 
-def test_best_k_sparse_error_already_sparse():
-    rng = np.random.default_rng(27)
-    x = rand_sparse(rng, 8, 2)
-    assert best_k_sparse_error(x, 2) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_best_k_sparse_error_two_point_example():
-    x = SparseDist(4, {gp(0, 0, 4): 0.5, gp(3, 3, 4): 0.5})
-    assert best_k_sparse_error(x, 1) == pytest.approx(0.75)
-
-
-def test_best_k_sparse_error_sparser_than_k():
-    assert best_k_sparse_error(delta(1, 2, 8), 5) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_best_k_sparse_error_regime_guard():
-    rng = np.random.default_rng(28)
-    with pytest.raises(ValueError):
-        best_k_sparse_error(rand_sparse(rng, 16, 4), 3)
-
-
 # --- formulation coverage: each instance family is checked against a
 # direct transportation LP over every pair of support points
 
 def direct_transport(p: SparseDist, q: SparseDist) -> float:
-    """Textbook transportation LP on supp(p) x supp(q), dense constraints."""
+    """Textbook transportation LP on supp(p) x supp(q), one variable per pair."""
     sp, sq = list(p.entries), list(q.entries)
     cost = np.array([l1_distance(a, b) for a in sp for b in sq])
-    a_eq = np.zeros((len(sp) + len(sq), len(sp) * len(sq)))
+    rows, cols = [], []
     for i in range(len(sp)):
         for j in range(len(sq)):
-            a_eq[i, i * len(sq) + j] = 1.0
-            a_eq[len(sp) + j, i * len(sq) + j] = 1.0
+            rows += [i, len(sp) + j]
+            cols += [i * len(sq) + j] * 2
+    # sparse, so that a 1000-point support against 40 points stays small
+    a_eq = sparse.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(len(sp) + len(sq), len(sp) * len(sq))
+    )
     b_eq = [p.entries[a] for a in sp] + [q.entries[b] * p.total_mass / q.total_mass for b in sq]
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.status == 0
@@ -193,18 +172,29 @@ def direct_norm(w: dict[GridPoint, float]) -> float:
     return res.fun
 
 
-@pytest.fixture
-def graphs(monkeypatch):
-    """Record whether each exact solve ran on the grid (True) or bipartite graph."""
-    seen: list[bool] = []
+def spy_on_solves(monkeypatch, record) -> list:
+    """Record `record(graph)` for each exact solve, in order."""
+    seen: list = []
     solve = emd_module._min_cost_flow
 
     def spy(g, *args, **kwargs):
-        seen.append(g.grid)
+        seen.append(record(g))
         return solve(g, *args, **kwargs)
 
     monkeypatch.setattr(emd_module, "_min_cost_flow", spy)
     return seen
+
+
+@pytest.fixture
+def graphs(monkeypatch):
+    """The kind of each graph solved: "grid" (Hanan, with or without leaves) or "pair"."""
+    return spy_on_solves(monkeypatch, lambda g: g.kind)
+
+
+@pytest.fixture
+def leaf_graphs(monkeypatch):
+    """(kind, leaf side) of each graph solved."""
+    return spy_on_solves(monkeypatch, lambda g: (g.kind, g.leaves))
 
 
 def test_emd_dense_bbox_matches_direct_lp(graphs):
@@ -214,7 +204,7 @@ def test_emd_dense_bbox_matches_direct_lp(graphs):
         q = rand_sparse(rng, 8, 40)
         cost, _ = emd(p, q)
         assert cost == pytest.approx(direct_transport(p, q), abs=1e-9)
-    assert graphs == [True] * 4
+    assert graphs == ["grid"] * 4
 
 
 def test_emd_scattered_supports_match_direct_lp(graphs):
@@ -224,7 +214,7 @@ def test_emd_scattered_supports_match_direct_lp(graphs):
         q = rand_sparse(rng, 1024, int(rng.integers(1, 6)))
         cost, _ = emd(p, q)
         assert cost == pytest.approx(direct_transport(p, q), abs=1e-9)
-    assert graphs == [False] * 6
+    assert graphs == ["pair"] * 6
 
 
 def test_emd_hanan_grid_of_scattered_supports_matches_direct_lp(graphs):
@@ -240,7 +230,7 @@ def test_emd_hanan_grid_of_scattered_supports_matches_direct_lp(graphs):
         q = SparseDist(d, {gp(*cells[i], d): float(m) for i, m in zip(order[10:], rng.dirichlet(np.ones(10)))})
         cost, _ = emd(p, q)
         assert cost == pytest.approx(direct_transport(p, q), abs=1e-9)
-    assert graphs == [True] * 4
+    assert graphs == ["grid"] * 4
 
 
 def test_emd_mixed_resolutions_match_direct_lp(graphs):
@@ -250,7 +240,7 @@ def test_emd_mixed_resolutions_match_direct_lp(graphs):
         q = rand_sparse(rng, d_q, k_q)
         cost, _ = emd(p, q)
         assert cost == pytest.approx(direct_transport(p, q), abs=1e-9)
-    assert graphs == [True, False, False, True]
+    assert graphs == ["grid"] * 4
 
 
 def test_emd_norm_signed_unbalanced_matches_direct_lp(graphs):
@@ -263,17 +253,11 @@ def test_emd_norm_signed_unbalanced_matches_direct_lp(graphs):
     for w in cases:
         assert sum(w.values()) != pytest.approx(0.0)
         assert emd_norm(w) == pytest.approx(direct_norm(w), abs=1e-9)
-    assert graphs[:3] == [True] * 3 and graphs[3:6] == [False] * 3
+    assert graphs[:3] == ["grid"] * 3 and graphs[3:6] == ["pair"] * 3
 
 
-def test_emd_plan_flows_after_hanan_grid_solve(graphs):
-    d = 128
-    rows, cols = [5, 60, 61, 120], [3, 40, 90, 127]
-    p = SparseDist(d, {gp(x, y, d): 0.125 for x in cols for y in rows[:2]})
-    q = SparseDist(d, {gp(x, y, d): 0.125 for x in cols for y in rows[2:]})
-    cost, plan = emd(p, q)
-    assert graphs == [True]
-    assert cost == pytest.approx(direct_transport(p, q), abs=1e-9)
+def assert_plan_moves(p: SparseDist, q: SparseDist, cost: float, plan) -> None:
+    """The plan's flows leave p, arrive at q and cost what the LP said."""
     out: dict[GridPoint, float] = {}
     inn: dict[GridPoint, float] = {}
     for (a, b), amt in plan.flows.items():
@@ -284,6 +268,74 @@ def test_emd_plan_flows_after_hanan_grid_solve(graphs):
     assert inn == pytest.approx(q.entries, abs=1e-7)
     plan_cost = sum(amt * l1_distance(a, b) for (a, b), amt in plan.flows.items())
     assert plan_cost == pytest.approx(cost, abs=1e-7)
+
+
+def test_emd_plan_flows_after_hanan_grid_solve(graphs):
+    d = 128
+    rows, cols = [5, 60, 61, 120], [3, 40, 90, 127]
+    p = SparseDist(d, {gp(x, y, d): 0.125 for x in cols for y in rows[:2]})
+    q = SparseDist(d, {gp(x, y, d): 0.125 for x in cols for y in rows[2:]})
+    cost, plan = emd(p, q)
+    assert graphs == ["grid"]
+    assert cost == pytest.approx(direct_transport(p, q), abs=1e-9)
+    assert_plan_moves(p, q, cost, plan)
+
+
+def boxed_sparse(rng: np.random.Generator, d: int, k: int, lo: int, hi: int) -> SparseDist:
+    """A random k-sparse distribution on the cells [lo, hi)^2 of a d-grid."""
+    side = hi - lo
+    idx = rng.choice(side * side, size=k, replace=False)
+    masses = rng.dirichlet(np.ones(k))
+    return SparseDist(d, {gp(lo + int(i % side), lo + int(i // side), d): float(m) for i, m in zip(idx, masses)})
+
+
+def on_core_lines(rng: np.random.Generator, d: int) -> tuple[SparseDist, SparseDist]:
+    """A 6-point core, and leaves that each share a row or a column with it."""
+    xs, ys = rng.choice(d, 6, replace=False), rng.choice(d, 6, replace=False)
+    core = [gp(int(x), int(y), d) for x, y in zip(xs, ys)]
+    leaves = {gp(int(x), y, d) for x in xs for y in range(0, d, 3)}
+    leaves |= {gp(x, int(y), d) for y in ys for x in range(1, d, 3)}
+    leaves = sorted(leaves - set(core), key=lambda pt: (pt.iy, pt.ix))
+
+    def spread(pts):
+        return SparseDist(d, dict(zip(pts, rng.dirichlet(np.ones(len(pts))).tolist())))
+
+    return spread(leaves), spread(core)
+
+
+def leaf_cases() -> list:
+    """One case per one-sided Hanan shape, with the side expected as leaves."""
+    rng = np.random.default_rng(36)
+    return [
+        # the error_eval shape: a ~1000-point truth against a release
+        pytest.param(rand_sparse(rng, 64, 1000), rand_sparse(rng, 64, 20), "sources", id="error_eval_20"),
+        pytest.param(rand_sparse(rng, 64, 1000), rand_sparse(rng, 64, 40), "sources", id="error_eval_40"),
+        # a coarse d=8 release refined against a d=64 truth
+        pytest.param(rand_sparse(rng, 64, 1000), rand_sparse(rng, 8, 20), "sources", id="refined"),
+        # the core fills a central box; most leaves lie outside it and clamp
+        pytest.param(rand_sparse(rng, 64, 600), boxed_sparse(rng, 64, 12, 24, 40), "sources", id="outside"),
+        pytest.param(*on_core_lines(rng, 64), "sources", id="on_lines"),
+        # a small source side against a large sink side
+        pytest.param(rand_sparse(rng, 64, 30), rand_sparse(rng, 64, 800), "sinks", id="sink_leaves"),
+    ]
+
+
+@pytest.mark.parametrize("p, q, side", leaf_cases())
+def test_emd_leaf_graph_matches_direct_lp(leaf_graphs, p, q, side):
+    cost, _ = emd(p, q)
+    assert leaf_graphs == [("grid", side)]
+    assert cost == pytest.approx(direct_transport(p, q), abs=1e-9)
+
+
+def test_emd_plan_flows_after_leaf_graph_solve(leaf_graphs):
+    rng = np.random.default_rng(37)
+    for p, q, side in [
+        (rand_sparse(rng, 64, 300), rand_sparse(rng, 64, 12), "sources"),
+        (rand_sparse(rng, 8, 10), rand_sparse(rng, 64, 300), "sinks"),
+    ]:
+        cost, plan = emd(p, q)
+        assert leaf_graphs[-1] == ("grid", side)
+        assert_plan_moves(p, q, cost, plan)
 
 
 def test_grid_arcs_match_neighbour_loop():

@@ -155,6 +155,18 @@ def test_validation_errors():
         metrics(heatmap(two_blob(4), 0.1), heatmap(two_blob(8), 0.1))
 
 
+@pytest.mark.parametrize("d", [8, 64])  # below and above the exact-EMD cap
+def test_metrics_rejects_a_massless_heatmap(d):
+    zero = HeatmapGrid(np.zeros((d, d)), 0.05, True, d, 0)
+    uniform = HeatmapGrid(np.full((d, d), 1.0 / d**2), 0.05, True, d, 0)
+    with pytest.raises(ValueError, match="heatmap a has total mass 0.0"):
+        metrics(zero, uniform)
+    with pytest.raises(ValueError, match="heatmap b has total mass 0.0"):
+        metrics(uniform, zero)
+    with pytest.raises(ValueError, match="heatmap b has total mass nan"):
+        metrics(uniform, HeatmapGrid(np.full((d, d), np.nan), 0.05, True, d, 0))
+
+
 def test_pgm_round_trip(tmp_path):
     h = heatmap(two_blob(), 0.1)
     path = str(tmp_path / "h.pgm")
