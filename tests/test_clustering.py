@@ -73,9 +73,6 @@ def test_brute_kmedian_enumeration_budget():
     x = SparseDist(64, {gp(0, 0, 64): 1.0})
     with pytest.raises(ValueError):
         brute_kmedian(x, 5, subgrid_candidates(64, 8))
-    rng = np.random.default_rng(28)
-    with pytest.raises(ValueError):
-        brute_kmedian(rand_sparse(rng, 16, 4), 3, subgrid_candidates(16, 16))
 
 
 def test_brute_kmedian_already_sparse():

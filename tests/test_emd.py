@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+from emdheat.clustering import brute_kmedian, subgrid_candidates
 from emdheat.emd import CapacityError, emd, emd_norm
 from emdheat.grid import GridPoint, SparseDist, l1_distance
 
@@ -129,6 +130,24 @@ def test_emd_norm_equals_emd_on_balanced_vectors():
 def test_emd_norm_accepts_dense_array():
     z = delta(0, 0, 4).to_dense() - delta(3, 3, 4).to_dense()
     assert emd_norm(z) == pytest.approx(1.5)
+
+
+# --- best k-sparse error: the k-median cost from brute_kmedian is the EMD
+# from x to its best distribution on k grid points
+
+def test_best_k_sparse_error_two_point_example():
+    x = SparseDist(4, {gp(0, 0, 4): 0.5, gp(3, 3, 4): 0.5})
+    centers, cost = brute_kmedian(x, 1, subgrid_candidates(4, 4))
+    assert cost == pytest.approx(0.75)
+    (c,) = centers.centers
+    moved, _ = emd(x, SparseDist(4, {c: 1.0}))
+    assert moved == pytest.approx(cost, abs=1e-9)
+
+
+def test_best_k_sparse_error_regime_guard():
+    rng = np.random.default_rng(28)
+    with pytest.raises(ValueError):
+        brute_kmedian(rand_sparse(rng, 16, 4), 3, subgrid_candidates(16, 16))
 
 
 # --- formulation coverage: each instance family is checked against a
