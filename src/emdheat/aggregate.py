@@ -1,7 +1,9 @@
 """End-to-end private aggregation mechanisms.
 
 aggregate_central: pyramid measurements of the user sum with per-level
-Laplace noise, then sparse reconstruction.  aggregate_dense: snap to a
+Laplace noise, then sparse reconstruction; one pass halves the dense sum
+into every measured level, then noise is drawn level by level in
+ascending order and added in place.  aggregate_dense: snap to a
 coarse grid chosen from the total budget, noise every cell, repair with
 a transport-norm projection.  baseline_laplace: per-cell noise with an
 optional keep-top-t-percent threshold.
@@ -28,7 +30,7 @@ from scipy.optimize import linprog
 from .emd import SLACK_RATE, _grid_arcs, _incidence
 from .grid import GridPoint, SparseDist, num_levels, shared_resolution, user_sum
 from .noise import NoiseSchedule, budget_schedule, laplace, make_rng, pivot_level
-from .pyramid import PyramidVec, partition_sums
+from .pyramid import PyramidVec, level_sums
 from .recovery import reconstruct
 
 _MODES = ("theory", "experiment")
@@ -118,10 +120,11 @@ def aggregate_central(
 
     t0 = time.perf_counter()
     levels = []
-    for i in range(start, ell + 1):
-        sums = partition_sums(s, i)
-        noise = laplace(schedule.scale(i), rng, sums.shape)
-        levels.append(2.0 ** -i * (sums + noise))
+    for i, sums in enumerate(level_sums(s, start), start):
+        noisy = laplace(schedule.scale(i), rng, sums.shape)
+        noisy += sums
+        noisy *= 2.0 ** -i
+        levels.append(noisy)
     y_prime = PyramidVec(resolution, start, levels)
     t1 = time.perf_counter()
 

@@ -9,6 +9,9 @@ pyramidal transform stacks all levels with per-level weights 2**-i:
 The l1 norm of P z upper-bounds the EMD norm of z for mass-balanced z,
 which is what makes the transform useful: l1-sparse recovery on P-space
 transfers to EMD guarantees on the grid.
+
+Level sums are built bottom up by 2x2 halving: `level_sums` forms every
+level from the finest in one O(d^2) pass plus a geometric tail.
 """
 
 from __future__ import annotations
@@ -60,11 +63,6 @@ class PyramidVec:
     def value(self, c: CellId) -> float:
         return float(self.level(c.level)[c.cy, c.cx])
 
-    def copy(self) -> "PyramidVec":
-        return PyramidVec(
-            self.resolution, self.start_level, [a.copy() for a in self.levels]
-        )
-
 
 def _as_dense(v: SparseDist | np.ndarray) -> np.ndarray:
     if isinstance(v, SparseDist):
@@ -76,28 +74,41 @@ def _as_dense(v: SparseDist | np.ndarray) -> np.ndarray:
 
 
 def partition_sums(v: SparseDist | np.ndarray, level: int) -> np.ndarray:
-    """Unscaled level sums: entry [cy, cx] is the total of v inside that cell."""
+    """Unscaled level sums: entry [cy, cx] is the total of v inside that cell.
+
+    Each halving adds row pairs, then column pairs, so halving level i + 1
+    gives level i bit for bit.  The finest level is a read-only view of v.
+    """
     arr = _as_dense(v)
-    d = arr.shape[0]
-    ell = num_levels(d)
+    ell = num_levels(arr.shape[0])
     if not 0 <= level <= ell:
         raise ValueError(f"level {level} outside [0, {ell}]")
-    side = 1 << level
-    block = d // side
-    return arr.reshape(side, block, side, block).sum(axis=(1, 3))
+    if level == ell:
+        arr = arr.view()
+        arr.flags.writeable = False
+    for _ in range(ell - level):
+        rows = arr[0::2] + arr[1::2]
+        arr = rows[:, 0::2] + rows[:, 1::2]
+    return arr
+
+
+def level_sums(v: SparseDist | np.ndarray, start_level: int = 0) -> list[np.ndarray]:
+    """[partition_sums(v, i) for i in start_level..l], each level halving the next."""
+    arr = _as_dense(v)
+    ell = num_levels(arr.shape[0])
+    if not 0 <= start_level <= ell:
+        raise ValueError(f"start_level {start_level} outside [0, {ell}]")
+    sums = [partition_sums(arr, ell)]
+    for i in range(ell - 1, start_level - 1, -1):
+        sums.append(partition_sums(sums[-1], i))
+    return sums[::-1]
 
 
 def apply_pyramid(v: SparseDist | np.ndarray, start_level: int = 0) -> PyramidVec:
     """The scaled transform: level i array is 2**-i * partition_sums(v, i)."""
-    arr = _as_dense(v)
-    d = arr.shape[0]
-    ell = num_levels(d)
-    if not 0 <= start_level <= ell:
-        raise ValueError(f"start_level {start_level} outside [0, {ell}]")
-    levels = [
-        partition_sums(arr, i) * (2.0 ** -i) for i in range(start_level, ell + 1)
-    ]
-    return PyramidVec(d, start_level, levels)
+    sums = level_sums(v, start_level)
+    levels = [a * (2.0 ** -i) for i, a in enumerate(sums, start_level)]
+    return PyramidVec(sums[-1].shape[0], start_level, levels)
 
 
 def pyramid_l1(z: SparseDist | np.ndarray, start_level: int = 0) -> float:
@@ -107,10 +118,5 @@ def pyramid_l1(z: SparseDist | np.ndarray, start_level: int = 0) -> float:
     For mass-balanced z this upper-bounds emd_norm(z), so it serves as
     the documented surrogate when exact transportation is too large.
     """
-    arr = _as_dense(z)
-    d = arr.shape[0]
-    ell = num_levels(d)
-    total = 0.0
-    for i in range(start_level, ell + 1):
-        total += (2.0 ** -i) * float(np.abs(partition_sums(arr, i)).sum())
-    return total
+    sums = level_sums(z, start_level)
+    return sum((2.0 ** -i) * float(np.abs(a).sum()) for i, a in enumerate(sums, start_level))

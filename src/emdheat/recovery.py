@@ -7,6 +7,10 @@ the measurements to the kept cells, and solves
 
     s_hat = argmin_{s' >= 0} || y_restricted - P s' ||_1
 
+A selection is one sorted int64 array of cell keys cy * 2**i + cx per
+level.  Each descent step ranks the kept cells' children with one
+lexsort, and the fit finds its rows in the key arrays by searchsorted.
+
 The LP never needs one variable per grid point.  Every grid point under
 a kept leaf chain gets its own mass variable; all mass inside a subtree
 dropped at level i is interchangeable for the objective (it contributes
@@ -24,14 +28,15 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .grid import CellId, GridPoint, SparseDist, cell_anchor, num_levels
-from .pyramid import PyramidVec, apply_pyramid
+from .grid import CellId, SparseDist, grid_points, num_levels
+from .pyramid import PyramidVec
 
 
 @dataclass
 class SupportSelection:
     """Per-level kept cells S_i for levels start_level..max_level.
 
+    keys[j] holds level i = start_level + j as sorted keys cy * 2**i + cx.
     All 4^start_level cells are kept at the start level (with the pivot
     rule 4^start_level <= w this agrees with top-min(w, .) selection);
     below it, S_i holds the min(w, |children(S_{i-1})|) largest measured
@@ -41,60 +46,73 @@ class SupportSelection:
     resolution: int
     w: int
     start_level: int
-    levels: list[list[CellId]]
+    keys: list[np.ndarray]
 
     @property
     def max_level(self) -> int:
-        return self.start_level + len(self.levels) - 1
+        return self.start_level + len(self.keys) - 1
+
+    @property
+    def levels(self) -> list[list[CellId]]:
+        return [self.level_cells(i) for i in range(self.start_level, self.max_level + 1)]
 
     def level_cells(self, i: int) -> list[CellId]:
         if not self.start_level <= i <= self.max_level:
             raise ValueError(f"level {i} not in selection")
-        return self.levels[i - self.start_level]
+        cy, cx = _split(self.keys[i - self.start_level], i)
+        return [CellId(i, x, y) for y, x in zip(cy.tolist(), cx.tolist())]
 
-    def union(self) -> list[CellId]:
-        return [c for cells in self.levels for c in cells]
+
+def _split(keys: np.ndarray, level) -> tuple[np.ndarray, np.ndarray]:
+    """(cy, cx) of level-`level` cell keys; `level` may be an array."""
+    return keys >> level, keys & ((1 << level) - 1)
+
+
+def _children(keys: np.ndarray, i: int) -> np.ndarray:
+    """Keys of the level-i children of level i-1 cells, parent by parent in (cy, cx) order."""
+    cy, cx = _split(keys, i - 1)
+    first = (cy << (i + 1)) + 2 * cx
+    return (first[:, None] + np.array([0, 1, 1 << i, (1 << i) + 1])).reshape(-1)
+
+
+def _values(y: PyramidVec, i: int, keys: np.ndarray) -> np.ndarray:
+    """y' at the level-i keys, refusing a NaN or infinite value."""
+    vals = y.level(i)[_split(keys, i)]
+    if not np.isfinite(vals).all():
+        raise ValueError(f"y' level {i} holds a NaN or infinite value")
+    return vals
 
 
 def select_support(y_prime: PyramidVec, w: int) -> SupportSelection:
-    """Greedy top-w descent through the cell tree ranked by y' values."""
+    """Greedy top-w descent through the cell tree ranked by y' values.
+
+    Every value it reads must be finite: the start level and each
+    level's candidate children.
+    """
     if w < 1:
         raise ValueError("w must be >= 1")
     start = y_prime.start_level
-    ell = y_prime.max_level
-    side = 1 << start
-    current = [CellId(start, cx, cy) for cy in range(side) for cx in range(side)]
-    levels = [list(current)]
-    for i in range(start + 1, ell + 1):
-        arr = y_prime.level(i)
-        candidates = []
-        for c in current:
-            for cy in (2 * c.cy, 2 * c.cy + 1):
-                for cx in (2 * c.cx, 2 * c.cx + 1):
-                    candidates.append(CellId(i, cx, cy))
-        candidates.sort(key=lambda c: (-arr[c.cy, c.cx], c.cy, c.cx))
-        current = sorted(candidates[: min(w, len(candidates))], key=lambda c: (c.cy, c.cx))
-        levels.append(list(current))
+    keys = np.arange(1 << 2 * start, dtype=np.int64)
+    _values(y_prime, start, keys)
+    levels = [keys]
+    for i in range(start + 1, y_prime.max_level + 1):
+        kids = _children(keys, i)
+        order = np.lexsort((kids, -_values(y_prime, i, kids)))
+        keys = np.sort(kids[order[:w]])
+        levels.append(keys)
     return SupportSelection(y_prime.resolution, w, start, levels)
 
 
 def restrict(y_prime: PyramidVec, sel: SupportSelection) -> PyramidVec:
     """y' restricted to the selection (zero outside S)."""
     out = []
-    for i in range(sel.start_level, sel.max_level + 1):
+    for i, keys in enumerate(sel.keys, sel.start_level):
         src = y_prime.level(i)
-        masked = np.zeros_like(src)
-        for c in sel.level_cells(i):
-            masked[c.cy, c.cx] = src[c.cy, c.cx]
+        masked = np.zeros(src.shape, src.dtype)
+        cells = _split(keys, i)
+        masked[cells] = src[cells]
         out.append(masked)
     return PyramidVec(y_prime.resolution, sel.start_level, out)
-
-
-def _selected_sets(sel: SupportSelection) -> list[set[tuple[int, int]]]:
-    return [
-        {(c.cx, c.cy) for c in sel.level_cells(i)}
-        for i in range(sel.start_level, sel.max_level + 1)
-    ]
 
 
 def l1_fit(y_hat: PyramidVec, sel: SupportSelection) -> SparseDist:
@@ -111,50 +129,39 @@ def l1_fit(y_hat: PyramidVec, sel: SupportSelection) -> SparseDist:
     start = sel.start_level
     if y_hat.start_level != start or y_hat.max_level != sel.max_level:
         raise ValueError("measurement and selection level ranges differ")
-    kept = _selected_sets(sel)
 
-    # variables: (level, cx, cy, is_leaf); leaves at level ell, drops above
-    var_cells: list[tuple[int, int, int, bool]] = []
-    for c in sel.level_cells(ell):
-        var_cells.append((ell, c.cx, c.cy, True))
+    # variables: kept leaves, then each level's dropped children of kept
+    # cells, parent by parent
+    kept = sel.keys
+    dropped = []
     for i in range(start + 1, ell + 1):
-        kept_i = kept[i - start]
-        for p in sel.level_cells(i - 1):
-            for cy in (2 * p.cy, 2 * p.cy + 1):
-                for cx in (2 * p.cx, 2 * p.cx + 1):
-                    if (cx, cy) not in kept_i:
-                        var_cells.append((i, cx, cy, False))
-    n_vars = len(var_cells)
+        kids = _children(kept[i - 1 - start], i)
+        dropped.append(kids[~np.isin(kids, kept[i - start])])
+    key = np.concatenate([kept[-1], *dropped])
+    level = np.repeat([ell, *range(start + 1, ell + 1)], [len(kept[-1]), *map(len, dropped)])
+    n_leaves, n_vars = len(kept[-1]), len(key)
 
-    # one residual row pair per kept measured cell
-    row_index: dict[tuple[int, int, int], int] = {}
-    y_vals = []
-    for i in range(start, sel.max_level + 1):
-        arr = y_hat.level(i)
-        for c in sel.level_cells(i):
-            row_index[(i, c.cx, c.cy)] = len(y_vals)
-            y_vals.append(float(arr[c.cy, c.cx]))
+    # one residual row pair per kept measured cell, level by level; the
+    # code (4^i - 1) / 3 + key orders every level's cells at once
+    row_code = np.concatenate([((1 << 2 * i) - 1) // 3 + k for i, k in enumerate(kept, start)])
+    y_vals = np.concatenate([y_hat.level(i)[_split(k, i)] for i, k in enumerate(kept, start)], dtype=float)
     n_rows = len(y_vals)
-    y_vals = np.array(y_vals)
 
     cost = np.zeros(n_vars + n_rows)
+    cost[n_leaves:n_vars] = np.ldexp(1.0, 1 - level[n_leaves:]) - np.ldexp(1.0, -ell)
     cost[n_vars:] = 1.0
-    rows, cols, data = [], [], []
-    for j, (lv, cx, cy, is_leaf) in enumerate(var_cells):
-        if not is_leaf:
-            cost[j] = 2.0 ** (1 - lv) - 2.0 ** (-ell)
-        top = lv if is_leaf else lv - 1
-        ccx, ccy = (cx, cy) if is_leaf else (cx >> 1, cy >> 1)
-        for i in range(top, start - 1, -1):
-            r = row_index[(i, ccx, ccy)]
-            rows.append(r)
-            cols.append(j)
-            data.append(2.0 ** -i)
-            ccx >>= 1
-            ccy >>= 1
+    # a leaf meets its own row and its ancestors', a drop only its
+    # ancestors': levels top..start, variable by variable
+    top = level - (np.arange(n_vars) >= n_leaves)
+    chain = np.arange(ell, start - 1, -1)
+    cols, up = np.nonzero(chain <= top[:, None])
+    lv = chain[up]
+    shift = level[cols] - lv
+    cy, cx = _split(key[cols], level[cols])
+    rows = np.searchsorted(row_code, ((1 << 2 * lv) - 1) // 3 + ((cy >> shift) << lv) + (cx >> shift))
 
     # |y - M x| <= t  as  -Mx - t <= -y  and  Mx - t <= y
-    m = sparse.coo_matrix((data, (rows, cols)), shape=(n_rows, n_vars)).tocsr()
+    m = sparse.coo_matrix((np.ldexp(1.0, -lv), (rows, cols)), shape=(n_rows, n_vars)).tocsr()
     t_block = -sparse.identity(n_rows, format="csr")
     a_ub = sparse.vstack(
         [sparse.hstack([-m, t_block]), sparse.hstack([m, t_block])]
@@ -165,29 +172,16 @@ def l1_fit(y_hat: PyramidVec, sel: SupportSelection) -> SparseDist:
     if res.status != 0:
         raise RuntimeError(f"l1 fit LP failed: {res.message}")
 
-    entries: dict[GridPoint, float] = {}
-    for j, (lv, cx, cy, is_leaf) in enumerate(var_cells):
-        mass = float(res.x[j])
-        if mass <= 0.0:
-            continue
-        if is_leaf:
-            p = GridPoint(cx, cy, d)
-        else:
-            p = cell_anchor(CellId(lv, cx, cy), d)
-        entries[p] = entries.get(p, 0.0) + mass
-    return SparseDist(d, entries)
+    # dropped subtrees are disjoint from each other and from kept leaves,
+    # so their anchors (minimal grid points) never collide
+    pos = np.flatnonzero(res.x[:n_vars] > 0.0)
+    shift = ell - level[pos]
+    cy, cx = _split(key[pos], level[pos])
+    points = grid_points((cx << shift).tolist(), (cy << shift).tolist(), d)
+    return SparseDist(d, dict(zip(points, res.x[pos].tolist())))
 
 
 def reconstruct(y_prime: PyramidVec, w: int) -> SparseDist:
     """Algorithm: select support, restrict measurements, l1-fit."""
     sel = select_support(y_prime, w)
     return l1_fit(restrict(y_prime, sel), sel)
-
-
-def fit_objective(y_hat: PyramidVec, dist: SparseDist) -> float:
-    """|| y_hat - P s' ||_1 over the measured levels, for any candidate s'."""
-    transformed = apply_pyramid(dist.to_dense(), y_hat.start_level)
-    total = 0.0
-    for i in range(y_hat.start_level, y_hat.max_level + 1):
-        total += float(np.abs(y_hat.level(i) - transformed.level(i)).sum())
-    return total

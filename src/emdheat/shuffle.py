@@ -40,7 +40,7 @@ import numpy as np
 
 from .grid import MASS_TOLERANCE, SparseDist, num_levels
 from .noise import NoiseSchedule, discrete_laplace_share
-from .pyramid import PyramidVec, partition_sums
+from .pyramid import PyramidVec, level_sums
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,8 @@ def compute_r(eps: float, delta: float, m: int, q: int, n: int) -> int:
 
 
 def _unscaled_measurements(p: SparseDist, params: ShuffleParams) -> np.ndarray:
-    dense = p.to_dense()
-    parts = [
-        partition_sums(dense, level).reshape(-1)
-        for level, _, _ in params.level_slices()
-    ]
-    return np.concatenate(parts)
+    sums = level_sums(p.to_dense(), params.schedule.start_level)
+    return np.concatenate([a.reshape(-1) for a in sums])
 
 
 def encode_client_detailed(

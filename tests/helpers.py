@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from emdheat.datagen import US_BBOX, BBox, CellDataset, CheckinRecord, MixtureSpec
-from emdheat.grid import GridPoint, SparseDist, snap
+from emdheat.grid import CellId, GridPoint, SparseDist, cell_anchor, num_levels, snap
 from emdheat.noise import make_rng
+from emdheat.pyramid import PyramidVec, apply_pyramid
 
 
 def gp(ix: int, iy: int, d: int) -> GridPoint:
@@ -165,3 +169,151 @@ def dense_count_synth(spec: MixtureSpec) -> tuple[list[SparseDist], float]:
         pooled += counts
         users.append(SparseDist.from_dense(counts / spec.samples_per_user, d))
     return users, np.count_nonzero(pooled) / float(d * d)
+
+
+def fit_objective(y_hat: PyramidVec, dist: SparseDist) -> float:
+    """|| y_hat - P s' ||_1 over the measured levels, for any candidate s'."""
+    transformed = apply_pyramid(dist.to_dense(), y_hat.start_level)
+    total = 0.0
+    for i in range(y_hat.start_level, y_hat.max_level + 1):
+        total += float(np.abs(y_hat.level(i) - transformed.level(i)).sum())
+    return total
+
+
+# Reference support recovery: the CellId-loop selection, restriction and
+# l1 fit that recovery.py replaced with key arrays.  The array versions
+# must reproduce these exactly.
+
+
+@dataclass
+class LoopSelection:
+    """Per-level kept cells S_i for levels start_level..max_level."""
+
+    resolution: int
+    w: int
+    start_level: int
+    levels: list[list[CellId]]
+
+    @property
+    def max_level(self) -> int:
+        return self.start_level + len(self.levels) - 1
+
+    def level_cells(self, i: int) -> list[CellId]:
+        if not self.start_level <= i <= self.max_level:
+            raise ValueError(f"level {i} not in selection")
+        return self.levels[i - self.start_level]
+
+
+def loop_select_support(y_prime: PyramidVec, w: int) -> LoopSelection:
+    """Greedy top-w descent through the cell tree ranked by y' values."""
+    if w < 1:
+        raise ValueError("w must be >= 1")
+    start = y_prime.start_level
+    ell = y_prime.max_level
+    side = 1 << start
+    current = [CellId(start, cx, cy) for cy in range(side) for cx in range(side)]
+    levels = [list(current)]
+    for i in range(start + 1, ell + 1):
+        arr = y_prime.level(i)
+        candidates = []
+        for c in current:
+            for cy in (2 * c.cy, 2 * c.cy + 1):
+                for cx in (2 * c.cx, 2 * c.cx + 1):
+                    candidates.append(CellId(i, cx, cy))
+        candidates.sort(key=lambda c: (-arr[c.cy, c.cx], c.cy, c.cx))
+        current = sorted(candidates[: min(w, len(candidates))], key=lambda c: (c.cy, c.cx))
+        levels.append(list(current))
+    return LoopSelection(y_prime.resolution, w, start, levels)
+
+
+def loop_restrict(y_prime: PyramidVec, sel: LoopSelection) -> PyramidVec:
+    """y' restricted to the selection (zero outside S)."""
+    out = []
+    for i in range(sel.start_level, sel.max_level + 1):
+        src = y_prime.level(i)
+        masked = np.zeros_like(src)
+        for c in sel.level_cells(i):
+            masked[c.cy, c.cx] = src[c.cy, c.cx]
+        out.append(masked)
+    return PyramidVec(y_prime.resolution, sel.start_level, out)
+
+
+def _selected_sets(sel: LoopSelection) -> list[set[tuple[int, int]]]:
+    return [
+        {(c.cx, c.cy) for c in sel.level_cells(i)}
+        for i in range(sel.start_level, sel.max_level + 1)
+    ]
+
+
+def loop_l1_fit(y_hat: PyramidVec, sel: LoopSelection) -> SparseDist:
+    """Minimize ||y_hat - P s'||_1 over the reduced nonnegative class."""
+    d = y_hat.resolution
+    ell = num_levels(d)
+    start = sel.start_level
+    if y_hat.start_level != start or y_hat.max_level != sel.max_level:
+        raise ValueError("measurement and selection level ranges differ")
+    kept = _selected_sets(sel)
+
+    # variables: (level, cx, cy, is_leaf); leaves at level ell, drops above
+    var_cells: list[tuple[int, int, int, bool]] = []
+    for c in sel.level_cells(ell):
+        var_cells.append((ell, c.cx, c.cy, True))
+    for i in range(start + 1, ell + 1):
+        kept_i = kept[i - start]
+        for p in sel.level_cells(i - 1):
+            for cy in (2 * p.cy, 2 * p.cy + 1):
+                for cx in (2 * p.cx, 2 * p.cx + 1):
+                    if (cx, cy) not in kept_i:
+                        var_cells.append((i, cx, cy, False))
+    n_vars = len(var_cells)
+
+    # one residual row pair per kept measured cell
+    row_index: dict[tuple[int, int, int], int] = {}
+    y_vals = []
+    for i in range(start, sel.max_level + 1):
+        arr = y_hat.level(i)
+        for c in sel.level_cells(i):
+            row_index[(i, c.cx, c.cy)] = len(y_vals)
+            y_vals.append(float(arr[c.cy, c.cx]))
+    n_rows = len(y_vals)
+    y_vals = np.array(y_vals)
+
+    cost = np.zeros(n_vars + n_rows)
+    cost[n_vars:] = 1.0
+    rows, cols, data = [], [], []
+    for j, (lv, cx, cy, is_leaf) in enumerate(var_cells):
+        if not is_leaf:
+            cost[j] = 2.0 ** (1 - lv) - 2.0 ** (-ell)
+        top = lv if is_leaf else lv - 1
+        ccx, ccy = (cx, cy) if is_leaf else (cx >> 1, cy >> 1)
+        for i in range(top, start - 1, -1):
+            r = row_index[(i, ccx, ccy)]
+            rows.append(r)
+            cols.append(j)
+            data.append(2.0 ** -i)
+            ccx >>= 1
+            ccy >>= 1
+
+    # |y - M x| <= t  as  -Mx - t <= -y  and  Mx - t <= y
+    m = sparse.coo_matrix((data, (rows, cols)), shape=(n_rows, n_vars)).tocsr()
+    t_block = -sparse.identity(n_rows, format="csr")
+    a_ub = sparse.vstack(
+        [sparse.hstack([-m, t_block]), sparse.hstack([m, t_block])]
+    ).tocsr()
+    b_ub = np.concatenate([-y_vals, y_vals])
+
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs-ds")
+    if res.status != 0:
+        raise RuntimeError(f"l1 fit LP failed: {res.message}")
+
+    entries: dict[GridPoint, float] = {}
+    for j, (lv, cx, cy, is_leaf) in enumerate(var_cells):
+        mass = float(res.x[j])
+        if mass <= 0.0:
+            continue
+        if is_leaf:
+            p = GridPoint(cx, cy, d)
+        else:
+            p = cell_anchor(CellId(lv, cx, cy), d)
+        entries[p] = entries.get(p, 0.0) + mass
+    return SparseDist(d, entries)

@@ -1,10 +1,12 @@
 """The scaled pyramidal transform and its l1 functional."""
 
+import math
+
 import numpy as np
 import pytest
 
 from emdheat.grid import CellId, SparseDist, children, num_levels
-from emdheat.pyramid import PyramidVec, apply_pyramid, partition_sums, pyramid_l1
+from emdheat.pyramid import PyramidVec, apply_pyramid, level_sums, partition_sums, pyramid_l1
 
 from helpers import delta, gp, rand_balanced, rand_sparse, signed_to_dense
 
@@ -125,3 +127,38 @@ def test_pyramid_vec_shape_validation():
     assert y.max_level == 2
     with pytest.raises(ValueError):
         y.level(0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 32])
+def test_partition_sums_compose_exactly_and_match_block_sums(d):
+    rng = np.random.default_rng(15)
+    arr = rng.random((d, d))
+    ell = num_levels(d)
+    for i in range(ell):
+        assert np.array_equal(partition_sums(partition_sums(arr, i + 1), i), partition_sums(arr, i))
+    for i in range(ell + 1):
+        b = d >> i
+        blocks = [
+            [math.fsum(arr[cy * b : (cy + 1) * b, cx * b : (cx + 1) * b].ravel()) for cx in range(1 << i)]
+            for cy in range(1 << i)
+        ]
+        np.testing.assert_allclose(partition_sums(arr, i), blocks, rtol=0.0, atol=1e-12)
+    assert all(np.array_equal(a, partition_sums(arr, i)) for i, a in enumerate(level_sums(arr)))
+
+
+def test_partition_sums_finest_level_is_a_read_only_view():
+    arr = delta(1, 2, 4).to_dense()
+    finest = partition_sums(arr, 2)
+    assert np.shares_memory(finest, arr)
+    with pytest.raises(ValueError):
+        finest[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("start_level", [-1, 3])
+def test_start_level_outside_the_grid_is_rejected(start_level):
+    # log2(4) = 2; pyramid_l1 used to return a false bound of 0.0 above it
+    z = delta(0, 0, 4).to_dense() - delta(3, 3, 4).to_dense()
+    with pytest.raises(ValueError, match="start_level"):
+        apply_pyramid(z, start_level)
+    with pytest.raises(ValueError, match="start_level"):
+        pyramid_l1(z, start_level)

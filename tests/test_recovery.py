@@ -7,17 +7,19 @@ from scipy.optimize import linprog
 
 from emdheat.emd import emd
 from emdheat.grid import CellId, GridPoint, SparseDist, containing_cell, num_levels
-from emdheat.noise import make_rng
+from emdheat.noise import make_rng, pivot_level
 from emdheat.pyramid import PyramidVec, apply_pyramid
-from emdheat.recovery import (
-    fit_objective,
-    l1_fit,
-    reconstruct,
-    restrict,
-    select_support,
-)
+from emdheat.recovery import l1_fit, reconstruct, restrict, select_support
 
-from helpers import delta, gp, rand_sparse
+from helpers import (
+    delta,
+    fit_objective,
+    gp,
+    loop_l1_fit,
+    loop_restrict,
+    loop_select_support,
+    rand_sparse,
+)
 
 
 def full_l1_fit_objective(y_hat: PyramidVec) -> float:
@@ -242,3 +244,51 @@ def test_mismatched_selection_rejected():
     wrong = PyramidVec(4, 1, [np.zeros((2, 2)), np.zeros((4, 4))])
     with pytest.raises(ValueError):
         l1_fit(wrong, sel)
+
+
+def _oracle_cases():
+    cases = set()
+    for d in (4, 16, 64, 1024):
+        for w in (1, 5, 50):
+            for start in (0, min(pivot_level(w), num_levels(d))):
+                for kind in ("noisy", "constant", "negative"):
+                    cases.add((d, w, start, kind))
+    return sorted(cases)
+
+
+def _measurements(d: int, start: int, kind: str, seed: int) -> PyramidVec:
+    rng = np.random.default_rng(seed)
+    shapes = [(1 << i, 1 << i) for i in range(start, num_levels(d) + 1)]
+    if kind == "constant":
+        return PyramidVec(d, start, [np.full(shape, 0.5) for shape in shapes])
+    if kind == "negative":
+        return PyramidVec(d, start, [rng.normal(-0.2, 1.0, shape) for shape in shapes])
+    y = apply_pyramid(rand_sparse(rng, d, 12, mass=40.0), start)
+    return PyramidVec(d, start, [a + rng.laplace(0.0, 0.5, a.shape) for a in y.levels])
+
+
+@pytest.mark.parametrize("d, w, start, kind", _oracle_cases())
+def test_key_array_recovery_matches_cell_loops(d, w, start, kind):
+    # the same selection, restriction and s_hat as the CellId-loop oracles,
+    # bit for bit and in dict order, ties (constant y') and negatives included
+    y = _measurements(d, start, kind, seed=d * 1000 + w * 10 + start)
+    sel, want = select_support(y, w), loop_select_support(y, w)
+    assert sel.levels == want.levels
+    y_hat, want_hat = restrict(y, sel), loop_restrict(y, want)
+    for a, b in zip(y_hat.levels, want_hat.levels):
+        assert np.array_equal(a, b)
+    got, expected = l1_fit(y_hat, sel), loop_l1_fit(want_hat, want)
+    assert list(got.entries.items()) == list(expected.entries.items())
+
+
+@pytest.mark.parametrize("level, bad", [(0, -np.inf), (2, np.nan), (4, np.inf)])
+def test_reconstruct_rejects_non_finite_measurements(level, bad):
+    # a value the descent reads; before, it reached linprog (or a silent
+    # sort position) instead of failing here
+    y = apply_pyramid(delta(5, 6, 16))
+    cell = containing_cell(gp(5, 6, 16), level)
+    y.level(level)[cell.cy, cell.cx] = bad
+    with pytest.raises(ValueError, match=f"level {level} holds a NaN or infinite"):
+        select_support(y, 3)
+    with pytest.raises(ValueError, match=f"level {level}"):
+        reconstruct(y, 3)
