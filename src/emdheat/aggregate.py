@@ -2,8 +2,14 @@
 
 aggregate_central: pyramid measurements of the user sum with per-level
 Laplace noise, then sparse reconstruction; one pass halves the dense sum
-into every measured level, then noise is drawn level by level in
-ascending order and added in place.  aggregate_dense: snap to a
+into every measured level, and y' is a pyramid.NoisyPyramid over those
+sums.  Its noise is keyed (see noise.keyed_laplace_block): one 128-bit
+key from the caller's RNG, one Philox block of four draws per parent
+cell, drawn only where the support descent reads a cell.  Noise at a
+cell that is never read cannot change the output, so the release has
+the same distribution and privacy as noising every cell; a given seed
+draws different noise than the dense per-level `rng.laplace` draws this
+module once made.  aggregate_dense: snap to a
 coarse grid chosen from the total budget, noise every cell, repair with
 a transport-norm projection.  baseline_laplace: per-cell noise with an
 optional keep-top-t-percent threshold.
@@ -30,7 +36,7 @@ from scipy.optimize import linprog
 from .emd import SLACK_RATE, _grid_arcs, _incidence
 from .grid import GridPoint, SparseDist, num_levels, shared_resolution, user_sum
 from .noise import NoiseSchedule, budget_schedule, laplace, make_rng, pivot_level
-from .pyramid import PyramidVec, level_sums
+from .pyramid import NoisyPyramid, level_sums
 from .recovery import reconstruct
 
 _MODES = ("theory", "experiment")
@@ -73,11 +79,15 @@ class AggregateResult:
     `trace` holds the stage timings `sum_s`, `measure_s` (partition sums
     and noise) and `reconstruct_s`, the sizes `n_users`, `input_entries`
     and `sum_support`, and the per-level Laplace scales `noise_scales`.
+    Aligned with `noise_scales`, `cells_read` and `cells_noised` count
+    per measured level the distinct cells the recovery read and the
+    Laplace values drawn: four per block read in the central release,
+    every coarse cell in the dense one.
     """
 
     a_hat: SparseDist
     s_hat: SparseDist
-    y_prime: PyramidVec | None
+    y_prime: NoisyPyramid | None
     schedule: NoiseSchedule | None
     degenerate: bool = False
     n_users: int = 0
@@ -119,21 +129,19 @@ def aggregate_central(
         rng = make_rng(cfg.seed)
 
     t0 = time.perf_counter()
-    levels = []
-    for i, sums in enumerate(level_sums(s, start), start):
-        noisy = laplace(schedule.scale(i), rng, sums.shape)
-        noisy += sums
-        noisy *= 2.0 ** -i
-        levels.append(noisy)
-    y_prime = PyramidVec(resolution, start, levels)
+    key = rng.integers(0, 2**64, size=2, dtype=np.uint64)
+    y_prime = NoisyPyramid(level_sums(s, start), start, schedule, key)
     t1 = time.perf_counter()
 
     s_hat = reconstruct(y_prime, cfg.w)
     a_hat, degenerate = normalize(s_hat)
+    # noise is drawn during the descent; it counts as measurement
     trace.update(
-        measure_s=t1 - t0,
-        reconstruct_s=time.perf_counter() - t1,
+        measure_s=t1 - t0 + y_prime.noise_s,
+        reconstruct_s=time.perf_counter() - t1 - y_prime.noise_s,
         noise_scales=[schedule.scale(i) for i in range(start, ell + 1)],
+        cells_read=y_prime.cells_read,
+        cells_noised=y_prime.cells_noised,
     )
     return AggregateResult(a_hat, s_hat, y_prime, schedule, degenerate, len(dists), trace)
 
@@ -201,6 +209,8 @@ def aggregate_dense(
         measure_s=t1 - t0,
         reconstruct_s=time.perf_counter() - t1,
         noise_scales=[1.0 / eps],
+        cells_read=[s.size],
+        cells_noised=[s.size],
     )
     return AggregateResult(a_hat, s_hat, None, None, degenerate, n, trace)
 

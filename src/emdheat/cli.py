@@ -4,8 +4,9 @@ Every subcommand writes a JSON manifest (full config, seed, version)
 beside its outputs.  Sweeps are deterministic given config and seed:
 each trial owns an RNG branch derived from the master seed and the
 trial's coordinates, and rows are emitted in a fixed order regardless
-of worker scheduling.  The wall_ms column is the one exception to
-byte-identical reruns; all other columns are reproducible.
+of worker scheduling.  The timing columns (sum_s, measure_s,
+reconstruct_s, wall_ms) are the one exception to byte-identical reruns;
+all other columns are reproducible.
 """
 
 from __future__ import annotations
@@ -68,8 +69,14 @@ TRIAL_CSV_FIELDS = [
     "emd",
     "emd_is_surrogate",
     "wraparound_violations",
+    "sum_s",
+    "measure_s",
+    "reconstruct_s",
+    "cells_noised",
     "wall_ms",
 ]
+# stage timings from the release trace, empty for releases without one
+TRACE_TIMINGS = ("sum_s", "measure_s", "reconstruct_s")
 
 
 def _branch_rng(master: int, *coords: int) -> np.random.Generator:
@@ -137,10 +144,12 @@ def _sweep_trial(task: dict) -> tuple[list[dict], list[str]]:
         mech_rng = _branch_rng(master, 2, dgrid, n, trial, alg_idx, task["eps_index"])
         start = time.perf_counter()
         wraparound = 0
+        trace = {}
         try:
             if algorithm == "ours":
                 cfg = AggregationConfig(eps=eps, w=w, mode=task["mode"], gamma=task["gamma"])
-                a_hat = aggregate_central(users, cfg, rng=mech_rng).a_hat
+                res = aggregate_central(users, cfg, rng=mech_rng)
+                a_hat, trace = res.a_hat, res.trace
             elif algorithm == "baseline":
                 a_hat = baseline_laplace(users, eps, None, rng=mech_rng)
             elif algorithm.startswith("baseline-top-"):
@@ -148,7 +157,8 @@ def _sweep_trial(task: dict) -> tuple[list[dict], list[str]]:
                 a_hat = baseline_laplace(users, eps, pct, rng=mech_rng)
             elif algorithm == "dense":
                 # the coarse release renders on the sweep grid, as EMD scores it
-                a_hat = aggregate_dense(users, eps, rng=mech_rng).a_hat.at_resolution(dgrid)
+                res = aggregate_dense(users, eps, rng=mech_rng)
+                a_hat, trace = res.a_hat.at_resolution(dgrid), res.trace
             elif algorithm.startswith("shuffle-"):
                 b_scale = int(algorithm.removeprefix("shuffle-"))
                 ell = num_levels(dgrid)
@@ -187,6 +197,8 @@ def _sweep_trial(task: dict) -> tuple[list[dict], list[str]]:
                 "emd": met["emd"],
                 "emd_is_surrogate": met["emd_is_surrogate"],
                 "wraparound_violations": wraparound,
+                **{key: trace.get(key, "") for key in TRACE_TIMINGS},
+                "cells_noised": sum(trace["cells_noised"]) if trace else "",
                 "wall_ms": wall_ms,
             }
         )
@@ -251,6 +263,9 @@ def run_sweep(config: dict) -> Path:
             out = dict(row)
             for key in ("sim", "pearson", "kl", "emd"):
                 out[key] = repr(float(out[key]))
+            for key in TRACE_TIMINGS:
+                if out[key] != "":
+                    out[key] = f"{out[key]:.6f}"
             out["wall_ms"] = f"{out['wall_ms']:.3f}"
             writer.writerow(out)
 

@@ -7,6 +7,19 @@ compose to eps = sum eps_i.  The budget decays geometrically away from
 the pivot level q = floor(log2(sqrt(w))), where the support width w
 meets the cell count 4^q.
 
+That noise is keyed: the release draws one 128-bit key from its RNG,
+and the four children of a level-(i-1) cell share one block of four
+draws from numpy's counter-based Philox generator (Salmon et al., SC
+2011) at counter (0, parent, level, 0).  Philox steps counter word 0
+first and carries into word 1 only after 2^64 steps, so no two blocks'
+streams overlap, and each cell's noise is a pure function of (key,
+level, cell).  The release can therefore draw noise only at the cells
+its support descent reads: a cell never read cannot change the output,
+so every cell is still, in distribution, noised with Lap(1/eps_i) and
+the privacy argument is unchanged.  A given seed draws different noise
+from the earlier dense level-by-level `rng.laplace` draws, with the same
+release distribution.
+
 The shuffle protocol replaces continuous Laplace with a sum of integer
 Polya shares: n i.i.d. Polya(1/n, alpha) variables sum to a negative
 binomial NB(1, alpha) = geometric, and the difference of two such sums
@@ -106,6 +119,16 @@ def laplace(
     if b <= 0:
         raise ValueError("scale must be positive")
     return rng.laplace(0.0, b, size)
+
+
+def keyed_laplace_block(b: float, key: np.ndarray, level: int, parent: int) -> np.ndarray:
+    """The four Laplace(b) draws of block (level, parent) under a 128-bit key.
+
+    `key` is two uint64 words; `parent` is the level-(level-1) cell key
+    whose four children share the block (0 for the root's block).
+    """
+    bits = np.random.Philox(key=key, counter=(0, parent, level, 0))
+    return laplace(b, np.random.Generator(bits), 4)
 
 
 def polya(

@@ -12,15 +12,21 @@ transfers to EMD guarantees on the grid.
 
 Level sums are built bottom up by 2x2 halving: `level_sums` forms every
 level from the finest in one O(d^2) pass plus a geometric tail.
+
+PyramidVec holds every level as a dense array.  NoisyPyramid is the
+central release's y': the level sums plus keyed Laplace noise that is
+drawn only at the cells a reader asks for.  Both answer `values(i, keys)`.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import CellId, SparseDist, num_levels
+from .noise import NoiseSchedule, keyed_laplace_block
 
 
 @dataclass
@@ -62,6 +68,95 @@ class PyramidVec:
 
     def value(self, c: CellId) -> float:
         return float(self.level(c.level)[c.cy, c.cx])
+
+    def values(self, i: int, keys: np.ndarray) -> np.ndarray:
+        """Level i at the cell keys cy * 2**i + cx."""
+        return self.level(i)[split_keys(keys, i)]
+
+
+def split_keys(keys: np.ndarray, level) -> tuple[np.ndarray, np.ndarray]:
+    """(cy, cx) of level-`level` cell keys cy * 2**level + cx; `level` may be an array."""
+    return keys >> level, keys & ((1 << level) - 1)
+
+
+class NoisyPyramid:
+    """y' level i = 2**-i * (level-i sums + Lap(1/eps_i) per cell), noise drawn where read.
+
+    The four children of a level-(i-1) cell share one block of four
+    draws, `keyed_laplace_block(scale_i, key, i, parent)`; the root is
+    child 0 of block (level 0, parent 0).  Each cell's noise is thus a
+    pure function of (key, level, cell): `values` draws each block it
+    needs once and keeps it, and `level`/`levels` evaluate whole levels
+    from the same key, equal bit for bit to what `values` returns.
+    """
+
+    def __init__(
+        self, sums: list[np.ndarray], start_level: int, schedule: NoiseSchedule, key: np.ndarray
+    ) -> None:
+        self.resolution = sums[-1].shape[0]
+        self.start_level = start_level
+        self.max_level = start_level + len(sums) - 1
+        self.schedule = schedule
+        self.key = key
+        self._sums = sums
+        # per level: drawn blocks by parent key, and the cell keys read
+        self._blocks: list[dict[int, np.ndarray]] = [{} for _ in sums]
+        self._read: list[set[int]] = [set() for _ in sums]
+        # seconds spent drawing noise in `values`
+        self.noise_s = 0.0
+
+    def _index(self, i: int) -> int:
+        if not self.start_level <= i <= self.max_level:
+            raise ValueError(f"level {i} not measured")
+        return i - self.start_level
+
+    def _noisy(self, i: int, sums: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        return (sums + noise) * 2.0 ** -i
+
+    def values(self, i: int, keys: np.ndarray) -> np.ndarray:
+        """Level i at the cell keys cy * 2**i + cx, drawing each missing block once."""
+        j = self._index(i)
+        cy, cx = split_keys(keys, i)
+        parent = ((cy >> 1) << max(i - 1, 0)) + (cx >> 1)
+        blocks = self._blocks[j]
+        t0 = time.perf_counter()
+        scale = self.schedule.scale(i)
+        for p in np.unique(parent).tolist():
+            if p not in blocks:
+                blocks[p] = keyed_laplace_block(scale, self.key, i, p)
+        noise = np.array([blocks[p] for p in parent.tolist()]).reshape(-1, 4)
+        self.noise_s += time.perf_counter() - t0
+        self._read[j].update(keys.tolist())
+        child = 2 * (cy & 1) + (cx & 1)
+        return self._noisy(i, self._sums[j][cy, cx], noise[np.arange(len(child)), child])
+
+    def level(self, i: int) -> np.ndarray:
+        """The whole of level i, every block drawn from the key."""
+        j = self._index(i)
+        scale = self.schedule.scale(i)
+        if i == 0:
+            noise = keyed_laplace_block(scale, self.key, 0, 0)[:1].reshape(1, 1)
+        else:
+            half = 1 << (i - 1)
+            blocks = [keyed_laplace_block(scale, self.key, i, p) for p in range(half * half)]
+            # block (py, px) holds children (2py + dy, 2px + dx) at 2dy + dx
+            noise = np.array(blocks).reshape(half, half, 2, 2).transpose(0, 2, 1, 3)
+            noise = noise.reshape(2 * half, 2 * half)
+        return self._noisy(i, self._sums[j], noise)
+
+    @property
+    def levels(self) -> list[np.ndarray]:
+        return [self.level(i) for i in range(self.start_level, self.max_level + 1)]
+
+    @property
+    def cells_read(self) -> list[int]:
+        """Distinct cells read through `values`, per level."""
+        return [len(r) for r in self._read]
+
+    @property
+    def cells_noised(self) -> list[int]:
+        """Laplace values drawn through `values`, per level: four per block."""
+        return [4 * len(b) for b in self._blocks]
 
 
 def _as_dense(v: SparseDist | np.ndarray) -> np.ndarray:

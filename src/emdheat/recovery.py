@@ -10,6 +10,9 @@ the measurements to the kept cells, and solves
 A selection is one sorted int64 array of cell keys cy * 2**i + cx per
 level.  Each descent step ranks the kept cells' children with one
 lexsort, and the fit finds its rows in the key arrays by searchsorted.
+Every stage reads y' through `values(i, keys)`, which a dense PyramidVec
+and the central release's NoisyPyramid both answer; the latter draws
+noise only at the cells read.
 
 The LP never needs one variable per grid point.  Every grid point under
 a kept leaf chain gets its own mass variable; all mass inside a subtree
@@ -29,7 +32,9 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .grid import CellId, SparseDist, grid_points, num_levels
-from .pyramid import PyramidVec
+from .pyramid import NoisyPyramid, PyramidVec, split_keys
+
+Measurements = PyramidVec | NoisyPyramid
 
 
 @dataclass
@@ -59,31 +64,26 @@ class SupportSelection:
     def level_cells(self, i: int) -> list[CellId]:
         if not self.start_level <= i <= self.max_level:
             raise ValueError(f"level {i} not in selection")
-        cy, cx = _split(self.keys[i - self.start_level], i)
+        cy, cx = split_keys(self.keys[i - self.start_level], i)
         return [CellId(i, x, y) for y, x in zip(cy.tolist(), cx.tolist())]
-
-
-def _split(keys: np.ndarray, level) -> tuple[np.ndarray, np.ndarray]:
-    """(cy, cx) of level-`level` cell keys; `level` may be an array."""
-    return keys >> level, keys & ((1 << level) - 1)
 
 
 def _children(keys: np.ndarray, i: int) -> np.ndarray:
     """Keys of the level-i children of level i-1 cells, parent by parent in (cy, cx) order."""
-    cy, cx = _split(keys, i - 1)
+    cy, cx = split_keys(keys, i - 1)
     first = (cy << (i + 1)) + 2 * cx
     return (first[:, None] + np.array([0, 1, 1 << i, (1 << i) + 1])).reshape(-1)
 
 
-def _values(y: PyramidVec, i: int, keys: np.ndarray) -> np.ndarray:
+def _values(y: Measurements, i: int, keys: np.ndarray) -> np.ndarray:
     """y' at the level-i keys, refusing a NaN or infinite value."""
-    vals = y.level(i)[_split(keys, i)]
+    vals = y.values(i, keys)
     if not np.isfinite(vals).all():
         raise ValueError(f"y' level {i} holds a NaN or infinite value")
     return vals
 
 
-def select_support(y_prime: PyramidVec, w: int) -> SupportSelection:
+def select_support(y_prime: Measurements, w: int) -> SupportSelection:
     """Greedy top-w descent through the cell tree ranked by y' values.
 
     Every value it reads must be finite: the start level and each
@@ -103,19 +103,17 @@ def select_support(y_prime: PyramidVec, w: int) -> SupportSelection:
     return SupportSelection(y_prime.resolution, w, start, levels)
 
 
-def restrict(y_prime: PyramidVec, sel: SupportSelection) -> PyramidVec:
+def restrict(y_prime: Measurements, sel: SupportSelection) -> PyramidVec:
     """y' restricted to the selection (zero outside S)."""
     out = []
     for i, keys in enumerate(sel.keys, sel.start_level):
-        src = y_prime.level(i)
-        masked = np.zeros(src.shape, src.dtype)
-        cells = _split(keys, i)
-        masked[cells] = src[cells]
+        masked = np.zeros((1 << i, 1 << i))
+        masked[split_keys(keys, i)] = y_prime.values(i, keys)
         out.append(masked)
     return PyramidVec(y_prime.resolution, sel.start_level, out)
 
 
-def l1_fit(y_hat: PyramidVec, sel: SupportSelection) -> SparseDist:
+def l1_fit(y_hat: Measurements, sel: SupportSelection) -> SparseDist:
     """Minimize ||y_hat - P s'||_1 over the reduced nonnegative class.
 
     Variables: one mass per kept leaf cell, one aggregated mass per
@@ -144,7 +142,7 @@ def l1_fit(y_hat: PyramidVec, sel: SupportSelection) -> SparseDist:
     # one residual row pair per kept measured cell, level by level; the
     # code (4^i - 1) / 3 + key orders every level's cells at once
     row_code = np.concatenate([((1 << 2 * i) - 1) // 3 + k for i, k in enumerate(kept, start)])
-    y_vals = np.concatenate([y_hat.level(i)[_split(k, i)] for i, k in enumerate(kept, start)], dtype=float)
+    y_vals = np.concatenate([y_hat.values(i, k) for i, k in enumerate(kept, start)], dtype=float)
     n_rows = len(y_vals)
 
     cost = np.zeros(n_vars + n_rows)
@@ -157,7 +155,7 @@ def l1_fit(y_hat: PyramidVec, sel: SupportSelection) -> SparseDist:
     cols, up = np.nonzero(chain <= top[:, None])
     lv = chain[up]
     shift = level[cols] - lv
-    cy, cx = _split(key[cols], level[cols])
+    cy, cx = split_keys(key[cols], level[cols])
     rows = np.searchsorted(row_code, ((1 << 2 * lv) - 1) // 3 + ((cy >> shift) << lv) + (cx >> shift))
 
     # |y - M x| <= t  as  -Mx - t <= -y  and  Mx - t <= y
@@ -176,12 +174,12 @@ def l1_fit(y_hat: PyramidVec, sel: SupportSelection) -> SparseDist:
     # so their anchors (minimal grid points) never collide
     pos = np.flatnonzero(res.x[:n_vars] > 0.0)
     shift = ell - level[pos]
-    cy, cx = _split(key[pos], level[pos])
+    cy, cx = split_keys(key[pos], level[pos])
     points = grid_points((cx << shift).tolist(), (cy << shift).tolist(), d)
     return SparseDist(d, dict(zip(points, res.x[pos].tolist())))
 
 
-def reconstruct(y_prime: PyramidVec, w: int) -> SparseDist:
+def reconstruct(y_prime: Measurements, w: int) -> SparseDist:
     """Algorithm: select support, restrict measurements, l1-fit."""
     sel = select_support(y_prime, w)
     return l1_fit(restrict(y_prime, sel), sel)

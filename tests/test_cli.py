@@ -268,9 +268,12 @@ SWEEP_ARGS = [
 ]
 
 
+TIMING_FIELDS = ("sum_s", "measure_s", "reconstruct_s", "wall_ms")
+
+
 def strip_wall(path):
     rows = read_rows(path)
-    return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+    return [{k: v for k, v in row.items() if k not in TIMING_FIELDS} for row in rows]
 
 
 def test_sweep_outputs_and_schema(tmp_path):
@@ -282,6 +285,11 @@ def test_sweep_outputs_and_schema(tmp_path):
     assert len(rows) == 6  # 3 algorithms x 2 trials
     assert {row["algorithm"] for row in rows} == {"ours", "baseline", "baseline-top-50"}
     assert [row["run_id"] for row in rows] == [f"r{i:06d}" for i in range(6)]
+    # only releases with a trace fill the stage columns
+    for row in rows:
+        traced = row["algorithm"] == "ours"
+        for key in ("sum_s", "measure_s", "reconstruct_s", "cells_noised"):
+            assert (row[key] != "") == traced
 
     summary = read_rows(out_dir / "summary.csv")
     assert len(summary) == 3
@@ -301,6 +309,12 @@ def test_sweep_scores_dense_on_the_sweep_grid(tmp_path):
     assert main(args + ["--out-dir", str(out_dir)]) == 0
     rows = read_rows(out_dir / "trials.csv")
     assert [row["algorithm"] for row in rows] == ["ours", "dense"] * 2
+    for row in rows:
+        assert all(float(row[key]) >= 0.0 for key in ("sum_s", "measure_s", "reconstruct_s"))
+    # d=8, w=10: one start block at q=1 and at most w blocks on each of
+    # the two levels below; dense noises its 2x2 grid (eps * n = 5)
+    assert [int(row["cells_noised"]) for row in rows][1::2] == [4, 4]
+    assert all(0 < int(row["cells_noised"]) <= 4 * (1 + 10 * 2) for row in rows[::2])
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["errors"] == []
 

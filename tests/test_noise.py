@@ -7,6 +7,7 @@ from scipy import stats
 from emdheat.noise import (
     budget_schedule,
     discrete_laplace_share,
+    keyed_laplace_block,
     laplace,
     make_rng,
     pivot_level,
@@ -76,6 +77,16 @@ def test_laplace_moments():
     assert abs(draws.mean()) < 0.01
     draws2 = laplace(2.0, rng, 1_000_000)
     assert draws2.var() == pytest.approx(8.0, abs=0.1)
+
+
+def test_keyed_laplace_blocks_follow_laplace():
+    key = np.random.default_rng(61).integers(0, 2**64, size=2, dtype=np.uint64)
+    draws = np.concatenate([keyed_laplace_block(2.5, key, 7, p) for p in range(5000)])
+    assert draws.size == 20_000
+    assert stats.kstest(draws, "laplace", args=(0.0, 2.5)).pvalue > 0.01
+    # a block is a pure function of (key, level, parent)
+    assert np.array_equal(keyed_laplace_block(2.5, key, 7, 3), draws[12:16])
+    assert not np.array_equal(keyed_laplace_block(2.5, key, 6, 3), draws[12:16])
 
 
 def test_laplace_deterministic_per_seed():
