@@ -3,13 +3,13 @@
 aggregate_central: pyramid measurements of the user sum with per-level
 Laplace noise, then sparse reconstruction; one pass halves the dense sum
 into every measured level, and y' is a pyramid.NoisyPyramid over those
-sums.  Its noise is keyed (see noise.keyed_laplace_block): one 128-bit
-key from the caller's RNG, one Philox block of four draws per parent
-cell, drawn only where the support descent reads a cell.  Noise at a
-cell that is never read cannot change the output, so the release has
-the same distribution and privacy as noising every cell; a given seed
-draws different noise than the dense per-level `rng.laplace` draws this
-module once made.  aggregate_dense: snap to a
+sums.  Its noise comes from the caller's RNG by position (see
+noise.LaplaceStream): each cell gets the draw that dense per-level
+`rng.laplace` calls in ascending level order would give it, but only
+the cells the support descent reads are drawn.  Noise at a cell that is
+never read cannot change the output, so a given seed gives the same
+release, with the same privacy, as noising every cell, and the RNG
+ends where those dense draws would leave it.  aggregate_dense: snap to a
 coarse grid chosen from the total budget, noise every cell, repair with
 a transport-norm projection.  baseline_laplace: per-cell noise with an
 optional keep-top-t-percent threshold.
@@ -81,7 +81,7 @@ class AggregateResult:
     and `sum_support`, and the per-level Laplace scales `noise_scales`.
     Aligned with `noise_scales`, `cells_read` and `cells_noised` count
     per measured level the distinct cells the recovery read and the
-    Laplace values drawn: four per block read in the central release,
+    Laplace values drawn: one per cell read in the central release,
     every coarse cell in the dense one.
     """
 
@@ -129,8 +129,7 @@ def aggregate_central(
         rng = make_rng(cfg.seed)
 
     t0 = time.perf_counter()
-    key = rng.integers(0, 2**64, size=2, dtype=np.uint64)
-    y_prime = NoisyPyramid(level_sums(s, start), start, schedule, key)
+    y_prime = NoisyPyramid(level_sums(s, start), start, schedule, rng)
     t1 = time.perf_counter()
 
     s_hat = reconstruct(y_prime, cfg.w)
@@ -141,7 +140,8 @@ def aggregate_central(
         reconstruct_s=time.perf_counter() - t1 - y_prime.noise_s,
         noise_scales=[schedule.scale(i) for i in range(start, ell + 1)],
         cells_read=y_prime.cells_read,
-        cells_noised=y_prime.cells_noised,
+        # a read cell draws its own value and no other
+        cells_noised=y_prime.cells_read,
     )
     return AggregateResult(a_hat, s_hat, y_prime, schedule, degenerate, len(dists), trace)
 

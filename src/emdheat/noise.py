@@ -7,18 +7,16 @@ compose to eps = sum eps_i.  The budget decays geometrically away from
 the pivot level q = floor(log2(sqrt(w))), where the support width w
 meets the cell count 4^q.
 
-That noise is keyed: the release draws one 128-bit key from its RNG,
-and the four children of a level-(i-1) cell share one block of four
-draws from numpy's counter-based Philox generator (Salmon et al., SC
-2011) at counter (0, parent, level, 0).  Philox steps counter word 0
-first and carries into word 1 only after 2^64 steps, so no two blocks'
-streams overlap, and each cell's noise is a pure function of (key,
-level, cell).  The release can therefore draw noise only at the cells
-its support descent reads: a cell never read cannot change the output,
-so every cell is still, in distribution, noised with Lap(1/eps_i) and
-the privacy argument is unchanged.  A given seed draws different noise
-from the earlier dense level-by-level `rng.laplace` draws, with the same
-release distribution.
+The release reads that noise from the caller's RNG stream by position:
+cell (cy, cx) of level i takes the Laplace draw at position
+offset_i + cy * 2^i + cx, where offset_i counts the cells of the
+measured levels above i, which is the draw a dense level-by-level,
+row-major `rng.laplace` would give it.  `LaplaceStream` seeks to a
+position with the bit generator's O(log k) `advance`, so the release
+draws noise only at the cells its support descent reads.  A cell never
+read cannot change the output, and every read cell gets exactly the value
+the dense draws would give it, so a given seed yields the same release
+as noising every cell, with the same privacy argument.
 
 The shuffle protocol replaces continuous Laplace with a sum of integer
 Polya shares: n i.i.d. Polya(1/n, alpha) variables sum to a negative
@@ -121,14 +119,32 @@ def laplace(
     return rng.laplace(0.0, b, size)
 
 
-def keyed_laplace_block(b: float, key: np.ndarray, level: int, parent: int) -> np.ndarray:
-    """The four Laplace(b) draws of block (level, parent) under a 128-bit key.
+class LaplaceStream:
+    """The Laplace draws an RNG would make next, read at any position.
 
-    `key` is two uint64 words; `parent` is the level-(level-1) cell key
-    whose four children share the block (0 for the root's block).
+    Value k is the k-th value of `rng.laplace` calls made from the RNG's
+    position at construction, whatever their scales.  numpy turns one
+    64-bit output into one Laplace value (it redraws only on a uniform of
+    exactly 0, probability 2^-53), and PCG64 and PCG64DXSM skip k outputs
+    with `advance(k)` in O(log k) steps.  The caller's RNG is not moved.
     """
-    bits = np.random.Philox(key=key, counter=(0, parent, level, 0))
-    return laplace(b, np.random.Generator(bits), 4)
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        bits = rng.bit_generator
+        if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+            raise TypeError(
+                f"reading Laplace draws by position needs a PCG64 or PCG64DXSM "
+                f"generator, got {type(bits).__name__}"
+            )
+        self._origin = bits.state
+        self._rng = np.random.Generator(type(bits)())
+
+    def draw(self, b: float, pos: int, size: int | tuple[int, ...]) -> np.ndarray:
+        """Values pos, pos+1, ... of the stream (filling `size`) at scale b."""
+        bits = self._rng.bit_generator
+        bits.state = self._origin
+        bits.advance(pos)
+        return laplace(b, self._rng, size)
 
 
 def polya(

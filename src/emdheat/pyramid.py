@@ -14,8 +14,8 @@ Level sums are built bottom up by 2x2 halving: `level_sums` forms every
 level from the finest in one O(d^2) pass plus a geometric tail.
 
 PyramidVec holds every level as a dense array.  NoisyPyramid is the
-central release's y': the level sums plus keyed Laplace noise that is
-drawn only at the cells a reader asks for.  Both answer `values(i, keys)`.
+central release's y': the level sums plus Laplace noise that is drawn
+only at the cells a reader asks for.  Both answer `values(i, keys)`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import CellId, SparseDist, num_levels
-from .noise import NoiseSchedule, keyed_laplace_block
+from .noise import LaplaceStream, NoiseSchedule
 
 
 @dataclass
@@ -82,26 +82,33 @@ def split_keys(keys: np.ndarray, level) -> tuple[np.ndarray, np.ndarray]:
 class NoisyPyramid:
     """y' level i = 2**-i * (level-i sums + Lap(1/eps_i) per cell), noise drawn where read.
 
-    The four children of a level-(i-1) cell share one block of four
-    draws, `keyed_laplace_block(scale_i, key, i, parent)`; the root is
-    child 0 of block (level 0, parent 0).  Each cell's noise is thus a
-    pure function of (key, level, cell): `values` draws each block it
-    needs once and keeps it, and `level`/`levels` evaluate whole levels
-    from the same key, equal bit for bit to what `values` returns.
+    It takes over the next sum(4^i) Laplace draws of `rng`: cell (cy, cx)
+    of level i gets the draw at offset_i + cy * 2**i + cx, offset_i being
+    the cell count of the measured levels above i, as if every level were
+    drawn in ascending order, row-major.  `values` draws each cell it is
+    asked for once, in runs of consecutive keys, and keeps it; `level` and
+    `levels` evaluate whole levels from the same positions, equal bit for
+    bit to what `values` returns.  `rng` itself moves past all the draws.
     """
 
     def __init__(
-        self, sums: list[np.ndarray], start_level: int, schedule: NoiseSchedule, key: np.ndarray
+        self,
+        sums: list[np.ndarray],
+        start_level: int,
+        schedule: NoiseSchedule,
+        rng: np.random.Generator,
     ) -> None:
         self.resolution = sums[-1].shape[0]
         self.start_level = start_level
         self.max_level = start_level + len(sums) - 1
         self.schedule = schedule
-        self.key = key
         self._sums = sums
-        # per level: drawn blocks by parent key, and the cell keys read
-        self._blocks: list[dict[int, np.ndarray]] = [{} for _ in sums]
-        self._read: list[set[int]] = [set() for _ in sums]
+        self._stream = LaplaceStream(rng)
+        sizes = [s.size for s in sums]
+        self._offsets = np.cumsum([0, *sizes[:-1]]).tolist()
+        rng.bit_generator.advance(sum(sizes))
+        # per level: the noise drawn so far, by cell key
+        self._noise: list[dict[int, float]] = [{} for _ in sums]
         # seconds spent drawing noise in `values`
         self.noise_s = 0.0
 
@@ -114,35 +121,30 @@ class NoisyPyramid:
         return (sums + noise) * 2.0 ** -i
 
     def values(self, i: int, keys: np.ndarray) -> np.ndarray:
-        """Level i at the cell keys cy * 2**i + cx, drawing each missing block once."""
+        """Level i at the cell keys cy * 2**i + cx, drawing each missing cell once."""
         j = self._index(i)
-        cy, cx = split_keys(keys, i)
-        parent = ((cy >> 1) << max(i - 1, 0)) + (cx >> 1)
-        blocks = self._blocks[j]
+        drawn = self._noise[j]
         t0 = time.perf_counter()
-        scale = self.schedule.scale(i)
-        for p in np.unique(parent).tolist():
-            if p not in blocks:
-                blocks[p] = keyed_laplace_block(scale, self.key, i, p)
-        noise = np.array([blocks[p] for p in parent.tolist()]).reshape(-1, 4)
+        listed = keys.tolist()
+        missing = np.array(sorted(set(listed).difference(drawn)), dtype=np.int64)
+        if missing.size:
+            # a key is its row-major position, so a run of keys is a run of draws
+            runs = np.split(missing, np.flatnonzero(np.diff(missing) != 1) + 1)
+            scale = self.schedule.scale(i)
+            for run in runs:
+                noise = self._stream.draw(scale, self._offsets[j] + int(run[0]), run.size)
+                drawn.update(zip(run.tolist(), noise.tolist()))
+        noise = np.array([drawn[k] for k in listed], dtype=float)
         self.noise_s += time.perf_counter() - t0
-        self._read[j].update(keys.tolist())
-        child = 2 * (cy & 1) + (cx & 1)
-        return self._noisy(i, self._sums[j][cy, cx], noise[np.arange(len(child)), child])
+        cy, cx = split_keys(keys, i)
+        return self._noisy(i, self._sums[j][cy, cx], noise)
 
     def level(self, i: int) -> np.ndarray:
-        """The whole of level i, every block drawn from the key."""
+        """The whole of level i, every cell drawn."""
         j = self._index(i)
-        scale = self.schedule.scale(i)
-        if i == 0:
-            noise = keyed_laplace_block(scale, self.key, 0, 0)[:1].reshape(1, 1)
-        else:
-            half = 1 << (i - 1)
-            blocks = [keyed_laplace_block(scale, self.key, i, p) for p in range(half * half)]
-            # block (py, px) holds children (2py + dy, 2px + dx) at 2dy + dx
-            noise = np.array(blocks).reshape(half, half, 2, 2).transpose(0, 2, 1, 3)
-            noise = noise.reshape(2 * half, 2 * half)
-        return self._noisy(i, self._sums[j], noise)
+        sums = self._sums[j]
+        noise = self._stream.draw(self.schedule.scale(i), self._offsets[j], sums.shape)
+        return self._noisy(i, sums, noise)
 
     @property
     def levels(self) -> list[np.ndarray]:
@@ -150,13 +152,8 @@ class NoisyPyramid:
 
     @property
     def cells_read(self) -> list[int]:
-        """Distinct cells read through `values`, per level."""
-        return [len(r) for r in self._read]
-
-    @property
-    def cells_noised(self) -> list[int]:
-        """Laplace values drawn through `values`, per level: four per block."""
-        return [4 * len(b) for b in self._blocks]
+        """Distinct cells read through `values`, per level; each drew one value."""
+        return [len(n) for n in self._noise]
 
 
 def _as_dense(v: SparseDist | np.ndarray) -> np.ndarray:

@@ -218,9 +218,8 @@ def test_coreset_returns_unnormalized_sum():
 
 @pytest.mark.parametrize("mode", ["theory", "experiment"])
 def test_aggregate_central_replays_exactly(mode):
-    # y' level i is 2^-i (partition sums of the sum + Lap(1/eps_i)); the
-    # four children of a level-(i-1) cell share one Philox block keyed by
-    # one 128-bit key from the given RNG, at counter (0, parent, i, 0)
+    # y' level i is 2^-i (partition sums of the sum + Lap(1/eps_i)), drawn
+    # level by level from the given RNG
     rng = np.random.default_rng(55)
     dists = [rand_sparse(rng, 32, int(rng.integers(1, 9))) for _ in range(40)]
     cfg = AggregationConfig(eps=2.0, w=12, mode=mode)
@@ -229,33 +228,40 @@ def test_aggregate_central_replays_exactly(mode):
     s = dense_loop_sum(dists)
     start = cfg.start_level(32)
     schedule = budget_schedule(cfg.eps, 5, cfg.w, cfg.effective_gamma, start)
-    key = np.random.default_rng(56).integers(0, 2**64, size=2, dtype=np.uint64)
+    replay = np.random.default_rng(56)
     assert res.y_prime.start_level == start
     assert len(res.y_prime.levels) == 5 - start + 1
     for i, level in zip(range(start, 6), res.y_prime.levels):
         sums = partition_sums(s, i)
-        noise = np.empty(sums.shape)
-        for cy, cx in np.ndindex(sums.shape):
-            parent = (cy // 2) * max(1, sums.shape[0] // 2) + cx // 2
-            bits = np.random.Philox(key=key, counter=(0, parent, i, 0))
-            block = np.random.Generator(bits).laplace(0.0, 1.0 / schedule.epsilon(i), 4)
-            noise[cy, cx] = block[2 * (cy % 2) + cx % 2]
-        expected = 2.0 ** -i * (sums + noise)
+        expected = 2.0 ** -i * (sums + replay.laplace(0.0, 1.0 / schedule.epsilon(i), sums.shape))
         assert np.array_equal(level, expected)
 
 
 @pytest.mark.parametrize("mode", ["theory", "experiment"])
 @pytest.mark.parametrize("w", [5, 50])
 @pytest.mark.parametrize("d", [16, 64, 256])
-def test_keyed_dense_levels_give_the_lazy_release(d, w, mode):
-    # recovery over every level evaluated from the key must return the
-    # release that drew noise only at the cells it read
+def test_dense_levels_give_the_lazy_release(d, w, mode):
+    # recovery over every level drawn whole must return the release that
+    # drew noise only at the cells it read
     rng = np.random.default_rng(59)
     dists = [rand_sparse(rng, d, int(rng.integers(1, 9))) for _ in range(30)]
     res = aggregate_central(dists, AggregationConfig(eps=1.0, w=w, mode=mode), rng=rng)
     dense = PyramidVec(d, res.y_prime.start_level, res.y_prime.levels)
     s_hat = reconstruct(dense, w)
     assert list(s_hat.entries.items()) == list(res.s_hat.entries.items())
+
+
+def test_central_release_leaves_the_rng_past_every_cell():
+    # the caller's RNG continues as if every measured cell had been drawn
+    rng = np.random.default_rng(58)
+    dists = [rand_sparse(rng, 64, 3) for _ in range(5)]
+    replay = np.random.default_rng(58)
+    [rand_sparse(replay, 64, 3) for _ in range(5)]
+    cfg = AggregationConfig(eps=1.0, w=5, mode="experiment")
+    aggregate_central(dists, cfg, rng=rng)
+    start = cfg.start_level(64)
+    replay.laplace(size=sum(4**i for i in range(start, 7)))
+    assert rng.random() == replay.random()
 
 
 def test_fine_grid_release_noises_only_the_cells_it_reads():

@@ -5,9 +5,9 @@ import pytest
 from scipy import stats
 
 from emdheat.noise import (
+    LaplaceStream,
     budget_schedule,
     discrete_laplace_share,
-    keyed_laplace_block,
     laplace,
     make_rng,
     pivot_level,
@@ -79,14 +79,21 @@ def test_laplace_moments():
     assert draws2.var() == pytest.approx(8.0, abs=0.1)
 
 
-def test_keyed_laplace_blocks_follow_laplace():
-    key = np.random.default_rng(61).integers(0, 2**64, size=2, dtype=np.uint64)
-    draws = np.concatenate([keyed_laplace_block(2.5, key, 7, p) for p in range(5000)])
+def test_laplace_stream_reads_the_generators_draws():
+    rng = np.random.default_rng(61)
+    stream = LaplaceStream(rng)
+    dense = rng.laplace(0.0, 2.5, 40_000)
+    # positions in runs and out of order, as the release reads them
+    pos = np.random.default_rng(62).permutation(39_999)[:10_000]
+    draws = np.concatenate([stream.draw(2.5, int(k), 2) for k in pos])
     assert draws.size == 20_000
+    assert np.array_equal(draws[0::2], dense[pos])
+    assert np.array_equal(draws[1::2], dense[pos + 1])
     assert stats.kstest(draws, "laplace", args=(0.0, 2.5)).pvalue > 0.01
-    # a block is a pure function of (key, level, parent)
-    assert np.array_equal(keyed_laplace_block(2.5, key, 7, 3), draws[12:16])
-    assert not np.array_equal(keyed_laplace_block(2.5, key, 6, 3), draws[12:16])
+    # a stream does not move the generator it reads
+    assert np.array_equal(LaplaceStream(rng).draw(1.0, 0, 3), rng.laplace(0.0, 1.0, 3))
+    with pytest.raises(TypeError, match="PCG64"):
+        LaplaceStream(np.random.Generator(np.random.MT19937(0)))
 
 
 def test_laplace_deterministic_per_seed():

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from emdheat.grid import CellId, SparseDist, children, num_levels
-from emdheat.pyramid import PyramidVec, apply_pyramid, level_sums, partition_sums, pyramid_l1
+from emdheat.noise import budget_schedule
+from emdheat.pyramid import (
+    NoisyPyramid,
+    PyramidVec,
+    apply_pyramid,
+    level_sums,
+    partition_sums,
+    pyramid_l1,
+)
 
 from helpers import delta, gp, rand_balanced, rand_sparse, signed_to_dense
 
@@ -162,3 +170,18 @@ def test_start_level_outside_the_grid_is_rejected(start_level):
         apply_pyramid(z, start_level)
     with pytest.raises(ValueError, match="start_level"):
         pyramid_l1(z, start_level)
+
+
+def test_noisy_pyramid_reads_agree_with_its_whole_levels():
+    # scattered reads, runs with gaps and repeated keys, in any order
+    rng = np.random.default_rng(63)
+    sums = level_sums(rng.random((32, 32)), 1)
+    y = NoisyPyramid(sums, 1, budget_schedule(1.0, 5, 8, 0.9, 1), rng)
+    dense = PyramidVec(32, 1, y.levels)
+    picks = np.random.default_rng(64)
+    read = {i: set() for i in range(1, 6)}
+    for i in (5, 3, 1, 5, 4):
+        keys = picks.integers(0, 4**i, size=min(4**i, 40))
+        assert np.array_equal(y.values(i, keys), dense.values(i, keys))
+        read[i].update(keys.tolist())
+    assert y.cells_read == [len(read[i]) for i in range(1, 6)]
