@@ -9,10 +9,18 @@ symmetric range, and dividing by B recovers the noisy sum.
 
 Messages are rows of an (N, 2) int64 array, column 0 the coordinate in
 [0, m) and column 1 the share in [0, q).  A client's block holds its r
-shares of coordinate 0, then of coordinate 1, and so on; a round
-concatenates the n blocks and applies one random permutation to the
-rows.  `analyze` rejects out-of-range rows and folds with int64
-arithmetic, which cannot overflow while n*r*(q-1) < 2**63.
+shares of coordinate 0, then of coordinate 1, and so on.  `analyze`
+rejects out-of-range rows and folds with int64 arithmetic, which cannot
+overflow while n*r*(q-1) < 2**63.
+
+The shuffler hands the analyzer the multiset in canonical order: rows
+sorted by coordinate, then by share.  That order is a function of the
+multiset alone, so it reveals nothing a uniform shuffle hides: a uniform
+shuffle can be sampled from the sorted list, and sorting recovers the
+sorted list from any shuffle, so each view is post-processing of the
+other.  Sorting the shares within a coordinate is what unlinks them from
+their senders; grouping by coordinate alone would not.  `simulate_round`
+therefore draws no permutation of the N rows.
 
 The integer-domain noise is calibrated so that the n-client aggregate
 divided by B converges to the central-model Laplace with scale 1/eps_i:
@@ -22,11 +30,11 @@ discrete Laplace parameter is exp(-eps_i / B).
 Decoding is exact only while every noisy coordinate sum lies in
 (-q/2, q/2]; a sum outside wraps around mod q and corrupts that
 coordinate.  `simulate_round` counts such coordinates and emits a
-RuntimeWarning when any wraps.  With the theory schedule (start level
-0) the root coordinate sums to n*B = q before noise, which lies outside
-that range, so it wraps in practically every round whatever the data
-and decodes near 0 instead of n; the experiment schedule starts below
-the root and does not have this problem.
+RuntimeWarning when any wraps.  When the root (level 0) is measured,
+its pre-noise sum would be n*B = q, which wraps in practically every
+round; so each client subtracts the public constant B from its root
+coordinate and `analyze` adds n back to the decoded root.  The offset
+does not depend on the data, so privacy is unchanged.
 """
 
 from __future__ import annotations
@@ -105,7 +113,11 @@ def _unscaled_measurements(p: SparseDist, params: ShuffleParams) -> np.ndarray:
 def encode_client_detailed(
     p: SparseDist, params: ShuffleParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The client's (m*r, 2) message array plus z and z' (for diagnostics)."""
+    """The client's (m*r, 2) message array plus z and z' (for diagnostics).
+
+    z' is the noised vector the shares sum to; when the root is measured,
+    its coordinate 0 carries the public offset -B.
+    """
     if abs(p.total_mass - 1.0) > MASS_TOLERANCE:
         raise ValueError("client distribution must have unit mass")
     if p.resolution != params.resolution:
@@ -119,6 +131,9 @@ def encode_client_detailed(
         eps_int = params.schedule.epsilon(level) / params.B
         noise = discrete_laplace_share(params.n, eps_int, rng, size=count)
         z_noised[offset : offset + count] += noise
+    if params.schedule.start_level == 0:
+        # public root offset: the root's n*B = q would wrap mod q
+        z_noised[0] -= params.B
 
     q = params.q
     r = params.r
@@ -154,8 +169,10 @@ def analyze(messages: np.ndarray, params: ShuffleParams) -> PyramidVec:
     sums %= q
 
     # symmetric centering: residues above q/2 represent negative sums
-    signed = np.where(sums > q // 2, sums - q, sums).astype(float)
-    totals = signed / params.B
+    signed = np.where(sums > q // 2, sums - q, sums)
+    if params.schedule.start_level == 0:
+        signed[0] += params.n * params.B  # undo the clients' root offset
+    totals = signed.astype(float) / params.B
 
     levels = []
     for level, offset, count in params.level_slices():
@@ -183,31 +200,37 @@ def simulate_round(
     params: ShuffleParams,
     rng: np.random.Generator,
 ) -> tuple[PyramidVec, dict]:
-    """Run all clients through a seeded shuffler and decode.
+    """Encode every client, shuffle the messages into canonical order, decode.
+
+    The RNG feeds the encoders only; the shuffler draws nothing.
 
     The report adds to the communication counts:
     - wraparound_violations: coordinates whose true noisy sum falls
       outside (-q/2, q/2]; each such coordinate decodes wrongly, and a
       RuntimeWarning names the count;
     - max_sum_ratio: the largest |true sum| / (q/2), the headroom left
-      before a wrap (above 1 means a coordinate wrapped);
-    - trace: encode_s, shuffle_s and analyze_s wall seconds and the
-      number of messages shuffled.
+      before a wrap (above 1 means a coordinate wrapped); the root's sum
+      is taken after the clients' offset;
+    - trace: encode_s, shuffle_s (the canonical sort) and analyze_s wall
+      seconds and the number of messages shuffled.
     """
     if len(dists) != params.n:
         raise ValueError(f"expected {params.n} client distributions")
-    per_client = params.m * params.r
-    all_messages = np.empty((params.n * per_client, 2), dtype=np.int64)
+    r = params.r
+    shares = np.empty((params.m, params.n * r), dtype=np.int64)
     true_sums = np.zeros(params.m, dtype=np.int64)
     t0 = time.perf_counter()
     for k, p in enumerate(dists):
         msgs, _, z_noised = encode_client_detailed(p, params, rng)
-        all_messages[k * per_client : (k + 1) * per_client] = msgs
+        shares[:, k * r : (k + 1) * r] = msgs[:, 1].reshape(params.m, r)
         true_sums += z_noised
 
+    # the shuffler's output in canonical order: by coordinate, then share
     t1 = time.perf_counter()
-    perm = rng.permutation(len(all_messages))
-    shuffled = np.take(all_messages, perm, axis=0)
+    shares.sort(axis=1)
+    shuffled = np.empty((shares.size, 2), dtype=np.int64)
+    shuffled[:, 0] = np.repeat(np.arange(params.m), params.n * r)
+    shuffled[:, 1] = shares.ravel()
     t2 = time.perf_counter()
     y_prime = analyze(shuffled, params)
     t3 = time.perf_counter()

@@ -320,7 +320,9 @@ def test_sweep_scores_dense_on_the_sweep_grid(tmp_path):
 
 
 def test_sweep_records_shuffle_wraparound(tmp_path):
-    # theory mode measures the root level, whose sum n*B equals q and wraps
+    # n=5, eps=1: q/2 = 2.5*B, while each coordinate's aggregate noise is
+    # discrete Laplace of scale B/eps_i with every eps_i below 0.31, so it
+    # passes q/2 at about half of the 85 coordinates whatever the data
     out_dir = tmp_path / "shuffle"
     args = SWEEP_ARGS[: SWEEP_ARGS.index("--algorithms")] + [
         "--algorithms", "ours,shuffle-256", "--mode", "theory",

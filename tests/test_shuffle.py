@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import emdheat.shuffle as shuffle_module
 from emdheat.grid import SparseDist, num_levels
 from emdheat.noise import budget_schedule, make_rng
 from emdheat.pyramid import partition_sums
@@ -182,10 +183,64 @@ def test_simulate_round_replays_exactly():
     assert min(trace["encode_s"], trace["shuffle_s"], trace["analyze_s"]) >= 0.0
 
 
+def test_simulate_round_hands_analyze_the_canonical_multiset(monkeypatch):
+    # the shuffler's output: rows sorted by (coordinate, share), n*r rows
+    # per coordinate, and the same multiset the encoders sent
+    params = make_params()
+    users = spread_users(params)
+    seen = []
+
+    def capture(messages, p):
+        seen.append(np.array(messages))
+        return analyze(messages, p)
+
+    monkeypatch.setattr(shuffle_module, "analyze", capture)
+    simulate_round(users, params, make_rng(90))
+    (rows,) = seen
+    counts = np.bincount(rows[:, 0], minlength=params.m)
+    np.testing.assert_array_equal(counts, params.n * params.r)
+    rng = make_rng(90)
+    sent = np.concatenate([encode_client_detailed(p, params, rng)[0] for p in users])
+    # equal to the sorted multiset: so sorted, and nothing added or lost
+    np.testing.assert_array_equal(rows, sent[np.lexsort((sent[:, 1], sent[:, 0]))])
+
+
+@pytest.mark.parametrize("start", [1, 0])
+def test_simulate_round_matches_a_permuted_round(start):
+    # the round as a uniform shuffle: concatenate, permute, analyze
+    params = make_params(n=20, start=start)
+    users = [rand_sparse(np.random.default_rng([start, k]), 4, 3) for k in range(params.n)]
+    y_prime, _ = simulate_round(users, params, make_rng(91))
+    rng = make_rng(91)
+    msgs = np.concatenate([encode_client_detailed(p, params, rng)[0] for p in users])
+    shuffled = analyze(msgs[rng.permutation(len(msgs))], params)
+    assert y_prime.start_level == shuffled.start_level == start
+    for lv in range(start, num_levels(4) + 1):
+        assert np.array_equal(y_prime.level(lv), shuffled.level(lv))
+
+
+def test_theory_rounds_decode_the_root_without_wrapping():
+    # start level 0: the clients' public root offset keeps the root's sum
+    # near 0 mod q, and analyze restores n exactly
+    params = make_params(n=20, start=0)
+    for seed in range(20):
+        users = [
+            rand_sparse(np.random.default_rng([seed, k]), 4, 3) for k in range(params.n)
+        ]
+        y_prime, report = simulate_round(users, params, make_rng((92, seed)))
+        rng = make_rng((92, seed))
+        true = sum(encode_client_detailed(p, params, rng)[2] for p in users)
+        assert report["wraparound_violations"] == 0
+        true[0] += params.n * params.B
+        for lv, offset, count in params.level_slices():
+            side = 1 << lv
+            expect = 2.0**-lv * (true[offset : offset + count].reshape(side, side) / params.B)
+            np.testing.assert_array_equal(y_prime.level(lv), expect)
+
+
 def test_simulate_round_flags_saturation():
     # every client at one cell: the quadrant's true sum is n*B + noise,
-    # which lands outside (-q/2, q/2] whenever the noise is nonnegative,
-    # and the root coordinate (measured from level 0) always wraps
+    # which lands outside (-q/2, q/2] whenever the noise is nonnegative
     schedule = budget_schedule(1.0, num_levels(2), 4, 0.8, 0)
     params = ShuffleParams.from_schedule(8, 4, 1e-2, schedule, 2)
     users = [delta(0, 0, 2) for _ in range(4)]
