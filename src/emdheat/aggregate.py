@@ -35,7 +35,7 @@ from scipy.optimize import linprog
 
 from .emd import SLACK_RATE, _grid_arcs, _incidence
 from .grid import GridPoint, SparseDist, num_levels, shared_resolution, user_sum
-from .noise import NoiseSchedule, budget_schedule, laplace, make_rng, pivot_level
+from .noise import NoiseSchedule, budget_schedule, check_eps, laplace, pivot_level
 from .pyramid import NoisyPyramid, level_sums
 from .recovery import reconstruct
 
@@ -48,11 +48,9 @@ class AggregationConfig:
     w: int = 20
     mode: str = "theory"
     gamma: float | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        check_eps(self.eps)
         if self.w < 1:
             raise ValueError("w must be >= 1")
         if self.mode not in _MODES:
@@ -70,6 +68,13 @@ class AggregationConfig:
         if self.mode == "theory":
             return 0
         return min(pivot_level(self.w), num_levels(resolution))
+
+    def schedule(self, resolution: int) -> NoiseSchedule:
+        """Per-level budgets for a release on a resolution x resolution grid."""
+        return budget_schedule(
+            self.eps, num_levels(resolution), self.w, self.effective_gamma,
+            self.start_level(resolution),
+        )
 
 
 @dataclass
@@ -117,16 +122,13 @@ def _dense_sum(dists: list[SparseDist], resolution: int | None = None) -> tuple[
 def aggregate_central(
     dists: list[SparseDist],
     cfg: AggregationConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> AggregateResult:
     """Noisy pyramid release of the user sum, then sparse recovery."""
     s, trace = _dense_sum(dists)
     resolution = s.shape[0]
-    ell = num_levels(resolution)
-    start = cfg.start_level(resolution)
-    schedule = budget_schedule(cfg.eps, ell, cfg.w, cfg.effective_gamma, start)
-    if rng is None:
-        rng = make_rng(cfg.seed)
+    schedule = cfg.schedule(resolution)
+    start, ell = schedule.start_level, schedule.max_level
 
     t0 = time.perf_counter()
     y_prime = NoisyPyramid(level_sums(s, start), start, schedule, rng)
@@ -184,12 +186,10 @@ def _dense_fit(noisy: np.ndarray, resolution: int) -> np.ndarray:
 def aggregate_dense(
     dists: list[SparseDist],
     eps: float,
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> AggregateResult:
     """Coarse-grid variant: snap, noise every cell once, project back."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     if not dists:
         raise ValueError("need at least one user distribution")
     n = len(dists)
@@ -197,8 +197,6 @@ def aggregate_dense(
     coarse = min(1 << ell_star, dists[0].resolution)
     s, trace = _dense_sum(dists, coarse)
 
-    if rng is None:
-        rng = make_rng(seed)
     t0 = time.perf_counter()
     noisy = s + laplace(1.0 / eps, rng, s.shape)
     t1 = time.perf_counter()
@@ -219,18 +217,15 @@ def baseline_laplace(
     dists: list[SparseDist],
     eps: float,
     threshold_pct: float | None = None,
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> SparseDist:
     """Per-cell Laplace on the sum, clip negatives, optional top-t% keep."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     if threshold_pct is not None and not 0 < threshold_pct <= 100:
         raise ValueError("threshold_pct must lie in (0, 100]")
     s = user_sum(dists).to_dense()
     d = s.shape[0]
-    if rng is None:
-        rng = make_rng(seed)
     noisy = s + laplace(1.0 / eps, rng, s.shape)
 
     if threshold_pct is not None:
@@ -253,13 +248,13 @@ def coreset(
     eps: float,
     w: int,
     mode: str = "theory",
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> SparseDist:
     """Unnormalized recovery of one-point indicator users (k-median coreset)."""
     if not points:
         raise ValueError("need at least one point")
     resolution = points[0].resolution
     dists = [SparseDist(resolution, {p: 1.0}) for p in points]
-    cfg = AggregationConfig(eps=eps, w=w, mode=mode, seed=seed)
+    cfg = AggregationConfig(eps=eps, w=w, mode=mode)
     return aggregate_central(dists, cfg, rng=rng).s_hat

@@ -47,11 +47,11 @@ from .datagen import (
     synth_users,
     write_dataset,
 )
-from .grid import GridPoint, next_pow2, num_levels, user_sum
+from .grid import GridPoint, SparseDist, next_pow2, user_sum
 from .heatmap import (
     HeatmapGrid, checked_mass, heatmap, heatmap_padded, metrics, read_csv, read_pgm, write_csv, write_pgm,
 )
-from .noise import budget_schedule, make_rng
+from .noise import make_rng
 from .recovery import reconstruct
 from .shuffle import ShuffleParams, communication, simulate_round
 
@@ -79,18 +79,13 @@ TRIAL_CSV_FIELDS = [
 TRACE_TIMINGS = ("sum_s", "measure_s", "reconstruct_s")
 
 
-def _branch_rng(master: int, *coords: int) -> np.random.Generator:
-    """Independent stream for one (trial, algorithm, ...) coordinate tuple."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master, *coords))))
-
-
 def _branch_seed(master: int, *coords: int) -> int:
     return int(np.random.SeedSequence((master, *coords)).generate_state(1, np.uint64)[0])
 
 
 def write_manifest(out_path: Path, config: dict, trace: dict | None = None) -> None:
     manifest = {"config": config, "version": __version__}
-    if trace is not None:
+    if trace:
         manifest["trace"] = trace
     with open(out_path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True, default=str)
@@ -119,6 +114,39 @@ def _load_grid(path: str) -> np.ndarray:
     return read_csv(path)
 
 
+def _release(
+    algorithm: str,
+    users: list[SparseDist],
+    cfg: AggregationConfig,
+    rng: np.random.Generator,
+    shuffle_delta: float | None,
+) -> tuple[SparseDist, dict, int]:
+    """One named release of `users`: (a_hat, trace, wraparound violations).
+
+    Names: ours, dense, baseline, baseline-top-<pct> and shuffle-<B>.
+    Releases without a stage trace return an empty one.
+    """
+    if algorithm == "ours":
+        res = aggregate_central(users, cfg, rng=rng)
+        return res.a_hat, res.trace, 0
+    if algorithm == "dense":
+        res = aggregate_dense(users, cfg.eps, rng=rng)
+        return res.a_hat, res.trace, 0
+    if algorithm == "baseline":
+        return baseline_laplace(users, cfg.eps, rng=rng), {}, 0
+    if algorithm.startswith("baseline-top-"):
+        pct = float(algorithm.removeprefix("baseline-top-"))
+        return baseline_laplace(users, cfg.eps, pct, rng=rng), {}, 0
+    if algorithm.startswith("shuffle-"):
+        b_scale = int(algorithm.removeprefix("shuffle-"))
+        d = users[0].resolution
+        params = ShuffleParams.from_schedule(b_scale, len(users), shuffle_delta, cfg.schedule(d), d)
+        y_prime, report = simulate_round(users, params, rng)
+        a_hat, _ = normalize(reconstruct(y_prime, cfg.w))
+        return a_hat, {}, report["wraparound_violations"]
+    raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -141,40 +169,15 @@ def _sweep_trial(task: dict) -> tuple[list[dict], list[str]]:
     rows: list[dict] = []
     errors: list[str] = []
     for alg_idx, algorithm in enumerate(task["algorithms"]):
-        mech_rng = _branch_rng(master, 2, dgrid, n, trial, alg_idx, task["eps_index"])
+        mech_rng = make_rng(master, (2, dgrid, n, trial, alg_idx, task["eps_index"]))
         start = time.perf_counter()
-        wraparound = 0
-        trace = {}
         try:
-            if algorithm == "ours":
-                cfg = AggregationConfig(eps=eps, w=w, mode=task["mode"], gamma=task["gamma"])
-                res = aggregate_central(users, cfg, rng=mech_rng)
-                a_hat, trace = res.a_hat, res.trace
-            elif algorithm == "baseline":
-                a_hat = baseline_laplace(users, eps, None, rng=mech_rng)
-            elif algorithm.startswith("baseline-top-"):
-                pct = float(algorithm.removeprefix("baseline-top-"))
-                a_hat = baseline_laplace(users, eps, pct, rng=mech_rng)
-            elif algorithm == "dense":
-                # the coarse release renders on the sweep grid, as EMD scores it
-                res = aggregate_dense(users, eps, rng=mech_rng)
-                a_hat, trace = res.a_hat.at_resolution(dgrid), res.trace
-            elif algorithm.startswith("shuffle-"):
-                b_scale = int(algorithm.removeprefix("shuffle-"))
-                ell = num_levels(dgrid)
-                cfg = AggregationConfig(eps=eps, w=w, mode=task["mode"], gamma=task["gamma"])
-                schedule = budget_schedule(
-                    eps, ell, w, cfg.effective_gamma, cfg.start_level(dgrid)
-                )
-                params = ShuffleParams.from_schedule(
-                    b_scale, n, task["shuffle_delta"], schedule, dgrid
-                )
-                y_prime, report = simulate_round(users, params, mech_rng)
-                wraparound = report["wraparound_violations"]
-                a_hat, _ = normalize(reconstruct(y_prime, w))
-            else:
-                raise ValueError(f"unknown algorithm {algorithm!r}")
-            h_alg = heatmap(a_hat, sigma)
+            cfg = AggregationConfig(eps=eps, w=w, mode=task["mode"], gamma=task["gamma"])
+            a_hat, trace, wraparound = _release(
+                algorithm, users, cfg, mech_rng, task["shuffle_delta"]
+            )
+            # a dense release is coarser; it renders on the sweep grid, as EMD scores it
+            h_alg = heatmap(a_hat.at_resolution(dgrid), sigma)
             met = metrics(h_true, h_alg)
         except Exception as exc:  # failures recorded, sweep continues
             errors.append(
@@ -386,19 +389,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     users, manifest = read_dataset(args.input)
     dists = [users[uid] for uid in sorted(users)]
-    rng = make_rng(args.seed)
-    trace = None
-    if args.algorithm == "ours":
-        cfg = AggregationConfig(eps=args.eps, w=args.w, mode=args.mode, gamma=args.gamma)
-        res = aggregate_central(dists, cfg, rng=rng)
-        a_hat, trace = res.a_hat, res.trace
-    elif args.algorithm == "baseline":
-        a_hat = baseline_laplace(dists, args.eps, args.top_pct, rng=rng)
-    elif args.algorithm == "dense":
-        res = aggregate_dense(dists, args.eps, rng=rng)
-        a_hat, trace = res.a_hat, res.trace
-    else:
-        raise SystemExit(f"unknown algorithm {args.algorithm!r}")
+    algorithm = args.algorithm
+    if algorithm == "baseline" and args.top_pct is not None:
+        algorithm = f"baseline-top-{args.top_pct!r}"
+    cfg = AggregationConfig(eps=args.eps, w=args.w, mode=args.mode, gamma=args.gamma)
+    # aggregate offers no shuffle release, so no shuffle delta
+    a_hat, trace, _ = _release(algorithm, dists, cfg, make_rng(args.seed), None)
     write_dataset(
         args.out,
         {"aggregate": a_hat},
@@ -452,11 +448,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_shuffle_sim(args: argparse.Namespace) -> int:
     b_values = [int(t) for t in args.B.split(",")]
-    ell = num_levels(args.delta_grid)
     cfg = AggregationConfig(eps=args.eps, w=args.w, mode=args.mode, gamma=args.gamma)
-    schedule = budget_schedule(
-        args.eps, ell, args.w, cfg.effective_gamma, cfg.start_level(args.delta_grid)
-    )
+    schedule = cfg.schedule(args.delta_grid)
 
     comm_rows = []
     for b_scale in b_values:
@@ -478,25 +471,18 @@ def _cmd_shuffle_sim(args: argparse.Namespace) -> int:
         )
         users, _ = synth_users(spec)
         h_true = heatmap(user_sum(users).scaled(1.0 / len(users)), args.sigma)
+        # the i-th shuffle round draws from stream (3, i), the central release from 4
+        runs = [(b, f"shuffle-{b}", (3, i)) for i, b in enumerate(b_values)]
         sim_rows = []
-        for alg_idx, b_scale in enumerate(b_values):
-            params = ShuffleParams.from_schedule(
-                b_scale, args.n, args.delta, schedule, args.delta_grid
+        for b_scale, algorithm, stream in runs + [("", "ours", 4)]:
+            a_hat, _, wraparound = _release(
+                algorithm, users, cfg, make_rng(args.seed, stream), args.delta
             )
-            rng = _branch_rng(args.seed, 3, alg_idx)
-            y_prime, report = simulate_round(users, params, rng)
-            a_hat, _ = normalize(reconstruct(y_prime, args.w))
             met = metrics(h_true, heatmap(a_hat, args.sigma))
             sim_rows.append(
-                {"B": b_scale, "algorithm": f"shuffle-{b_scale}",
-                 "wraparound_violations": report["wraparound_violations"], **met}
+                {"B": b_scale, "algorithm": algorithm if b_scale else "central",
+                 "wraparound_violations": wraparound, **met}
             )
-        central_rng = _branch_rng(args.seed, 4)
-        a_central = aggregate_central(users, cfg, rng=central_rng).a_hat
-        met = metrics(h_true, heatmap(a_central, args.sigma))
-        sim_rows.append(
-            {"B": "", "algorithm": "central", "wraparound_violations": 0, **met}
-        )
         sim_path = Path(args.out).with_suffix(".metrics.csv")
         with open(sim_path, "w", newline="") as f:
             writer = csv.DictWriter(
@@ -512,7 +498,7 @@ def _cmd_shuffle_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_coreset_check(args: argparse.Namespace) -> int:
-    rng = _branch_rng(args.seed, 5)
+    rng = make_rng(args.seed, 5)
     d = args.delta_grid
     points = [
         GridPoint(int(ix), int(iy), d)
@@ -522,7 +508,7 @@ def _cmd_coreset_check(args: argparse.Namespace) -> int:
     for k in (int(t) for t in args.k.split(",")):
         lam = args.lam if args.lam is not None else math.sqrt(k / args.w)
         s_hat = coreset(points, args.eps, args.w, mode=args.mode,
-                        rng=_branch_rng(args.seed, 6, k))
+                        rng=make_rng(args.seed, (6, k)))
         reports.append(
             coreset_check(points, s_hat, k, lam, args.eps, args.candidate_side)
         )

@@ -381,11 +381,17 @@ def write_dataset(
 
 
 def read_dataset(csv_path: str | Path) -> tuple[dict[str, SparseDist], dict]:
-    """Inverse of write_dataset; the manifest supplies the resolution."""
+    """Inverse of write_dataset; the manifest supplies the resolution.
+
+    Raises ValueError when the file holds another number of users than
+    the manifest's `n_users` (a truncated file) or repeats a
+    (user_id, ix, iy) row.
+    """
     csv_path = _dataset_path(csv_path)
     with open(csv_path.with_suffix(".json")) as f:
         manifest = json.load(f)
     resolution = int(manifest["resolution"])
+    n_users = int(manifest["n_users"])
 
     raw: dict[str, dict[GridPoint, float]] = {}
     last, points = None, {}
@@ -400,6 +406,15 @@ def read_dataset(csv_path: str | Path) -> tuple[dict[str, SparseDist], dict]:
             if uid != last:
                 last, points = uid, raw.setdefault(uid, {})
             points[GridPoint(int(ix), int(iy), resolution)] = float(mass)
+        # data rows read; a repeated (user_id, ix, iy) row leaves fewer points
+        n_rows = reader.line_num - 1
+    if len(raw) != n_users:
+        raise ValueError(f"{csv_path} holds {len(raw)} users, its manifest {n_users}")
+    n_points = sum(map(len, raw.values()))
+    if n_points != n_rows:
+        raise ValueError(
+            f"{csv_path} repeats {n_rows - n_points} (user_id, ix, iy) rows of {n_rows}"
+        )
     users = {uid: SparseDist(resolution, pts) for uid, pts in raw.items()}
     return users, manifest
 

@@ -27,26 +27,24 @@ is exactly the discrete Laplace with parameter alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
+from math import exp, isfinite
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    """A (seed, stream) pair; identical pairs yield identical draws."""
+def make_rng(seed: int | tuple, stream: int | tuple = 0) -> np.random.Generator:
+    """PCG64 generator for (seed, stream); equal pairs yield equal draws.
 
-    seed: int
-    stream: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((self.seed, self.stream)))
-        )
+    Either may be a tuple of ints; SeedSequence flattens the pair, so
+    make_rng(s, (a, b)) draws as SeedSequence((s, a, b)) does.
+    """
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return RngSeed(seed, stream).generator()
+def check_eps(eps: float) -> None:
+    """Refuse a privacy budget that is not finite and positive (NaN included)."""
+    if not (isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +91,7 @@ def budget_schedule(
     budgets sum to eps.  The utility analysis needs gamma in (0.5, 1):
     below 0.5 the per-level noise sums diverge with depth.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     if not 0.5 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0.5, 1), got {gamma}")
     if ell < 0:
@@ -114,8 +111,8 @@ def laplace(
     b: float, rng: np.random.Generator, size: int | tuple[int, ...] | None = None
 ):
     """Laplace noise of scale b (mean 0, variance 2 b^2)."""
-    if b <= 0:
-        raise ValueError("scale must be positive")
+    if not b > 0:
+        raise ValueError(f"scale must be positive, got {b}")
     return rng.laplace(0.0, b, size)
 
 

@@ -120,7 +120,7 @@ def test_criterion_03_error_scaling_law():
             for trial in range(100):
                 data_rng = np.random.default_rng((k, trial))
                 s = rand_sparse(data_rng, d, k)
-                cfg = AggregationConfig(eps=eps, w=w, mode="theory", seed=0)
+                cfg = AggregationConfig(eps=eps, w=w, mode="theory")
                 res = aggregate_central(
                     [s], cfg, rng=make_rng((3, k, trial, int(eps * 10)))
                 )

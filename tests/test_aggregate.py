@@ -15,7 +15,7 @@ from emdheat.aggregate import (
 )
 from emdheat.emd import emd, emd_norm
 from emdheat.grid import GridPoint, SparseDist
-from emdheat.noise import budget_schedule, pivot_level
+from emdheat.noise import budget_schedule, make_rng, pivot_level
 from emdheat.pyramid import PyramidVec, partition_sums
 from emdheat.recovery import reconstruct
 
@@ -33,6 +33,18 @@ def test_config_validation():
         AggregationConfig(eps=1.0, gamma=0.5)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0])
+def test_every_mechanism_refuses_an_eps_that_is_not_finite_and_positive(eps):
+    users = [delta(1, 2, 8), delta(5, 6, 8)]
+    for release in (
+        lambda: aggregate_central(users, AggregationConfig(eps=eps), rng=make_rng(0)),
+        lambda: aggregate_dense(users, eps, rng=make_rng(0)),
+        lambda: baseline_laplace(users, eps, rng=make_rng(0)),
+    ):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            release()
+
+
 def test_config_mode_defaults():
     theory = AggregationConfig(eps=1.0, mode="theory")
     assert theory.effective_gamma == pytest.approx(0.8)
@@ -46,8 +58,8 @@ def test_config_mode_defaults():
 
 def test_negligible_noise_recovers_single_user():
     p = delta(3, 9, 16)
-    cfg = AggregationConfig(eps=1e9, w=20, seed=5)
-    res = aggregate_central([p], cfg)
+    cfg = AggregationConfig(eps=1e9, w=20)
+    res = aggregate_central([p], cfg, rng=make_rng(5))
     cost, _ = emd(res.a_hat, p)
     assert cost <= 1e-6
     assert not res.degenerate
@@ -57,45 +69,45 @@ def test_negligible_noise_recovers_single_user():
 def test_aggregate_central_deterministic():
     rng = np.random.default_rng(51)
     dists = [rand_sparse(rng, 16, 3) for _ in range(5)]
-    cfg = AggregationConfig(eps=1.0, w=10, mode="experiment", seed=7)
-    r1 = aggregate_central(dists, cfg)
-    r2 = aggregate_central(dists, cfg)
+    cfg = AggregationConfig(eps=1.0, w=10, mode="experiment")
+    r1 = aggregate_central(dists, cfg, rng=make_rng(7))
+    r2 = aggregate_central(dists, cfg, rng=make_rng(7))
     assert r1.s_hat.entries == r2.s_hat.entries
     assert r1.a_hat.entries == r2.a_hat.entries
     for a, b in zip(r1.y_prime.levels, r2.y_prime.levels):
         np.testing.assert_array_equal(a, b)
     # a different seed really changes the draw
-    r3 = aggregate_central(dists, AggregationConfig(eps=1.0, w=10, mode="experiment", seed=8))
+    r3 = aggregate_central(dists, cfg, rng=make_rng(8))
     assert r1.s_hat.entries != r3.s_hat.entries
 
 
 def test_aggregate_central_released_levels_match_mode():
     rng = np.random.default_rng(52)
     dists = [rand_sparse(rng, 16, 2) for _ in range(3)]
-    res_t = aggregate_central(dists, AggregationConfig(eps=1.0, mode="theory", seed=1))
+    res_t = aggregate_central(dists, AggregationConfig(eps=1.0, mode="theory"), rng=make_rng(1))
     assert res_t.y_prime.start_level == 0
     assert res_t.schedule.total == pytest.approx(1.0)
     assert sum(res_t.schedule.epsilons) == pytest.approx(1.0, abs=1e-12)
-    res_e = aggregate_central(dists, AggregationConfig(eps=1.0, w=20, mode="experiment", seed=1))
+    res_e = aggregate_central(dists, AggregationConfig(eps=1.0, w=20, mode="experiment"), rng=make_rng(1))
     assert res_e.y_prime.start_level == 2
 
 
 def test_aggregate_central_input_validation():
     cfg = AggregationConfig(eps=1.0)
     with pytest.raises(ValueError):
-        aggregate_central([], cfg)
+        aggregate_central([], cfg, rng=make_rng(0))
     with pytest.raises(ValueError):
-        aggregate_central([delta(0, 0, 4, mass=0.8)], cfg)
+        aggregate_central([delta(0, 0, 4, mass=0.8)], cfg, rng=make_rng(0))
     with pytest.raises(ValueError):
-        aggregate_central([delta(0, 0, 4), delta(0, 0, 8)], cfg)
+        aggregate_central([delta(0, 0, 4), delta(0, 0, 8)], cfg, rng=make_rng(0))
     # a bad user further down the list is named with what was found
     good = [delta(1, 2, 4), delta(3, 3, 4), delta(0, 1, 4)]
     with pytest.raises(ValueError, match=r"user 2 has total mass 0\.5"):
-        aggregate_central(good[:2] + [delta(2, 2, 4, mass=0.5)] + good[2:], cfg)
+        aggregate_central(good[:2] + [delta(2, 2, 4, mass=0.5)] + good[2:], cfg, rng=make_rng(0))
     with pytest.raises(ValueError, match=r"user 3 has resolution 8, user 0 has 4"):
-        aggregate_central(good + [delta(0, 0, 8)], cfg)
+        aggregate_central(good + [delta(0, 0, 8)], cfg, rng=make_rng(0))
     with pytest.raises(ValueError, match=r"user 1 has total mass 1\.25"):
-        baseline_laplace([good[0], delta(2, 2, 4, mass=1.25)], eps=1.0)
+        baseline_laplace([good[0], delta(2, 2, 4, mass=1.25)], eps=1.0, rng=make_rng(0))
 
 
 def test_per_level_sensitivity_bounded_by_one():
@@ -142,7 +154,7 @@ def test_normalization_error_bound_example():
 def test_aggregate_dense_coarse_resolution():
     rng = np.random.default_rng(54)
     dists = [rand_sparse(rng, 64, 3) for _ in range(64)]
-    res = aggregate_dense(dists, eps=1.0, seed=3)
+    res = aggregate_dense(dists, eps=1.0, rng=make_rng(3))
     # floor(log2(sqrt(64))) = 3, so the working grid is 8x8
     assert res.a_hat.resolution == 8
     assert res.s_hat.resolution == 8
@@ -152,14 +164,14 @@ def test_aggregate_dense_coarse_resolution():
 def test_aggregate_dense_zero_noise_is_snapped_average():
     rng = np.random.default_rng(55)
     dists = [rand_sparse(rng, 8, 4) for _ in range(8)]
-    res = aggregate_dense(dists, eps=1e12, seed=3)
+    res = aggregate_dense(dists, eps=1e12, rng=make_rng(3))
     avg = sum(p.to_dense() for p in dists) / len(dists)
     np.testing.assert_allclose(res.a_hat.to_dense(), avg, atol=1e-6)
 
 
 def test_aggregate_dense_clamps_shallow():
     dists = [delta(0, 0, 8), delta(7, 7, 8)]
-    res = aggregate_dense(dists, eps=1.0, seed=4)
+    res = aggregate_dense(dists, eps=1.0, rng=make_rng(4))
     # eps*n = 2 -> coarse level 0, a single-cell grid
     assert res.a_hat.resolution == 1
 
@@ -169,8 +181,8 @@ def test_aggregate_dense_rejects_mixed_resolutions():
     dists = [rand_sparse(rng, 64, 3) for _ in range(30)] + [delta(1, 2, 4)]
     # eps * n = 31 puts the coarse grid at d=4, where the odd user already lives
     for run in (
-        lambda: aggregate_dense(dists, eps=1.0, seed=5),
-        lambda: aggregate_central(dists, AggregationConfig(eps=1.0)),
+        lambda: aggregate_dense(dists, eps=1.0, rng=make_rng(5)),
+        lambda: aggregate_central(dists, AggregationConfig(eps=1.0), rng=make_rng(0)),
     ):
         with pytest.raises(ValueError, match="user 30 has resolution 4, user 0 has 64"):
             run()
@@ -179,7 +191,7 @@ def test_aggregate_dense_rejects_mixed_resolutions():
 def test_baseline_zero_noise_is_normalized_average():
     rng = np.random.default_rng(56)
     dists = [rand_sparse(rng, 8, 4) for _ in range(5)]
-    out = baseline_laplace(dists, eps=1e12, seed=9)
+    out = baseline_laplace(dists, eps=1e12, rng=make_rng(9))
     avg = sum(p.to_dense() for p in dists) / len(dists)
     np.testing.assert_allclose(out.to_dense(), avg, atol=1e-6)
 
@@ -187,15 +199,15 @@ def test_baseline_zero_noise_is_normalized_average():
 def test_baseline_threshold_full_keep_matches_plain():
     rng = np.random.default_rng(57)
     dists = [rand_sparse(rng, 8, 4) for _ in range(5)]
-    plain = baseline_laplace(dists, eps=2.0, seed=11)
-    full = baseline_laplace(dists, eps=2.0, threshold_pct=100.0, seed=11)
+    plain = baseline_laplace(dists, eps=2.0, rng=make_rng(11))
+    full = baseline_laplace(dists, eps=2.0, threshold_pct=100.0, rng=make_rng(11))
     assert plain.entries == full.entries
 
 
 def test_baseline_threshold_keeps_ceil_count():
     rng = np.random.default_rng(58)
     dists = [rand_sparse(rng, 8, 6) for _ in range(5)]
-    out = baseline_laplace(dists, eps=1e12, threshold_pct=10.0, seed=12)
+    out = baseline_laplace(dists, eps=1e12, threshold_pct=10.0, rng=make_rng(12))
     # ceil(10% of 64) = 7 cells survive (all-positive noisefree sums)
     assert len(out.entries) <= 7
     assert out.total_mass == pytest.approx(1.0)
@@ -203,14 +215,14 @@ def test_baseline_threshold_keeps_ceil_count():
 
 def test_baseline_threshold_validation():
     with pytest.raises(ValueError):
-        baseline_laplace([delta(0, 0, 4)], eps=1.0, threshold_pct=0.0)
+        baseline_laplace([delta(0, 0, 4)], eps=1.0, threshold_pct=0.0, rng=make_rng(0))
     with pytest.raises(ValueError):
-        baseline_laplace([delta(0, 0, 4)], eps=1.0, threshold_pct=150.0)
+        baseline_laplace([delta(0, 0, 4)], eps=1.0, threshold_pct=150.0, rng=make_rng(0))
 
 
 def test_coreset_returns_unnormalized_sum():
     points = [gp(1, 1, 8), gp(1, 1, 8), gp(6, 2, 8)]
-    s_hat = coreset(points, eps=1e9, w=8, seed=13)
+    s_hat = coreset(points, eps=1e9, w=8, rng=make_rng(13))
     assert s_hat.total_mass == pytest.approx(3.0, abs=1e-6)
     assert s_hat.entries[gp(1, 1, 8)] == pytest.approx(2.0, abs=1e-6)
     assert s_hat.entries[gp(6, 2, 8)] == pytest.approx(1.0, abs=1e-6)
@@ -286,8 +298,8 @@ def test_aggregate_trace():
     dists = [rand_sparse(rng, 16, int(rng.integers(1, 12))) for _ in range(60)]
     entries = sum(len(p.entries) for p in dists)
 
-    central = aggregate_central(dists, AggregationConfig(eps=1.0, w=10, mode="experiment", seed=2))
-    dense = aggregate_dense(dists, eps=1.0, seed=2)
+    central = aggregate_central(dists, AggregationConfig(eps=1.0, w=10, mode="experiment"), rng=make_rng(2))
+    dense = aggregate_dense(dists, eps=1.0, rng=make_rng(2))
     for res in (central, dense):
         trace = json.loads(json.dumps(res.trace))
         assert trace == res.trace

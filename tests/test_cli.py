@@ -2,14 +2,23 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emdheat
+from emdheat.aggregate import AggregationConfig, aggregate_central, normalize
 from emdheat.cli import TRIAL_CSV_FIELDS, _branch_seed, embed_square, main
-from emdheat.datagen import read_dataset
-from emdheat.grid import SparseDist, user_sum
-from emdheat.heatmap import HeatmapGrid, heatmap, read_csv, write_pgm
+from emdheat.datagen import random_mixture_spec, read_dataset, synth_users
+from emdheat.grid import SparseDist, num_levels, user_sum
+from emdheat.heatmap import HeatmapGrid, heatmap, metrics, read_csv, write_pgm
+from emdheat.noise import budget_schedule, make_rng
+from emdheat.recovery import reconstruct
+from emdheat.shuffle import ShuffleParams, simulate_round
 
 
 def read_rows(path):
@@ -156,6 +165,22 @@ def test_aggregate_rejects_unknown_algorithm(tmp_path):
     with pytest.raises(SystemExit):
         main(["aggregate", "--input", str(data), "--eps", "1",
               "--algorithm", "bogus", "--out", str(tmp_path / "x.csv")])
+
+
+def test_aggregate_refuses_a_nan_eps(tmp_path):
+    data = tmp_path / "data.csv"
+    main(["synth", "--n", "3", "--delta-grid", "8", "--out", str(data)])
+    out = tmp_path / "agg.csv"
+    run = subprocess.run(
+        [sys.executable, "-m", "emdheat.cli", "aggregate", "--input", str(data),
+         "--eps", "nan", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(emdheat.__file__).parents[1])},
+    )
+    assert run.returncode != 0
+    assert "eps must be finite and positive, got nan" in run.stderr
+    assert not out.exists()
 
 
 def test_heatmap_and_metrics_identity(tmp_path, capsys):
@@ -334,6 +359,36 @@ def test_sweep_records_shuffle_wraparound(tmp_path):
     for row in rows:
         wraps = int(row["wraparound_violations"])
         assert wraps == 0 if row["algorithm"] == "ours" else wraps >= 1
+
+
+@pytest.mark.filterwarnings("ignore:.*wrap:RuntimeWarning")
+def test_sweep_rows_replay_from_their_branch_streams(tmp_path):
+    # a row's users come from _branch_seed(seed, 1, d, n, trial) and its
+    # release draws from make_rng(seed, (2, d, n, trial, alg_idx, eps_index))
+    out_dir = tmp_path / "replay"
+    algorithms = ["ours", "shuffle-256"]
+    args = SWEEP_ARGS[: SWEEP_ARGS.index("--algorithms")] + ["--algorithms", ",".join(algorithms)]
+    assert main(args + ["--out-dir", str(out_dir)]) == 0
+    rows = read_rows(out_dir / "trials.csv")
+    assert len(rows) == 4
+    seed, d, n, w, sigma = 11, 8, 5, 10, 0.1
+    cfg = AggregationConfig(eps=1.0, w=w, mode="experiment")
+    for row in rows:
+        trial = int(row["trial"])
+        users, _ = synth_users(random_mixture_spec(3, n, 10, d, _branch_seed(seed, 1, d, n, trial)))
+        rng = make_rng(seed, (2, d, n, trial, algorithms.index(row["algorithm"]), 0))
+        if row["algorithm"] == "ours":
+            a_hat, wraps = aggregate_central(users, cfg, rng=rng).a_hat, 0
+        else:
+            schedule = budget_schedule(1.0, num_levels(d), w, 2 ** -0.5, cfg.start_level(d))
+            params = ShuffleParams.from_schedule(256, n, 1e-5, schedule, d)
+            y_prime, report = simulate_round(users, params, rng)
+            a_hat, wraps = normalize(reconstruct(y_prime, w))[0], report["wraparound_violations"]
+        met = metrics(heatmap(user_sum(users).scaled(1.0 / n), sigma), heatmap(a_hat, sigma))
+        assert [row[key] for key in ("sim", "pearson", "kl", "emd")] == [
+            repr(float(met[key])) for key in ("sim", "pearson", "kl", "emd")
+        ]
+        assert int(row["wraparound_violations"]) == wraps
 
 
 def test_sweep_is_deterministic_modulo_wall_time(tmp_path):

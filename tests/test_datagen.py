@@ -398,12 +398,30 @@ def test_dataset_round_trip_is_bit_exact_on_a_fine_grid(tmp_path):
 
 def test_read_dataset_merges_a_user_split_across_rows(tmp_path):
     path = tmp_path / "cell.csv"
-    path.write_text("user_id,ix,iy,mass\nb,0,0,0.5\na,1,1,1.0\nb,1,0,0.25\nb,0,0,0.25\n")
+    path.write_text("user_id,ix,iy,mass\nb,0,0,0.5\na,1,1,1.0\nb,1,0,0.5\n")
     (tmp_path / "cell.json").write_text('{"resolution": 2, "n_users": 2}\n')
     users, _ = read_dataset(path)
     assert list(users) == ["b", "a"]
-    # a repeated point keeps its first position and its last mass
-    assert list(users["b"].entries.items()) == [(gp(0, 0, 2), 0.25), (gp(1, 0, 2), 0.25)]
+    assert list(users["b"].entries.items()) == [(gp(0, 0, 2), 0.5), (gp(1, 0, 2), 0.5)]
+
+
+def test_read_dataset_rejects_a_repeated_row(tmp_path):
+    path = tmp_path / "cell.csv"
+    path.write_text("user_id,ix,iy,mass\nb,0,0,0.5\na,1,1,1.0\nb,1,0,0.25\nb,0,0,0.25\n")
+    (tmp_path / "cell.json").write_text('{"resolution": 2, "n_users": 2}\n')
+    with pytest.raises(ValueError, match=r"cell\.csv repeats 1 \(user_id, ix, iy\) rows of 4"):
+        read_dataset(path)
+
+
+def test_read_dataset_rejects_a_file_missing_a_user(tmp_path):
+    users = {f"u{k}": SparseDist(8, {gp(k, 1, 8): 0.5, gp(k, 2, 8): 0.5}) for k in range(5)}
+    path = tmp_path / "cell.csv"
+    write_dataset(path, users, 8)
+    assert len(read_dataset(path)[0]) == 5
+    # drop the last user's two rows, as a cut-off copy would
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-2]))
+    with pytest.raises(ValueError, match=r"cell\.csv holds 4 users, its manifest 5"):
+        read_dataset(path)
 
 
 @pytest.mark.parametrize("name", ["users.jsonl.gz", "users.json", "users.csv.gz", "users"])

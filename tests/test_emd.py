@@ -1,20 +1,26 @@
 """Exact EMD oracles: transportation distance and EMD norm."""
 
-import importlib
+import types
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+import emdheat.emd as emd_module
+import emdheat.heatmap as heatmap_module
 from emdheat.clustering import brute_kmedian, subgrid_candidates
 from emdheat.emd import CapacityError, emd, emd_norm
 from emdheat.grid import GridPoint, SparseDist, l1_distance
 
 from helpers import delta, gp, rand_signed, rand_sparse
 
-# the package re-exports the function emd() under the module's name
-emd_module = importlib.import_module("emdheat.emd")
+
+def test_emd_and_heatmap_import_as_modules():
+    # the package re-exports no function under a module's name
+    assert isinstance(emd_module, types.ModuleType)
+    assert isinstance(heatmap_module, types.ModuleType)
+    assert emd_module.emd is emd
 
 
 def test_emd_unit_step():
