@@ -9,18 +9,26 @@ the measurements to the kept cells, and solves
 
 A selection is one sorted int64 array of cell keys cy * 2**i + cx per
 level.  Each descent step ranks the kept cells' children with one
-lexsort, and the fit finds its rows in the key arrays by searchsorted.
-Every stage reads y' through `values(i, keys)`, which a dense PyramidVec
-and the central release's NoisyPyramid both answer; the latter draws
-noise only at the cells read.
+lexsort.  Every stage reads y' through `values(i, keys)`, which a dense
+PyramidVec and the central release's NoisyPyramid both answer; the
+latter draws noise only at the cells read.
 
-The LP never needs one variable per grid point.  Every grid point under
+The fit never needs one variable per grid point.  Every grid point under
 a kept leaf chain gets its own mass variable; all mass inside a subtree
 dropped at level i is interchangeable for the objective (it contributes
 exactly its total to each kept ancestor, and below level i the
 restricted measurement is zero, costing 2^-j per unit at each level
 j >= i regardless of placement), so one aggregated variable per dropped
-subtree is lossless.  That keeps the LP at O(w * levels) variables.
+subtree is lossless.
+
+Those variables and the kept cells form a tree, and each kept cell's
+residual depends only on its subtree's total mass.  So the fit is solved
+exactly without an LP, in one pass up the tree that builds every kept
+cell's convex piecewise-linear cost and one pass down that splits each
+cell's mass among its children (the structure of Hay, Rastogi, Miklau &
+Suciu's consistent hierarchical counts, VLDB 2010, here under l1).  The
+optimum is often not unique; ties go to the lowest cell key, so the
+release is a function of y' alone.
 """
 
 from __future__ import annotations
@@ -28,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .grid import CellId, SparseDist, grid_points, num_levels
 from .pyramid import NoisyPyramid, PyramidVec, split_keys
@@ -113,14 +119,65 @@ def restrict(y_prime: Measurements, sel: SupportSelection) -> PyramidVec:
     return PyramidVec(y_prime.resolution, sel.start_level, out)
 
 
+def _parents(keys: np.ndarray, i: int) -> np.ndarray:
+    """Keys of the level i-1 parents of level-i cells."""
+    cy, cx = split_keys(keys, i)
+    return ((cy >> 1) << (i - 1)) + (cx >> 1)
+
+
+def _add_residual(
+    owner: np.ndarray,
+    slope: np.ndarray,
+    length: np.ndarray,
+    src: np.ndarray,
+    y: np.ndarray,
+    i: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Add |y_c - 2^-i X| to each level-i cell's segments, cell by cell.
+
+    A cell's segments run in slope order and end in its one unbounded
+    segment.  The segment that holds X = 2^i max(y_c, 0) is split there;
+    the parts below that point lose 2^-i of slope, those above gain 2^-i.
+    """
+    t = np.ldexp(np.maximum(y, 0.0), i)[owner]
+    finite = np.where(np.isinf(length), 0.0, length)
+    before = np.cumsum(finite) - finite
+    a = before - before[np.searchsorted(owner, owner)]
+    b = a + length
+    below, split = b <= t, (a < t) & (t < b)
+    at = np.repeat(np.arange(len(owner)), 1 + split)
+    # the second copy of a split segment is its part above t
+    upper = np.zeros(len(at), dtype=bool)
+    upper[np.flatnonzero(split[at])[1::2]] = True
+    lower = below[at] | (split[at] & ~upper)
+    piece = np.where(split[at], np.where(upper, b[at] - t[at], t[at] - a[at]), length[at])
+    step = np.ldexp(1.0, -i)
+    return owner[at], slope[at] + np.where(lower, -step, step), piece, src[at]
+
+
 def l1_fit(y_hat: Measurements, sel: SupportSelection) -> SparseDist:
-    """Minimize ||y_hat - P s'||_1 over the reduced nonnegative class.
+    """Minimize ||y_hat - P s'||_1 over the reduced nonnegative class, exactly.
 
     Variables: one mass per kept leaf cell, one aggregated mass per
     dropped subtree (anchored at the subtree's minimal grid point in the
-    output).  Residuals at kept cells become auxiliary bound variables;
-    a dropped subtree's unavoidable penalty sum_{j>=i} 2^-j enters the
-    objective directly.
+    output).  A subtree dropped at level i costs 2^(1-i) - 2^-l per unit,
+    its zeroed cells at levels i..l; each kept cell adds |y_c - 2^-i X_c|.
+
+    Bottom up, every kept cell's cost as a function of its subtree mass X
+    is convex and piecewise linear: (slope, length) segments in slope
+    order.  A leaf starts from one free unbounded segment; an inner cell
+    merges its kept children's segments with one unbounded segment per
+    dropped child, drops what follows its first unbounded segment (never
+    filled), and both add their own residual.  Each level is one lexsort
+    and segmented cumulative sums.  Top down, each start-level cell takes
+    the length of its negative-slope segments, and every segment passes
+    what it took to the child segment or variable it came from.
+
+    Tie rule: a cell fills its children's segments by slope, then child
+    key (ascending (cy, cx), as in `select_support`), then the segment's
+    order within the child; a zero-slope segment takes nothing.  So the
+    fit is a function of y_hat alone.  Raises ValueError if y_hat holds
+    a NaN or infinite value at a kept cell.
     """
     d = y_hat.resolution
     ell = num_levels(d)
@@ -135,48 +192,60 @@ def l1_fit(y_hat: Measurements, sel: SupportSelection) -> SparseDist:
     for i in range(start + 1, ell + 1):
         kids = _children(kept[i - 1 - start], i)
         dropped.append(kids[~np.isin(kids, kept[i - start])])
+
+    # bottom up; a segment's src indexes the segments of the level below,
+    # followed by that level's dropped children (at the leaves: the leaf)
+    n = len(kept[-1])
+    owner, slope, length, src = _add_residual(
+        np.arange(n), np.zeros(n), np.full(n, np.inf), np.arange(n),
+        _values(y_hat, ell, kept[-1]), ell,
+    )
+    srcs = [src]
+    for i in range(ell - 1, start - 1, -1):
+        cells, kids, drop = kept[i - start], kept[i + 1 - start], dropped[i - start]
+        n_seg, n_drop = len(owner), len(drop)
+        parent = np.searchsorted(cells, _parents(np.concatenate([kids, drop]), i + 1))
+        # sort keys: parent, slope, child key, position within the child
+        child = np.concatenate([kids[owner], drop])
+        pos = np.arange(n_seg) - np.searchsorted(owner, owner)
+        pos = np.concatenate([pos, np.zeros(n_drop, dtype=np.int64)])
+        owner = np.concatenate([parent[owner], parent[len(kids):]])
+        drop_slope = np.ldexp(1.0, -i) - np.ldexp(1.0, -ell)
+        slope = np.concatenate([slope, np.full(n_drop, drop_slope)])
+        length = np.concatenate([length, np.full(n_drop, np.inf)])
+        src = np.arange(n_seg + n_drop)
+        order = np.lexsort((pos, child, slope, owner))
+        owner, slope, length, src = owner[order], slope[order], length[order], src[order]
+        # keep each cell's segments up to its first unbounded one
+        unbounded = np.isinf(length)
+        ahead = np.cumsum(unbounded) - unbounded
+        keep = ahead == ahead[np.searchsorted(owner, owner)]
+        owner, slope, length, src = _add_residual(
+            owner[keep], slope[keep], length[keep], src[keep],
+            _values(y_hat, i, cells), i,
+        )
+        srcs.append(src)
+
+    # top down: what each segment takes passes to the segment or the
+    # variable it came from
+    srcs.reverse()
+    fill = np.where(slope < 0.0, length, 0.0)
+    masses = []
+    for src, below, drop in zip(srcs, srcs[1:], dropped):
+        taken = np.bincount(src, weights=fill, minlength=len(below) + len(drop))
+        fill = taken[: len(below)]
+        masses.append(taken[len(below):])
+    x = np.concatenate([np.bincount(srcs[-1], weights=fill, minlength=n), *masses])
+
     key = np.concatenate([kept[-1], *dropped])
-    level = np.repeat([ell, *range(start + 1, ell + 1)], [len(kept[-1]), *map(len, dropped)])
-    n_leaves, n_vars = len(kept[-1]), len(key)
-
-    # one residual row pair per kept measured cell, level by level; the
-    # code (4^i - 1) / 3 + key orders every level's cells at once
-    row_code = np.concatenate([((1 << 2 * i) - 1) // 3 + k for i, k in enumerate(kept, start)])
-    y_vals = np.concatenate([y_hat.values(i, k) for i, k in enumerate(kept, start)], dtype=float)
-    n_rows = len(y_vals)
-
-    cost = np.zeros(n_vars + n_rows)
-    cost[n_leaves:n_vars] = np.ldexp(1.0, 1 - level[n_leaves:]) - np.ldexp(1.0, -ell)
-    cost[n_vars:] = 1.0
-    # a leaf meets its own row and its ancestors', a drop only its
-    # ancestors': levels top..start, variable by variable
-    top = level - (np.arange(n_vars) >= n_leaves)
-    chain = np.arange(ell, start - 1, -1)
-    cols, up = np.nonzero(chain <= top[:, None])
-    lv = chain[up]
-    shift = level[cols] - lv
-    cy, cx = split_keys(key[cols], level[cols])
-    rows = np.searchsorted(row_code, ((1 << 2 * lv) - 1) // 3 + ((cy >> shift) << lv) + (cx >> shift))
-
-    # |y - M x| <= t  as  -Mx - t <= -y  and  Mx - t <= y
-    m = sparse.coo_matrix((np.ldexp(1.0, -lv), (rows, cols)), shape=(n_rows, n_vars)).tocsr()
-    t_block = -sparse.identity(n_rows, format="csr")
-    a_ub = sparse.vstack(
-        [sparse.hstack([-m, t_block]), sparse.hstack([m, t_block])]
-    ).tocsr()
-    b_ub = np.concatenate([-y_vals, y_vals])
-
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs-ds")
-    if res.status != 0:
-        raise RuntimeError(f"l1 fit LP failed: {res.message}")
-
+    level = np.repeat([ell, *range(start + 1, ell + 1)], [n, *map(len, dropped)])
     # dropped subtrees are disjoint from each other and from kept leaves,
     # so their anchors (minimal grid points) never collide
-    pos = np.flatnonzero(res.x[:n_vars] > 0.0)
+    pos = np.flatnonzero(x > 0.0)
     shift = ell - level[pos]
     cy, cx = split_keys(key[pos], level[pos])
     points = grid_points((cx << shift).tolist(), (cy << shift).tolist(), d)
-    return SparseDist(d, dict(zip(points, res.x[pos].tolist())))
+    return SparseDist(d, dict(zip(points, x[pos].tolist())))
 
 
 def reconstruct(y_prime: Measurements, w: int) -> SparseDist:

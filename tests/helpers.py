@@ -180,9 +180,10 @@ def fit_objective(y_hat: PyramidVec, dist: SparseDist) -> float:
     return total
 
 
-# Reference support recovery: the CellId-loop selection, restriction and
-# l1 fit that recovery.py replaced with key arrays.  The array versions
-# must reproduce these exactly.
+# Reference support recovery: the CellId-loop selection and restriction
+# that recovery.py replaced with key arrays, which must reproduce them
+# exactly, and the l1 fit as an LP, whose objective the tree solve must
+# reach (the optimum is not unique, so its point may differ).
 
 
 @dataclass

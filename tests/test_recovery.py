@@ -1,10 +1,16 @@
 """Support selection and the l1-fit reconstruction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+import emdheat
 from emdheat.emd import emd
 from emdheat.grid import CellId, GridPoint, SparseDist, containing_cell, num_levels
 from emdheat.noise import make_rng, pivot_level
@@ -269,8 +275,10 @@ def _measurements(d: int, start: int, kind: str, seed: int) -> PyramidVec:
 
 @pytest.mark.parametrize("d, w, start, kind", _oracle_cases())
 def test_key_array_recovery_matches_cell_loops(d, w, start, kind):
-    # the same selection, restriction and s_hat as the CellId-loop oracles,
-    # bit for bit and in dict order, ties (constant y') and negatives included
+    # the same selection and restriction as the CellId-loop oracles, bit
+    # for bit, ties (constant y') and negatives included; the fit reaches
+    # the reference LP's objective (the optimum is not unique, so the
+    # vertex may differ)
     y = _measurements(d, start, kind, seed=d * 1000 + w * 10 + start)
     sel, want = select_support(y, w), loop_select_support(y, w)
     assert sel.levels == want.levels
@@ -278,7 +286,101 @@ def test_key_array_recovery_matches_cell_loops(d, w, start, kind):
     for a, b in zip(y_hat.levels, want_hat.levels):
         assert np.array_equal(a, b)
     got, expected = l1_fit(y_hat, sel), loop_l1_fit(want_hat, want)
-    assert list(got.entries.items()) == list(expected.entries.items())
+    assert fit_objective(y_hat, got) == pytest.approx(
+        fit_objective(want_hat, expected), rel=1e-9, abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("d", [4, 16, 64, 256, 1024])
+def test_tree_fit_reaches_the_lp_optimum(d):
+    # 40 seeded instances per d: start 0, the pivot level or the leaves
+    # (the leaves only up to d = 64, where the reference LP stays small)
+    ell = num_levels(d)
+    for case in range(40):
+        rng = np.random.default_rng((d, case))
+        w = int(rng.choice([1, 3, 5, 20, 50]))
+        starts = [0, min(pivot_level(w), ell)] + ([ell] if d <= 64 else [])
+        start = int(rng.choice(starts))
+        kind = ("noisy", "constant", "negative")[case % 3]
+        y = _measurements(d, start, kind, seed=int(rng.integers(1 << 30)))
+        sel = select_support(y, w)
+        y_hat = restrict(y, sel)
+        got, expected = l1_fit(y_hat, sel), loop_l1_fit(y_hat, sel)
+        assert fit_objective(y_hat, got) == pytest.approx(
+            fit_objective(y_hat, expected), rel=1e-9, abs=1e-12
+        ), (w, start, kind)
+
+
+def _levels(*arrays) -> PyramidVec:
+    levels = [np.asarray(a, dtype=float) for a in arrays]
+    return PyramidVec(levels[-1].shape[0], 0, levels)
+
+
+@pytest.mark.parametrize(
+    "y, w, want",
+    [
+        # four tied leaves, each taking up to 1 at slope -1/2: the root's
+        # 1.5 fills them in ascending key order
+        (_levels([[1.5]], np.full((2, 2), 0.5)), 4, {(0, 0): 1.0, (1, 0): 0.5}),
+        # the kept path (0,0) -> (0,0) ties with every dropped sibling on
+        # the way down and has the lowest key at both levels
+        (_levels([[1.0]], np.zeros((2, 2)), np.zeros((4, 4))), 1, {(0, 0): 1.0}),
+        # the kept level-1 cell (1,1) ties with its dropped siblings, and
+        # the dropped cell (0,0) has the lowest key: its anchor takes all
+        (
+            _levels([[1.0]], [[-1.0, -1.0], [-1.0, 0.0]], np.zeros((4, 4))),
+            1,
+            {(0, 0): 1.0},
+        ),
+        # the kept cell (1,1) takes the root's unit; below it the kept
+        # leaf (3,3) ties with its dropped siblings and (2,2) wins
+        (
+            _levels(
+                [[1.0]],
+                [[-1.0, -1.0], [-1.0, 0.5]],
+                np.pad([[0.0]], (3, 0), constant_values=-1.0),
+            ),
+            1,
+            {(2, 2): 1.0},
+        ),
+    ],
+)
+def test_tree_fit_fills_ties_in_key_order(y, w, want):
+    # every split of the tied mass is optimal; the fit picks the lowest key
+    sel = select_support(y, w)
+    y_hat = restrict(y, sel)
+    got = l1_fit(y_hat, sel)
+    d = y.resolution
+    assert got.entries == {gp(ix, iy, d): m for (ix, iy), m in want.items()}
+    assert fit_objective(y_hat, got) == pytest.approx(
+        fit_objective(y_hat, loop_l1_fit(y_hat, sel)), rel=1e-9, abs=1e-12
+    )
+
+
+def test_tree_fit_is_a_function_of_its_input():
+    y = _measurements(1024, 2, "noisy", seed=77)
+    sel = select_support(y, 50)
+    first = l1_fit(restrict(y, sel), sel)
+    second = l1_fit(restrict(y, select_support(y, 50)), select_support(y, 50))
+    assert list(first.entries.items()) == list(second.entries.items())
+
+
+@pytest.mark.parametrize("level, bad", [(0, -np.inf), (2, np.nan), (4, np.inf)])
+def test_l1_fit_rejects_non_finite_measurements(level, bad):
+    # a bad value at a kept cell must not turn into a silent release
+    y = apply_pyramid(delta(5, 6, 16))
+    sel = select_support(y, 3)
+    y_hat = restrict(y, sel)
+    cell = containing_cell(gp(5, 6, 16), level)
+    y_hat.level(level)[cell.cy, cell.cx] = bad
+    with pytest.raises(ValueError, match=f"level {level} holds a NaN or infinite"):
+        l1_fit(y_hat, sel)
+
+
+def test_recovery_imports_no_lp_solver():
+    code = "import sys, emdheat.recovery; assert 'scipy.optimize' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(Path(emdheat.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.parametrize("level, bad", [(0, -np.inf), (2, np.nan), (4, np.inf)])
