@@ -142,8 +142,7 @@ def aggregate_central(
         reconstruct_s=time.perf_counter() - t1 - y_prime.noise_s,
         noise_scales=[schedule.scale(i) for i in range(start, ell + 1)],
         cells_read=y_prime.cells_read,
-        # a read cell draws its own value and no other
-        cells_noised=y_prime.cells_read,
+        cells_noised=y_prime.cells_noised,
     )
     return AggregateResult(a_hat, s_hat, y_prime, schedule, degenerate, len(dists), trace)
 

@@ -11,8 +11,8 @@ points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain, repeat
+from functools import cached_property, partial
+from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -130,6 +130,8 @@ class SparseDist:
     Zero entries are dropped on construction; negative masses are
     rejected.  User inputs are probability distributions (total mass 1
     within 1e-9); aggregates carry arbitrary nonnegative total mass.
+    `entries` is not to be mutated after construction: `columns` caches
+    its contents.
     """
 
     resolution: int
@@ -149,6 +151,27 @@ class SparseDist:
             if m > 0:
                 clean[p] = float(m)
         object.__setattr__(self, "entries", clean)
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, masses) in `entries` order, as read-only arrays.
+
+        keys are the row-major cell keys iy * d + ix (int64), masses are
+        float64.  Computed once, on first use, and kept on the object, so
+        a user summed again is not flattened again; `entries` must not be
+        mutated after that.  The cache takes no part in `==` or pickling.
+        """
+        n, d = len(self.entries), self.resolution
+        keys = np.fromiter([p.iy * d + p.ix for p in self.entries], dtype=np.int64, count=n)
+        masses = np.fromiter(self.entries.values(), dtype=np.float64, count=n)
+        keys.flags.writeable = masses.flags.writeable = False
+        return keys, masses
+
+    def __getstate__(self) -> dict:
+        # unpickled arrays would be writeable; the copy rebuilds its own
+        state = dict(self.__dict__)
+        state.pop("columns", None)
+        return state
 
     @property
     def total_mass(self) -> float:
@@ -268,21 +291,15 @@ def user_sum(dists: Sequence[SparseDist]) -> SparseDist:
     total mass 1 within MASS_TOLERANCE.  Each cell's masses are added in
     user order starting from 0.0, as a running sum of dense arrays would
     add them, so `user_sum(dists).to_dense()` equals that sum bit for bit.
+    The users are read through their cached `columns`, so summing the
+    same user objects again skips flattening their entries.
     """
     n = len(dists)
     d = shared_resolution(dists)
-    sizes = np.fromiter((len(p.entries) for p in dists), dtype=np.int64, count=n)
-    total = int(sizes.sum())
-    masses = np.fromiter(
-        chain.from_iterable(p.entries.values() for p in dists), dtype=float, count=total
-    )
-    # GridPoints are (ix, iy, resolution) tuples; flattening them twice
-    # is several times faster than a fromiter over tuples
-    points = np.fromiter(
-        chain.from_iterable(chain.from_iterable(p.entries for p in dists)),
-        dtype=np.int64,
-        count=3 * total,
-    ).reshape(total, 3)
+    columns = [p.columns for p in dists]
+    keys = np.concatenate([k for k, _ in columns])
+    masses = np.concatenate([m for _, m in columns])
+    sizes = np.fromiter((k.size for k, _ in columns), dtype=np.int64, count=n)
     # bincount accumulates in input order, so each user's mass is the
     # same left-to-right sum that SparseDist.total_mass computes
     user_mass = np.bincount(np.repeat(np.arange(n), sizes), weights=masses, minlength=n)
@@ -293,7 +310,7 @@ def user_sum(dists: Sequence[SparseDist]) -> SparseDist:
             f"every user distribution must have unit mass: user {u} has "
             f"total mass {float(user_mass[u])!r}"
         )
-    cells, inverse = np.unique(points[:, 1] * d + points[:, 0], return_inverse=True)
+    cells, inverse = np.unique(keys, return_inverse=True)
     sums = np.bincount(inverse, weights=masses, minlength=cells.size)
     iy, ix = np.divmod(cells, d)
     return SparseDist(d, dict(zip(grid_points(ix.tolist(), iy.tolist(), d), sums.tolist())))

@@ -11,12 +11,12 @@ The release reads that noise from the caller's RNG stream by position:
 cell (cy, cx) of level i takes the Laplace draw at position
 offset_i + cy * 2^i + cx, where offset_i counts the cells of the
 measured levels above i, which is the draw a dense level-by-level,
-row-major `rng.laplace` would give it.  `LaplaceStream` seeks to a
-position with the bit generator's O(log k) `advance`, so the release
-draws noise only at the cells its support descent reads.  A cell never
-read cannot change the output, and every read cell gets exactly the value
-the dense draws would give it, so a given seed yields the same release
-as noising every cell, with the same privacy argument.
+row-major `rng.laplace` would give it.  `LaplaceStream` seeks forward
+to a position with the bit generator's O(log k) `advance`, so the
+release draws noise only at the cells its support descent reads.  A
+cell never read cannot change the output, and every read cell gets
+exactly the value the dense draws would give it, so a given seed yields
+the same release as noising every cell, with the same privacy argument.
 
 The shuffle protocol replaces continuous Laplace with a sum of integer
 Polya shares: n i.i.d. Polya(1/n, alpha) variables sum to a negative
@@ -123,7 +123,11 @@ class LaplaceStream:
     position at construction, whatever their scales.  numpy turns one
     64-bit output into one Laplace value (it redraws only on a uniform of
     exactly 0, probability 2^-53), and PCG64 and PCG64DXSM skip k outputs
-    with `advance(k)` in O(log k) steps.  The caller's RNG is not moved.
+    with `advance(k)` in O(log k) steps.  A read continues from where the
+    last one ended, skipping forward to its position; only a read behind
+    that point resets the stream to its origin first.  So reads in
+    ascending position order cost one advance each and no reset.  The
+    caller's RNG is not moved.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
@@ -135,13 +139,23 @@ class LaplaceStream:
             )
         self._origin = bits.state
         self._rng = np.random.Generator(type(bits)())
+        self._rng.bit_generator.state = self._origin
+        # the position the next value of self._rng has
+        self._pos = 0
 
     def draw(self, b: float, pos: int, size: int | tuple[int, ...]) -> np.ndarray:
         """Values pos, pos+1, ... of the stream (filling `size`) at scale b."""
+        if pos < 0:
+            raise ValueError(f"stream position must be >= 0, got {pos}")
         bits = self._rng.bit_generator
-        bits.state = self._origin
-        bits.advance(pos)
-        return laplace(b, self._rng, size)
+        if pos < self._pos:
+            bits.state = self._origin
+            self._pos = 0
+        if pos > self._pos:
+            bits.advance(pos - self._pos)
+        out = laplace(b, self._rng, size)
+        self._pos = pos + out.size
+        return out
 
 
 def polya(

@@ -71,12 +71,21 @@ class PyramidVec:
 
     def values(self, i: int, keys: np.ndarray) -> np.ndarray:
         """Level i at the cell keys cy * 2**i + cx."""
-        return self.level(i)[split_keys(keys, i)]
+        level = self.level(i)
+        _check_keys(keys, i)
+        return level[split_keys(keys, i)]
 
 
 def split_keys(keys: np.ndarray, level) -> tuple[np.ndarray, np.ndarray]:
     """(cy, cx) of level-`level` cell keys cy * 2**level + cx; `level` may be an array."""
     return keys >> level, keys & ((1 << level) - 1)
+
+
+def _check_keys(keys: np.ndarray, level: int) -> None:
+    """Refuse a key outside [0, 4**level), which numpy would wrap or fail on late."""
+    outside = (keys < 0) | (keys >= 1 << 2 * level)
+    if outside.any():
+        raise ValueError(f"cell key {keys[outside][0]} outside level {level}'s keys [0, {4**level})")
 
 
 class NoisyPyramid:
@@ -85,10 +94,12 @@ class NoisyPyramid:
     It takes over the next sum(4^i) Laplace draws of `rng`: cell (cy, cx)
     of level i gets the draw at offset_i + cy * 2**i + cx, offset_i being
     the cell count of the measured levels above i, as if every level were
-    drawn in ascending order, row-major.  `values` draws each cell it is
-    asked for once, in runs of consecutive keys, and keeps it; `level` and
-    `levels` evaluate whole levels from the same positions, equal bit for
-    bit to what `values` returns.  `rng` itself moves past all the draws.
+    drawn in ascending order, row-major.  `values` draws exactly the cells
+    it is asked for that it has not drawn before, one stream read per run
+    of consecutive keys, and keeps them per level as sorted key and noise
+    arrays.  `level` and `levels` evaluate whole levels from the same
+    positions, equal bit for bit to what `values` returns.  `rng` itself
+    moves past all the draws.
     """
 
     def __init__(
@@ -107,8 +118,11 @@ class NoisyPyramid:
         sizes = [s.size for s in sums]
         self._offsets = np.cumsum([0, *sizes[:-1]]).tolist()
         rng.bit_generator.advance(sum(sizes))
-        # per level: the noise drawn so far, by cell key
-        self._noise: list[dict[int, float]] = [{} for _ in sums]
+        # per level: the keys drawn by `values` so far, sorted, and their noise
+        self._keys = [np.empty(0, dtype=np.int64) for _ in sums]
+        self._noise = [np.empty(0) for _ in sums]
+        # per level: the values read from the stream, by `values` and `level`
+        self._drawn = [0 for _ in sums]
         # seconds spent drawing noise in `values`
         self.noise_s = 0.0
 
@@ -123,18 +137,29 @@ class NoisyPyramid:
     def values(self, i: int, keys: np.ndarray) -> np.ndarray:
         """Level i at the cell keys cy * 2**i + cx, drawing each missing cell once."""
         j = self._index(i)
-        drawn = self._noise[j]
+        _check_keys(keys, i)
         t0 = time.perf_counter()
-        listed = keys.tolist()
-        missing = np.array(sorted(set(listed).difference(drawn)), dtype=np.int64)
+        # the sorted distinct keys not drawn yet; np.setdiff1d does the
+        # same several times slower on arrays this small
+        known, missing = self._keys[j], np.sort(keys)
+        if known.size:
+            missing = missing[known.take(np.searchsorted(known, missing), mode="clip") != missing]
+        missing = missing[np.diff(missing, prepend=-1) != 0]
         if missing.size:
             # a key is its row-major position, so a run of keys is a run of draws
-            runs = np.split(missing, np.flatnonzero(np.diff(missing) != 1) + 1)
+            cut = np.flatnonzero(np.diff(missing) != 1) + 1
+            starts = missing[np.concatenate(([0], cut))] + self._offsets[j]
+            sizes = np.diff(np.concatenate((cut, [missing.size])), prepend=0)
             scale = self.schedule.scale(i)
-            for run in runs:
-                noise = self._stream.draw(scale, self._offsets[j] + int(run[0]), run.size)
-                drawn.update(zip(run.tolist(), noise.tolist()))
-        noise = np.array([drawn[k] for k in listed], dtype=float)
+            fresh = np.concatenate(
+                [self._stream.draw(scale, pos, n) for pos, n in zip(starts.tolist(), sizes.tolist())]
+            )
+            self._drawn[j] += fresh.size
+            merged = np.concatenate((known, missing))
+            order = np.argsort(merged, kind="stable")
+            self._keys[j] = merged[order]
+            self._noise[j] = np.concatenate((self._noise[j], fresh))[order]
+        noise = self._noise[j][np.searchsorted(self._keys[j], keys)]
         self.noise_s += time.perf_counter() - t0
         cy, cx = split_keys(keys, i)
         return self._noisy(i, self._sums[j][cy, cx], noise)
@@ -144,6 +169,7 @@ class NoisyPyramid:
         j = self._index(i)
         sums = self._sums[j]
         noise = self._stream.draw(self.schedule.scale(i), self._offsets[j], sums.shape)
+        self._drawn[j] += noise.size
         return self._noisy(i, sums, noise)
 
     @property
@@ -152,8 +178,18 @@ class NoisyPyramid:
 
     @property
     def cells_read(self) -> list[int]:
-        """Distinct cells read through `values`, per level; each drew one value."""
-        return [len(n) for n in self._noise]
+        """Distinct cells read through `values`, per level."""
+        return [k.size for k in self._keys]
+
+    @property
+    def cells_noised(self) -> list[int]:
+        """Laplace values drawn from the stream, per level.
+
+        `values` draws one per distinct cell it reads, so for a release
+        read only through `values` this equals `cells_read`; each `level`
+        call adds the level's whole cell count.
+        """
+        return list(self._drawn)
 
 
 def _as_dense(v: SparseDist | np.ndarray) -> np.ndarray:

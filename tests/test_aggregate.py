@@ -293,6 +293,18 @@ def test_fine_grid_release_noises_only_the_cells_it_reads():
     assert all(0 < r <= n for r, n in zip(trace["cells_read"], trace["cells_noised"]))
 
 
+@pytest.mark.parametrize("d", [16, 1024])
+def test_central_release_draws_one_value_per_cell_read(d):
+    # cells_noised counts the stream's draws, so a reader drawing more
+    # than it reads would show here
+    rng = np.random.default_rng(61)
+    dists = [rand_sparse(rng, d, int(rng.integers(1, 20))) for _ in range(40)]
+    for mode in ("theory", "experiment"):
+        res = aggregate_central(dists, AggregationConfig(eps=1.0, w=10, mode=mode), rng=rng)
+        assert res.trace["cells_noised"] == res.trace["cells_read"]
+        assert res.trace["cells_noised"] == res.y_prime.cells_noised
+
+
 def test_aggregate_trace():
     rng = np.random.default_rng(57)
     dists = [rand_sparse(rng, 16, int(rng.integers(1, 12))) for _ in range(60)]

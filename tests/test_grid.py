@@ -1,5 +1,6 @@
 """Grid geometry: snapping, cell navigation, sparse distributions."""
 
+import pickle
 import re
 
 import numpy as np
@@ -249,3 +250,45 @@ def test_user_sum_validation_names_the_user():
         user_sum(good[:3] + [light] + good[3:])
     with pytest.raises(ValueError, match=r"user 1 has total mass 0\.0"):
         user_sum([good[0], SparseDist(8)])
+
+
+def test_user_sum_reads_cached_columns_cold_then_warm():
+    # users out of row-major order, re-gridded by at_resolution both
+    # ways, and rescaled: the warm sum reads every user's cached columns
+    rng = np.random.default_rng(65)
+    d = 32
+    users = [rand_sparse(rng, d, int(rng.integers(1, 12))) for _ in range(20)]
+    users += [rand_sparse(rng, 2 * d, 9).at_resolution(d) for _ in range(5)]
+    users += [rand_sparse(rng, d // 4, 5).at_resolution(d) for _ in range(5)]
+    users += [rand_sparse(rng, d, 7, mass=2.0).scaled(0.5) for _ in range(5)]
+    assert any(p.support() != list(p.entries) for p in users)
+    cold = user_sum(users)
+    assert all("columns" in vars(p) for p in users)
+    warm = user_sum(users)
+    assert list(warm.entries.items()) == list(cold.entries.items())
+    assert np.array_equal(cold.to_dense(), dense_loop_sum(users))
+
+
+def test_columns_follow_entries_order():
+    d = 16
+    p = SparseDist(d, {gp(3, 9, d): 0.25, gp(0, 0, d): 0.5, gp(15, 2, d): 0.25})
+    keys, masses = p.columns
+    assert keys.dtype == np.int64 and masses.dtype == np.float64
+    assert keys.tolist() == [g.iy * d + g.ix for g in p.entries] == [147, 0, 47]
+    assert masses.tolist() == list(p.entries.values())
+    assert not keys.flags.writeable and not masses.flags.writeable
+    assert p.columns is p.columns
+
+
+def test_cached_columns_change_neither_equality_nor_pickling():
+    rng = np.random.default_rng(66)
+    p = rand_sparse(rng, 64, 10)
+    twin = SparseDist(64, dict(p.entries))
+    before = pickle.dumps(p)
+    p.columns
+    assert p == twin and twin == p
+    assert pickle.dumps(p) == before
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p
+    assert "columns" not in vars(back)
+    assert all(np.array_equal(a, b) for a, b in zip(back.columns, p.columns))

@@ -96,6 +96,18 @@ def test_laplace_stream_reads_the_generators_draws():
         LaplaceStream(np.random.Generator(np.random.MT19937(0)))
 
 
+def test_laplace_stream_reads_forward_and_behind():
+    # ascending reads skip forward from the last one; a read behind it
+    # starts over from the origin; a read right after it needs no skip
+    rng = np.random.default_rng(65)
+    stream = LaplaceStream(rng)
+    dense = rng.laplace(0.0, 1.5, 1_000)
+    for pos, n in ((3, 4), (7, 2), (500, 10), (2, 3), (0, 1), (999, 1), (998, 2)):
+        assert np.array_equal(stream.draw(1.5, pos, n), dense[pos : pos + n])
+    with pytest.raises(ValueError, match="position"):
+        stream.draw(1.5, -1, 1)
+
+
 def test_laplace_deterministic_per_seed():
     a = laplace(1.0, make_rng(42), 16)
     b = laplace(1.0, make_rng(42), 16)

@@ -185,3 +185,35 @@ def test_noisy_pyramid_reads_agree_with_its_whole_levels():
         assert np.array_equal(y.values(i, keys), dense.values(i, keys))
         read[i].update(keys.tolist())
     assert y.cells_read == [len(read[i]) for i in range(1, 6)]
+
+
+@pytest.mark.parametrize("i", [1, 4])
+def test_cell_keys_outside_the_level_are_refused_before_any_draw(i):
+    # numpy would wrap key -1 to the level's last cell, and key 4^i would
+    # fail only after its noise was drawn
+    rng = np.random.default_rng(66)
+    sums = level_sums(rng.random((16, 16)), 1)
+    y = NoisyPyramid(sums, 1, budget_schedule(1.0, 4, 8, 0.9, 1), rng)
+    dense = PyramidVec(16, 1, y.levels)
+    y.values(i, np.array([0, 1]))
+    read, noised = y.cells_read, y.cells_noised
+    for bad in (-1, 4**i):
+        keys = np.array([0, bad])
+        with pytest.raises(ValueError, match=f"level {i}"):
+            y.values(i, keys)
+        with pytest.raises(ValueError, match=f"level {i}"):
+            dense.values(i, keys)
+    assert y.cells_read == read
+    assert y.cells_noised == noised
+
+
+def test_noisy_pyramid_counts_the_values_it_draws():
+    # a repeated read draws nothing; a whole level draws every cell
+    rng = np.random.default_rng(67)
+    y = NoisyPyramid(level_sums(rng.random((8, 8)), 0), 0, budget_schedule(1.0, 3, 4, 0.9), rng)
+    y.values(2, np.array([5, 6, 7, 9, 6]))
+    y.values(2, np.array([7, 8]))
+    assert y.cells_read == y.cells_noised == [0, 0, 5, 0]
+    y.level(1)
+    assert y.cells_read == [0, 0, 5, 0]
+    assert y.cells_noised == [0, 4, 5, 0]
