@@ -5,7 +5,11 @@ G_d = {(ix/d, iy/d) : 0 <= ix, iy < d} for a power-of-two resolution
 d = 2**l.  Cells at level i are the half-open dyadic squares of side
 2**-i; the level-i cells partition the square, each cell at level i >= 1
 has one parent and four children, and level-l cells coincide with grid
-points.
+points.  A level-i cell is its row-major key cy * 2**i + cx (int64);
+`pyramid` and `recovery` hold cell sets as sorted key arrays.
+
+`snap` stays public with no caller here: `datagen` states its binning
+contract against it (each point lands where snap() would put it).
 """
 
 from __future__ import annotations
@@ -42,17 +46,6 @@ def grid_points(ix: Iterable[int], iy: Iterable[int], resolution: int) -> list[G
     return list(map(partial(tuple.__new__, GridPoint), zip(ix, iy, repeat(resolution))))
 
 
-class CellId(NamedTuple):
-    """A dyadic cell: level plus cell coordinates in [0, 2**level)."""
-
-    level: int
-    cx: int
-    cy: int
-
-
-ROOT = CellId(0, 0, 0)
-
-
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -80,41 +73,6 @@ def snap(x: float, y: float, resolution: int) -> GridPoint:
     return GridPoint(int(x * resolution), int(y * resolution), resolution)
 
 
-def containing_cell(p: GridPoint, level: int) -> CellId:
-    """The unique level-`level` cell containing p."""
-    ell = num_levels(p.resolution)
-    if not 0 <= level <= ell:
-        raise ValueError(f"level {level} outside [0, {ell}]")
-    shift = ell - level
-    return CellId(level, p.ix >> shift, p.iy >> shift)
-
-
-def children(c: CellId) -> list[CellId]:
-    """The four level+1 cells tiling c, in ascending (cy, cx) order."""
-    lv = c.level + 1
-    return [
-        CellId(lv, 2 * c.cx, 2 * c.cy),
-        CellId(lv, 2 * c.cx + 1, 2 * c.cy),
-        CellId(lv, 2 * c.cx, 2 * c.cy + 1),
-        CellId(lv, 2 * c.cx + 1, 2 * c.cy + 1),
-    ]
-
-
-def parent(c: CellId) -> CellId:
-    if c.level <= 0:
-        raise ValueError("the root cell has no parent")
-    return CellId(c.level - 1, c.cx >> 1, c.cy >> 1)
-
-
-def cell_anchor(c: CellId, resolution: int) -> GridPoint:
-    """The minimal grid point inside cell c (its lower-left corner)."""
-    ell = num_levels(resolution)
-    if not 0 <= c.level <= ell:
-        raise ValueError(f"cell level {c.level} outside [0, {ell}]")
-    shift = ell - c.level
-    return GridPoint(c.cx << shift, c.cy << shift, resolution)
-
-
 def l1_distance(a: GridPoint, b: GridPoint) -> float:
     """Ground distance |ax-bx| + |ay-by| in real coordinates."""
     return abs(a.x - b.x) + abs(a.y - b.y)
@@ -127,9 +85,9 @@ MASS_TOLERANCE = 1e-9
 class SparseDist:
     """A nonnegative sparse vector over grid points.
 
-    Zero entries are dropped on construction; negative masses are
-    rejected.  User inputs are probability distributions (total mass 1
-    within 1e-9); aggregates carry arbitrary nonnegative total mass.
+    Zero entries are dropped on construction; negative, NaN and infinite
+    masses are rejected.  User inputs are probability distributions (total
+    mass 1 within 1e-9); aggregates carry arbitrary nonnegative total mass.
     `entries` is not to be mutated after construction: `columns` caches
     its contents.
     """
@@ -142,8 +100,8 @@ class SparseDist:
             raise ValueError(f"resolution must be a power of two, got {self.resolution}")
         clean: dict[GridPoint, float] = {}
         for p, m in self.entries.items():
-            if m < 0:
-                raise ValueError(f"negative mass {m} at {p}")
+            if not 0 <= m < np.inf:
+                raise ValueError(f"mass {m} at {p} is negative or not finite")
             if p.resolution != self.resolution:
                 raise ValueError(f"point resolution {p.resolution} != {self.resolution}")
             if not (0 <= p.ix < self.resolution and 0 <= p.iy < self.resolution):
@@ -176,9 +134,6 @@ class SparseDist:
     @property
     def total_mass(self) -> float:
         return float(sum(self.entries.values()))
-
-    def is_distribution(self, tol: float = MASS_TOLERANCE) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
 
     def support(self) -> list[GridPoint]:
         return sorted(self.entries, key=lambda p: (p.iy, p.ix))
@@ -223,21 +178,6 @@ class SparseDist:
             for cy, cx in zip(iy, ix)
         }
         return SparseDist(d, entries)
-
-    @staticmethod
-    def from_points(
-        points: Iterable[tuple[float, float]], resolution: int
-    ) -> "SparseDist":
-        """Empirical distribution of real-coordinate points, snapped."""
-        counts: dict[GridPoint, float] = {}
-        n = 0
-        for x, y in points:
-            p = snap(x, y, resolution)
-            counts[p] = counts.get(p, 0.0) + 1.0
-            n += 1
-        if n == 0:
-            raise ValueError("no points given")
-        return SparseDist(resolution, {p: c / n for p, c in counts.items()})
 
     def at_resolution(self, resolution: int) -> "SparseDist":
         """Re-grid to another power-of-two resolution.

@@ -15,7 +15,8 @@ level from the finest in one O(d^2) pass plus a geometric tail.
 
 PyramidVec holds every level as a dense array.  NoisyPyramid is the
 central release's y': the level sums plus Laplace noise that is drawn
-only at the cells a reader asks for.  Both answer `values(i, keys)`.
+only at the cells a reader asks for.  Both answer `values(i, keys)` at
+cell keys cy * 2**i + cx, the only way `recovery` reads y'.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellId, SparseDist, num_levels
+from .grid import SparseDist, num_levels
 from .noise import LaplaceStream, NoiseSchedule
 
 
@@ -65,9 +66,6 @@ class PyramidVec:
         if not self.start_level <= i <= self.max_level:
             raise ValueError(f"level {i} not materialized")
         return self.levels[i - self.start_level]
-
-    def value(self, c: CellId) -> float:
-        return float(self.level(c.level)[c.cy, c.cx])
 
     def values(self, i: int, keys: np.ndarray) -> np.ndarray:
         """Level i at the cell keys cy * 2**i + cx."""

@@ -8,10 +8,12 @@ the measurements to the kept cells, and solves
     s_hat = argmin_{s' >= 0} || y_restricted - P s' ||_1
 
 A selection is one sorted int64 array of cell keys cy * 2**i + cx per
-level.  Each descent step ranks the kept cells' children with one
-lexsort.  Every stage reads y' through `values(i, keys)`, which a dense
-PyramidVec and the central release's NoisyPyramid both answer; the
-latter draws noise only at the cells read.
+level, and y' on it one value array aligned with each.  Each descent
+step ranks the kept cells' children with one lexsort.  y' is read through
+`values(i, keys)`, which a dense PyramidVec and the central release's
+NoisyPyramid both answer; the latter draws noise only at the cells read.
+`restrict` returns y' at the kept cells and `l1_fit` takes those arrays:
+cells outside the selection are zero measurements, never stored.
 
 The fit never needs one variable per grid point.  Every grid point under
 a kept leaf chain gets its own mass variable; all mass inside a subtree
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellId, SparseDist, grid_points, num_levels
+from .grid import SparseDist, grid_points, num_levels
 from .pyramid import NoisyPyramid, PyramidVec, split_keys
 
 Measurements = PyramidVec | NoisyPyramid
@@ -47,7 +49,7 @@ Measurements = PyramidVec | NoisyPyramid
 class SupportSelection:
     """Per-level kept cells S_i for levels start_level..max_level.
 
-    keys[j] holds level i = start_level + j as sorted keys cy * 2**i + cx.
+    levels[j] holds level i = start_level + j as sorted keys cy * 2**i + cx.
     All 4^start_level cells are kept at the start level (with the pivot
     rule 4^start_level <= w this agrees with top-min(w, .) selection);
     below it, S_i holds the min(w, |children(S_{i-1})|) largest measured
@@ -55,23 +57,12 @@ class SupportSelection:
     """
 
     resolution: int
-    w: int
     start_level: int
-    keys: list[np.ndarray]
+    levels: list[np.ndarray]
 
     @property
     def max_level(self) -> int:
-        return self.start_level + len(self.keys) - 1
-
-    @property
-    def levels(self) -> list[list[CellId]]:
-        return [self.level_cells(i) for i in range(self.start_level, self.max_level + 1)]
-
-    def level_cells(self, i: int) -> list[CellId]:
-        if not self.start_level <= i <= self.max_level:
-            raise ValueError(f"level {i} not in selection")
-        cy, cx = split_keys(self.keys[i - self.start_level], i)
-        return [CellId(i, x, y) for y, x in zip(cy.tolist(), cx.tolist())]
+        return self.start_level + len(self.levels) - 1
 
 
 def _children(keys: np.ndarray, i: int) -> np.ndarray:
@@ -81,9 +72,8 @@ def _children(keys: np.ndarray, i: int) -> np.ndarray:
     return (first[:, None] + np.array([0, 1, 1 << i, (1 << i) + 1])).reshape(-1)
 
 
-def _values(y: Measurements, i: int, keys: np.ndarray) -> np.ndarray:
-    """y' at the level-i keys, refusing a NaN or infinite value."""
-    vals = y.values(i, keys)
+def _finite(vals: np.ndarray, i: int) -> np.ndarray:
+    """Level-i values of y', refusing a NaN or infinite one."""
     if not np.isfinite(vals).all():
         raise ValueError(f"y' level {i} holds a NaN or infinite value")
     return vals
@@ -99,24 +89,21 @@ def select_support(y_prime: Measurements, w: int) -> SupportSelection:
         raise ValueError("w must be >= 1")
     start = y_prime.start_level
     keys = np.arange(1 << 2 * start, dtype=np.int64)
-    _values(y_prime, start, keys)
+    _finite(y_prime.values(start, keys), start)
     levels = [keys]
     for i in range(start + 1, y_prime.max_level + 1):
         kids = _children(keys, i)
-        order = np.lexsort((kids, -_values(y_prime, i, kids)))
+        order = np.lexsort((kids, -_finite(y_prime.values(i, kids), i)))
         keys = np.sort(kids[order[:w]])
         levels.append(keys)
-    return SupportSelection(y_prime.resolution, w, start, levels)
+    return SupportSelection(y_prime.resolution, start, levels)
 
 
-def restrict(y_prime: Measurements, sel: SupportSelection) -> PyramidVec:
-    """y' restricted to the selection (zero outside S)."""
-    out = []
-    for i, keys in enumerate(sel.keys, sel.start_level):
-        masked = np.zeros((1 << i, 1 << i))
-        masked[split_keys(keys, i)] = y_prime.values(i, keys)
-        out.append(masked)
-    return PyramidVec(y_prime.resolution, sel.start_level, out)
+def restrict(y_prime: Measurements, sel: SupportSelection) -> list[np.ndarray]:
+    """y' at the kept cells: one array per level, aligned with `sel.levels`."""
+    if (y_prime.start_level, y_prime.max_level) != (sel.start_level, sel.max_level):
+        raise ValueError("measurement and selection level ranges differ")
+    return [y_prime.values(i, keys) for i, keys in enumerate(sel.levels, sel.start_level)]
 
 
 def _parents(keys: np.ndarray, i: int) -> np.ndarray:
@@ -155,8 +142,12 @@ def _add_residual(
     return owner[at], slope[at] + np.where(lower, -step, step), piece, src[at]
 
 
-def l1_fit(y_hat: Measurements, sel: SupportSelection) -> SparseDist:
+def l1_fit(values: list[np.ndarray], sel: SupportSelection) -> SparseDist:
     """Minimize ||y_hat - P s'||_1 over the reduced nonnegative class, exactly.
+
+    y_hat is y' restricted to the selection: `values[j]` holds it at the
+    keys `sel.levels[j]`, as `restrict` returns it, and every other cell
+    of y_hat is zero.  The grid is `sel.resolution`.
 
     Variables: one mass per kept leaf cell, one aggregated mass per
     dropped subtree (anchored at the subtree's minimal grid point in the
@@ -176,29 +167,32 @@ def l1_fit(y_hat: Measurements, sel: SupportSelection) -> SparseDist:
     Tie rule: a cell fills its children's segments by slope, then child
     key (ascending (cy, cx), as in `select_support`), then the segment's
     order within the child; a zero-slope segment takes nothing.  So the
-    fit is a function of y_hat alone.  Raises ValueError if y_hat holds
-    a NaN or infinite value at a kept cell.
+    fit is a function of y_hat alone.  Raises ValueError if the arrays
+    do not match the selection's levels and sizes, or if one holds a NaN
+    or infinite value.
     """
-    d = y_hat.resolution
+    d = sel.resolution
     ell = num_levels(d)
     start = sel.start_level
-    if y_hat.start_level != start or y_hat.max_level != sel.max_level:
-        raise ValueError("measurement and selection level ranges differ")
+    kept = sel.levels
+    if [np.shape(v) for v in values] != [k.shape for k in kept]:
+        raise ValueError("measurements do not match the selection's kept cells")
+    y = [_finite(v, i) for i, v in enumerate(values, start)]
 
     # variables: kept leaves, then each level's dropped children of kept
-    # cells, parent by parent
-    kept = sel.keys
+    # cells, parent by parent; each level keeps at least one cell, so the
+    # sorted keys are never empty
     dropped = []
     for i in range(start + 1, ell + 1):
-        kids = _children(kept[i - 1 - start], i)
-        dropped.append(kids[~np.isin(kids, kept[i - start])])
+        kids, here = _children(kept[i - 1 - start], i), kept[i - start]
+        dropped.append(kids[here.take(np.searchsorted(here, kids), mode="clip") != kids])
 
     # bottom up; a segment's src indexes the segments of the level below,
     # followed by that level's dropped children (at the leaves: the leaf)
     n = len(kept[-1])
     owner, slope, length, src = _add_residual(
         np.arange(n), np.zeros(n), np.full(n, np.inf), np.arange(n),
-        _values(y_hat, ell, kept[-1]), ell,
+        y[-1], ell,
     )
     srcs = [src]
     for i in range(ell - 1, start - 1, -1):
@@ -222,7 +216,7 @@ def l1_fit(y_hat: Measurements, sel: SupportSelection) -> SparseDist:
         keep = ahead == ahead[np.searchsorted(owner, owner)]
         owner, slope, length, src = _add_residual(
             owner[keep], slope[keep], length[keep], src[keep],
-            _values(y_hat, i, cells), i,
+            y[i - start], i,
         )
         srcs.append(src)
 

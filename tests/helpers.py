@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
 from emdheat.datagen import US_BBOX, BBox, CellDataset, CheckinRecord, MixtureSpec
-from emdheat.grid import CellId, GridPoint, SparseDist, cell_anchor, num_levels, snap
+from emdheat.grid import GridPoint, SparseDist, num_levels, snap
 from emdheat.noise import make_rng
 from emdheat.pyramid import PyramidVec, apply_pyramid
 
@@ -180,10 +181,25 @@ def fit_objective(y_hat: PyramidVec, dist: SparseDist) -> float:
     return total
 
 
-# Reference support recovery: the CellId-loop selection and restriction
-# that recovery.py replaced with key arrays, which must reproduce them
-# exactly, and the l1 fit as an LP, whose objective the tree solve must
-# reach (the optimum is not unique, so its point may differ).
+# Reference support recovery: the cell-object loop selection and
+# restriction that recovery.py replaced with key arrays, which must
+# reproduce them exactly, and the l1 fit as an LP, whose objective the
+# tree solve must reach (the optimum is not unique, so its point may
+# differ).
+
+
+class CellId(NamedTuple):
+    """A dyadic cell: level plus cell coordinates in [0, 2**level)."""
+
+    level: int
+    cx: int
+    cy: int
+
+
+def cell_anchor(c: CellId, resolution: int) -> GridPoint:
+    """The minimal grid point inside cell c (its lower-left corner)."""
+    shift = num_levels(resolution) - c.level
+    return GridPoint(c.cx << shift, c.cy << shift, resolution)
 
 
 @dataclass
@@ -191,7 +207,6 @@ class LoopSelection:
     """Per-level kept cells S_i for levels start_level..max_level."""
 
     resolution: int
-    w: int
     start_level: int
     levels: list[list[CellId]]
 
@@ -203,6 +218,15 @@ class LoopSelection:
         if not self.start_level <= i <= self.max_level:
             raise ValueError(f"level {i} not in selection")
         return self.levels[i - self.start_level]
+
+
+def loop_selection(sel) -> LoopSelection:
+    """The cell-object form of a key-array `recovery.SupportSelection`."""
+    levels = [
+        [CellId(i, k & ((1 << i) - 1), k >> i) for k in keys.tolist()]
+        for i, keys in enumerate(sel.levels, sel.start_level)
+    ]
+    return LoopSelection(sel.resolution, sel.start_level, levels)
 
 
 def loop_select_support(y_prime: PyramidVec, w: int) -> LoopSelection:
@@ -224,7 +248,7 @@ def loop_select_support(y_prime: PyramidVec, w: int) -> LoopSelection:
         candidates.sort(key=lambda c: (-arr[c.cy, c.cx], c.cy, c.cx))
         current = sorted(candidates[: min(w, len(candidates))], key=lambda c: (c.cy, c.cx))
         levels.append(list(current))
-    return LoopSelection(y_prime.resolution, w, start, levels)
+    return LoopSelection(y_prime.resolution, start, levels)
 
 
 def loop_restrict(y_prime: PyramidVec, sel: LoopSelection) -> PyramidVec:

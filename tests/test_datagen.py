@@ -413,6 +413,15 @@ def test_read_dataset_rejects_a_repeated_row(tmp_path):
         read_dataset(path)
 
 
+def test_read_dataset_rejects_a_nan_mass(tmp_path):
+    # a NaN row beside a unit-mass row used to read back as a unit-mass user
+    path = tmp_path / "cell.csv"
+    path.write_text("user_id,ix,iy,mass\nu0,0,0,nan\nu0,1,0,1.0\n")
+    (tmp_path / "cell.json").write_text('{"resolution": 2, "n_users": 1}\n')
+    with pytest.raises(ValueError, match="negative or not finite"):
+        read_dataset(path)
+
+
 def test_read_dataset_rejects_a_file_missing_a_user(tmp_path):
     users = {f"u{k}": SparseDist(8, {gp(k, 1, 8): 0.5, gp(k, 2, 8): 0.5}) for k in range(5)}
     path = tmp_path / "cell.csv"

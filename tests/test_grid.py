@@ -1,4 +1,4 @@
-"""Grid geometry: snapping, cell navigation, sparse distributions."""
+"""Grid geometry: snapping, sparse distributions, the user sum."""
 
 import pickle
 import re
@@ -7,18 +7,12 @@ import numpy as np
 import pytest
 
 from emdheat.grid import (
-    ROOT,
-    CellId,
     GridPoint,
     SparseDist,
-    cell_anchor,
-    children,
-    containing_cell,
     is_power_of_two,
     l1_distance,
     next_pow2,
     num_levels,
-    parent,
     snap,
     user_sum,
 )
@@ -47,78 +41,6 @@ def test_snap_rejects_out_of_range():
         snap(0.5, 0.5, 3)
 
 
-def test_containing_cell_root():
-    assert containing_cell(gp(3, 3, 4), 0) == ROOT
-
-
-def test_containing_cell_quadrant():
-    assert containing_cell(gp(3, 3, 4), 1) == CellId(1, 1, 1)
-
-
-def test_containing_cell_leaf_level_is_point():
-    assert containing_cell(gp(0, 2, 4), 2) == CellId(2, 0, 2)
-
-
-def test_containing_cell_level_bounds():
-    with pytest.raises(ValueError):
-        containing_cell(gp(0, 0, 4), 3)
-    with pytest.raises(ValueError):
-        containing_cell(gp(0, 0, 4), -1)
-
-
-def test_children_of_root():
-    assert children(ROOT) == [
-        CellId(1, 0, 0),
-        CellId(1, 1, 0),
-        CellId(1, 0, 1),
-        CellId(1, 1, 1),
-    ]
-
-
-def test_parent_halving():
-    assert parent(CellId(2, 3, 1)) == CellId(1, 1, 0)
-
-
-def test_parent_of_root_rejected():
-    with pytest.raises(ValueError):
-        parent(ROOT)
-
-
-def test_parent_child_inverse():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        level = int(rng.integers(0, 5))
-        c = CellId(level, int(rng.integers(0, 1 << level)), int(rng.integers(0, 1 << level)))
-        for child in children(c):
-            assert parent(child) == c
-
-
-def test_containing_cell_chain_consistency():
-    rng = np.random.default_rng(4)
-    d = 16
-    for _ in range(50):
-        p = gp(int(rng.integers(0, d)), int(rng.integers(0, d)), d)
-        for i in range(num_levels(d)):
-            assert containing_cell(p, i) == parent(containing_cell(p, i + 1))
-
-
-def test_children_partition_cell():
-    # the four children tile the parent: every leaf in the parent lies in
-    # exactly one child
-    d = 8
-    c = CellId(1, 1, 0)
-    inside = [
-        gp(ix, iy, d)
-        for ix in range(d)
-        for iy in range(d)
-        if containing_cell(gp(ix, iy, d), 1) == c
-    ]
-    assert len(inside) == (d // 2) ** 2
-    for p in inside:
-        owners = [ch for ch in children(c) if containing_cell(p, 2) == ch]
-        assert len(owners) == 1
-
-
 def test_power_of_two_helpers():
     assert [is_power_of_two(n) for n in (1, 2, 3, 4, 6, 8)] == [
         True, True, False, True, False, True,
@@ -131,11 +53,6 @@ def test_power_of_two_helpers():
     assert next_pow2(64) == 64
 
 
-def test_cell_anchor_is_lower_left():
-    assert cell_anchor(CellId(1, 1, 1), 8) == GridPoint(4, 4, 8)
-    assert cell_anchor(ROOT, 4) == GridPoint(0, 0, 4)
-
-
 def test_l1_distance_real_coordinates():
     assert l1_distance(gp(0, 0, 4), gp(1, 0, 4)) == pytest.approx(0.25)
     assert l1_distance(gp(0, 0, 4), gp(2, 4, 8)) == pytest.approx(0.75)
@@ -144,8 +61,10 @@ def test_l1_distance_real_coordinates():
 def test_sparse_dist_drops_zeros_rejects_negative():
     d = SparseDist(4, {gp(0, 0, 4): 1.0, gp(1, 1, 4): 0.0})
     assert list(d.entries) == [gp(0, 0, 4)]
-    with pytest.raises(ValueError):
-        SparseDist(4, {gp(0, 0, 4): -0.5})
+    # NaN compares false both ways, so a sign check alone would drop it
+    for bad in (-0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"mass .* at .* is negative or not finite"):
+            SparseDist(4, {gp(0, 0, 4): bad, gp(1, 0, 4): 1.0})
 
 
 def test_sparse_dist_rejects_out_of_grid_point():
@@ -158,8 +77,7 @@ def test_sparse_dist_rejects_out_of_grid_point():
 def test_sparse_dist_mass_and_distribution_check():
     d = SparseDist(4, {gp(0, 0, 4): 0.25, gp(3, 3, 4): 0.75})
     assert d.total_mass == pytest.approx(1.0)
-    assert d.is_distribution()
-    assert not d.scaled(2.0).is_distribution()
+    assert d.scaled(2.0).total_mass == pytest.approx(2.0)
 
 
 def test_sparse_dist_dense_round_trip():
@@ -168,12 +86,6 @@ def test_sparse_dist_dense_round_trip():
     d = SparseDist.from_dense(arr)
     assert d.resolution == 8
     np.testing.assert_allclose(d.to_dense(), arr)
-
-
-def test_sparse_dist_from_points_counts():
-    d = SparseDist.from_points([(0.1, 0.1), (0.1, 0.1), (0.9, 0.9)], 4)
-    assert d.entries[gp(0, 0, 4)] == pytest.approx(2 / 3)
-    assert d.entries[gp(3, 3, 4)] == pytest.approx(1 / 3)
 
 
 def test_at_resolution_round_trip_and_coarsen():

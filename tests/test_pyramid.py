@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from emdheat.grid import CellId, SparseDist, children, num_levels
+from emdheat.grid import SparseDist, num_levels
 from emdheat.noise import budget_schedule
 from emdheat.pyramid import (
     NoisyPyramid,
@@ -15,6 +15,7 @@ from emdheat.pyramid import (
     partition_sums,
     pyramid_l1,
 )
+from emdheat.recovery import _children
 
 from helpers import delta, gp, rand_balanced, rand_sparse, signed_to_dense
 
@@ -41,9 +42,10 @@ def test_partition_sums_level_bounds():
 
 def test_apply_pyramid_single_chain():
     y = apply_pyramid(delta(0, 0, 4))
-    assert y.value(CellId(0, 0, 0)) == pytest.approx(1.0)
-    assert y.value(CellId(1, 0, 0)) == pytest.approx(0.5)
-    assert y.value(CellId(2, 0, 0)) == pytest.approx(0.25)
+    origin = np.array([0])
+    assert y.values(0, origin) == pytest.approx([1.0])
+    assert y.values(1, origin) == pytest.approx([0.5])
+    assert y.values(2, origin) == pytest.approx([0.25])
     assert y.level(1)[1, 1] == 0.0
     assert y.level(2)[3, 3] == 0.0
 
@@ -60,8 +62,7 @@ def test_apply_pyramid_two_point_example():
     y = apply_pyramid(v)
     np.testing.assert_allclose(y.level(0), [[4.0]])
     np.testing.assert_allclose(y.level(1), [[1.5, 0.0], [0.0, 0.5]])
-    assert y.value(CellId(2, 0, 0)) == pytest.approx(0.75)
-    assert y.value(CellId(2, 3, 3)) == pytest.approx(0.25)
+    assert y.values(2, np.array([0, 15])) == pytest.approx([0.75, 0.25])
     assert np.count_nonzero(y.level(2)) == 2
 
 
@@ -92,13 +93,9 @@ def test_telescoping_child_sums():
     for i in range(num_levels(16)):
         coarse = partition_sums(arr, i)
         fine = partition_sums(arr, i + 1)
-        side = 1 << i
-        for cy in range(side):
-            for cx in range(side):
-                child_sum = sum(
-                    fine[ch.cy, ch.cx] for ch in children(CellId(i, cx, cy))
-                )
-                assert coarse[cy, cx] == pytest.approx(child_sum)
+        kids = _children(np.arange(4 ** i), i + 1)
+        child_sum = fine.reshape(-1)[kids].reshape(-1, 4).sum(axis=1)
+        assert coarse.reshape(-1) == pytest.approx(child_sum)
 
 
 def test_exact_measurements_satisfy_tree_decay_with_equality():
@@ -106,14 +103,9 @@ def test_exact_measurements_satisfy_tree_decay_with_equality():
     rng = np.random.default_rng(13)
     y = apply_pyramid(rand_sparse(rng, 8, 5))
     for i in range(y.max_level):
-        cur, nxt = y.level(i), y.level(i + 1)
-        side = 1 << i
-        for cy in range(side):
-            for cx in range(side):
-                kids = 2 * sum(
-                    nxt[ch.cy, ch.cx] for ch in children(CellId(i, cx, cy))
-                )
-                assert cur[cy, cx] == pytest.approx(kids)
+        cells = np.arange(4 ** i)
+        kids = y.values(i + 1, _children(cells, i + 1)).reshape(-1, 4)
+        assert y.values(i, cells) == pytest.approx(2 * kids.sum(axis=1))
 
 
 def test_pyramid_l1_dominates_emd_norm():

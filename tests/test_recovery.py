@@ -12,20 +12,30 @@ from scipy.optimize import linprog
 
 import emdheat
 from emdheat.emd import emd
-from emdheat.grid import CellId, GridPoint, SparseDist, containing_cell, num_levels
+from emdheat.grid import SparseDist, num_levels
 from emdheat.noise import make_rng, pivot_level
-from emdheat.pyramid import PyramidVec, apply_pyramid
-from emdheat.recovery import l1_fit, reconstruct, restrict, select_support
+from emdheat.pyramid import PyramidVec, apply_pyramid, split_keys
+from emdheat.recovery import _children, _parents, l1_fit, reconstruct, restrict, select_support
 
 from helpers import (
+    CellId,
+    cell_anchor,
     delta,
     fit_objective,
     gp,
     loop_l1_fit,
     loop_restrict,
     loop_select_support,
+    loop_selection,
     rand_sparse,
 )
+
+
+def key_fit(y: PyramidVec, w: int):
+    """The key-array selection and fit, with y' restricted to the selection
+    as a dense pyramid (zero outside it) for `fit_objective` and the LP."""
+    sel = select_support(y, w)
+    return sel, l1_fit(restrict(y, sel), sel), loop_restrict(y, loop_selection(sel))
 
 
 def full_l1_fit_objective(y_hat: PyramidVec) -> float:
@@ -68,12 +78,39 @@ def full_l1_fit_objective(y_hat: PyramidVec) -> float:
     return float(res.fun)
 
 
+@pytest.mark.parametrize("i", [1, 2, 3, 5, 12])
+def test_children_and_parents_on_keys(i):
+    # the cell tree on row-major keys: each level i-1 cell's four children
+    # tile it in ascending (cy, cx) order, each child's parent is that
+    # cell, and a point's chain of parents is its halved coordinates
+    rng = np.random.default_rng(i)
+    n_above = 4 ** (i - 1)
+    cells = np.arange(n_above) if n_above <= 256 else np.sort(rng.choice(n_above, 200, replace=False))
+    kids = _children(cells, i)
+    cy, cx = split_keys(kids.reshape(-1, 4), i)
+    py, px = split_keys(cells, i - 1)
+    assert np.array_equal(cy, 2 * py[:, None] + [0, 0, 1, 1])
+    assert np.array_equal(cx, 2 * px[:, None] + [0, 1, 0, 1])
+    assert (np.diff(kids.reshape(-1, 4), axis=1) > 0).all()
+    assert np.array_equal(_parents(kids, i), np.repeat(cells, 4))
+    if n_above <= 256:
+        assert np.array_equal(np.sort(kids), np.arange(4 ** i))
+    points = rng.integers(0, 4 ** i, 100)
+    iy, ix = split_keys(points, i)
+    key = points
+    for j in range(i - 1, -1, -1):
+        key = _parents(key, j + 1)
+        assert np.array_equal(key, ((iy >> (i - j)) << j) + (ix >> (i - j)))
+    assert not key.any()
+
+
 def test_select_support_single_chain():
     y = apply_pyramid(delta(2, 1, 8))
     sel = select_support(y, 1)
-    point = gp(2, 1, 8)
-    for i in range(num_levels(8) + 1):
-        assert sel.level_cells(i) == [containing_cell(point, i)]
+    ell = num_levels(8)
+    for i in range(ell + 1):
+        shift = ell - i
+        assert sel.levels[i].tolist() == [((1 >> shift) << i) + (2 >> shift)]
 
 
 def test_select_support_keeps_everything_for_large_w():
@@ -81,34 +118,31 @@ def test_select_support_keeps_everything_for_large_w():
     y = apply_pyramid(rand_sparse(np.random.default_rng(41), 4, 5))
     sel = select_support(y, 16)
     for i in range(3):
-        assert len(sel.level_cells(i)) == 4 ** i
+        assert sel.levels[i].tolist() == list(range(4 ** i))
 
 
 def test_select_support_two_chain_example():
     # s = {(0,0): 3, (3,3): 1} at resolution 4, w = 2
     s = SparseDist(4, {gp(0, 0, 4): 3.0, gp(3, 3, 4): 1.0})
     sel = select_support(apply_pyramid(s), 2)
-    assert sel.level_cells(0) == [CellId(0, 0, 0)]
-    assert sel.level_cells(1) == [CellId(1, 0, 0), CellId(1, 1, 1)]
-    assert sel.level_cells(2) == [CellId(2, 0, 0), CellId(2, 3, 3)]
+    assert [k.tolist() for k in sel.levels] == [[0], [0, 3], [0, 15]]
 
 
 def test_select_support_tie_break_ascending_cy_cx():
     # equal values everywhere: ties go to ascending (cy, cx)
     y = PyramidVec(4, 0, [np.ones((1, 1)), np.ones((2, 2)), np.ones((4, 4))])
     sel = select_support(y, 2)
-    assert sel.level_cells(1) == [CellId(1, 0, 0), CellId(1, 1, 0)]
-    assert sel.level_cells(2) == [CellId(2, 0, 0), CellId(2, 1, 0)]
+    assert [k.tolist() for k in sel.levels] == [[0], [0, 1], [0, 1]]
 
 
-def test_restrict_zeroes_unselected_cells():
+def test_restrict_reads_only_the_kept_cells():
+    # y' at the kept cells (0,0) of each level, aligned with the keys; the
+    # cell (3,3) and its ancestors are not kept, so not returned
     s = SparseDist(4, {gp(0, 0, 4): 3.0, gp(3, 3, 4): 1.0})
     y = apply_pyramid(s)
     sel = select_support(y, 1)
-    y_hat = restrict(y, sel)
-    assert y_hat.value(CellId(1, 0, 0)) == pytest.approx(1.5)
-    assert y_hat.value(CellId(1, 1, 1)) == 0.0
-    assert y_hat.value(CellId(2, 3, 3)) == 0.0
+    assert [k.tolist() for k in sel.levels] == [[0], [0], [0]]
+    assert [v.tolist() for v in restrict(y, sel)] == [[4.0], [1.5], [0.75]]
 
 
 def test_zero_noise_exact_recovery():
@@ -147,9 +181,7 @@ def test_reduced_lp_matches_full_lp():
         y = apply_pyramid(s)
         for j, arr in enumerate(y.levels):
             y.levels[j] = arr + noise_rng.laplace(0, 0.15, arr.shape)
-        sel = select_support(y, w)
-        y_hat = restrict(y, sel)
-        s_hat = l1_fit(y_hat, sel)
+        _, s_hat, y_hat = key_fit(y, w)
         reduced = fit_objective(y_hat, s_hat)
         full = full_l1_fit_objective(y_hat)
         assert reduced == pytest.approx(full, abs=1e-8)
@@ -161,9 +193,7 @@ def test_objective_monotone_in_w_zero_noise():
     y = apply_pyramid(s)
     objectives = []
     for w in (1, 2, 3, 4, 6, 8):
-        sel = select_support(y, w)
-        y_hat = restrict(y, sel)
-        s_hat = l1_fit(y_hat, sel)
+        _, s_hat, y_hat = key_fit(y, w)
         objectives.append(fit_objective(y_hat, s_hat))
     for a, b in zip(objectives, objectives[1:]):
         assert b <= a + 1e-9
@@ -188,21 +218,15 @@ def test_recovery_bound_on_tree_sparse_instances():
         y_noisy = PyramidVec(
             d, 0, [y_star.level(i) + (2.0 ** -i) * nu[i] for i in range(ell + 1)]
         )
-        sel = select_support(y_noisy, w)
-        y_hat = restrict(y_noisy, sel)
-        s_hat = l1_fit(y_hat, sel)
+        sel, s_hat, y_hat = key_fit(y_noisy, w)
         lhs = fit_objective(y_hat, s_hat)
 
         model_err = fit_objective(y_star, s)  # zero by construction
         noise_mass = 0.0
         candidates = {0: {(0, 0)}}
         for i in range(1, ell + 1):
-            cand = set()
-            for c in sel.level_cells(i - 1):
-                for cy in (2 * c.cy, 2 * c.cy + 1):
-                    for cx in (2 * c.cx, 2 * c.cx + 1):
-                        cand.add((cx, cy))
-            candidates[i] = cand
+            cy, cx = split_keys(_children(sel.levels[i - 1], i), i)
+            candidates[i] = set(zip(cx.tolist(), cy.tolist()))
         for i in range(ell + 1):
             noise_mass += (2.0 ** -i) * sum(
                 abs(nu[i][cy, cx]) for cx, cy in candidates[i]
@@ -220,8 +244,6 @@ def test_two_chain_example_exact_at_sufficient_width():
 def test_recovered_support_is_leaves_or_drop_anchors():
     # every output point is either a selected leaf or the minimal grid
     # point of a dropped subtree (the aggregated variable's anchor)
-    from emdheat.grid import cell_anchor
-
     rng = np.random.default_rng(48)
     noise_rng = make_rng(49)
     for w in (1, 2, 3):
@@ -229,8 +251,8 @@ def test_recovered_support_is_leaves_or_drop_anchors():
         y = apply_pyramid(s)
         for j, arr in enumerate(y.levels):
             y.levels[j] = arr + noise_rng.laplace(0, 0.05, arr.shape)
-        sel = select_support(y, w)
-        s_hat = l1_fit(restrict(y, sel), sel)
+        sel, s_hat, _ = key_fit(y, w)
+        sel = loop_selection(sel)
         ell = num_levels(8)
         allowed = {gp(c.cx, c.cy, 8) for c in sel.level_cells(ell)}
         for i in range(1, ell + 1):
@@ -248,8 +270,13 @@ def test_mismatched_selection_rejected():
     y = apply_pyramid(delta(0, 0, 4))
     sel = select_support(y, 2)
     wrong = PyramidVec(4, 1, [np.zeros((2, 2)), np.zeros((4, 4))])
-    with pytest.raises(ValueError):
-        l1_fit(wrong, sel)
+    with pytest.raises(ValueError, match="level ranges differ"):
+        restrict(wrong, sel)
+    values = restrict(y, sel)
+    with pytest.raises(ValueError, match="do not match"):
+        l1_fit(values[1:], sel)
+    with pytest.raises(ValueError, match="do not match"):
+        l1_fit([*values[:-1], values[-1][:1]], sel)
 
 
 def _oracle_cases():
@@ -275,18 +302,18 @@ def _measurements(d: int, start: int, kind: str, seed: int) -> PyramidVec:
 
 @pytest.mark.parametrize("d, w, start, kind", _oracle_cases())
 def test_key_array_recovery_matches_cell_loops(d, w, start, kind):
-    # the same selection and restriction as the CellId-loop oracles, bit
+    # the same selection and restriction as the cell-loop oracles, bit
     # for bit, ties (constant y') and negatives included; the fit reaches
     # the reference LP's objective (the optimum is not unique, so the
     # vertex may differ)
     y = _measurements(d, start, kind, seed=d * 1000 + w * 10 + start)
     sel, want = select_support(y, w), loop_select_support(y, w)
-    assert sel.levels == want.levels
-    y_hat, want_hat = restrict(y, sel), loop_restrict(y, want)
-    for a, b in zip(y_hat.levels, want_hat.levels):
-        assert np.array_equal(a, b)
-    got, expected = l1_fit(y_hat, sel), loop_l1_fit(want_hat, want)
-    assert fit_objective(y_hat, got) == pytest.approx(
+    assert loop_selection(sel).levels == want.levels
+    values, want_hat = restrict(y, sel), loop_restrict(y, want)
+    for i, (keys, v) in enumerate(zip(sel.levels, values), start):
+        assert np.array_equal(v, want_hat.level(i)[split_keys(keys, i)])
+    got, expected = l1_fit(values, sel), loop_l1_fit(want_hat, want)
+    assert fit_objective(want_hat, got) == pytest.approx(
         fit_objective(want_hat, expected), rel=1e-9, abs=1e-12
     )
 
@@ -303,9 +330,8 @@ def test_tree_fit_reaches_the_lp_optimum(d):
         start = int(rng.choice(starts))
         kind = ("noisy", "constant", "negative")[case % 3]
         y = _measurements(d, start, kind, seed=int(rng.integers(1 << 30)))
-        sel = select_support(y, w)
-        y_hat = restrict(y, sel)
-        got, expected = l1_fit(y_hat, sel), loop_l1_fit(y_hat, sel)
+        sel, got, y_hat = key_fit(y, w)
+        expected = loop_l1_fit(y_hat, loop_selection(sel))
         assert fit_objective(y_hat, got) == pytest.approx(
             fit_objective(y_hat, expected), rel=1e-9, abs=1e-12
         ), (w, start, kind)
@@ -347,13 +373,11 @@ def _levels(*arrays) -> PyramidVec:
 )
 def test_tree_fit_fills_ties_in_key_order(y, w, want):
     # every split of the tied mass is optimal; the fit picks the lowest key
-    sel = select_support(y, w)
-    y_hat = restrict(y, sel)
-    got = l1_fit(y_hat, sel)
+    sel, got, y_hat = key_fit(y, w)
     d = y.resolution
     assert got.entries == {gp(ix, iy, d): m for (ix, iy), m in want.items()}
     assert fit_objective(y_hat, got) == pytest.approx(
-        fit_objective(y_hat, loop_l1_fit(y_hat, sel)), rel=1e-9, abs=1e-12
+        fit_objective(y_hat, loop_l1_fit(y_hat, loop_selection(sel))), rel=1e-9, abs=1e-12
     )
 
 
@@ -370,11 +394,14 @@ def test_l1_fit_rejects_non_finite_measurements(level, bad):
     # a bad value at a kept cell must not turn into a silent release
     y = apply_pyramid(delta(5, 6, 16))
     sel = select_support(y, 3)
-    y_hat = restrict(y, sel)
-    cell = containing_cell(gp(5, 6, 16), level)
-    y_hat.level(level)[cell.cy, cell.cx] = bad
+    values = restrict(y, sel)
+    shift = num_levels(16) - level
+    key = ((6 >> shift) << level) + (5 >> shift)
+    at = np.searchsorted(sel.levels[level], key)
+    assert sel.levels[level][at] == key
+    values[level][at] = bad
     with pytest.raises(ValueError, match=f"level {level} holds a NaN or infinite"):
-        l1_fit(y_hat, sel)
+        l1_fit(values, sel)
 
 
 def test_recovery_imports_no_lp_solver():
@@ -388,8 +415,8 @@ def test_reconstruct_rejects_non_finite_measurements(level, bad):
     # a value the descent reads; before, it reached linprog (or a silent
     # sort position) instead of failing here
     y = apply_pyramid(delta(5, 6, 16))
-    cell = containing_cell(gp(5, 6, 16), level)
-    y.level(level)[cell.cy, cell.cx] = bad
+    shift = num_levels(16) - level
+    y.level(level)[6 >> shift, 5 >> shift] = bad
     with pytest.raises(ValueError, match=f"level {level} holds a NaN or infinite"):
         select_support(y, 3)
     with pytest.raises(ValueError, match=f"level {level}"):
