@@ -113,8 +113,8 @@ def _dense_sum(dists: list[SparseDist], resolution: int | None = None) -> tuple[
     trace = {
         "sum_s": time.perf_counter() - start,
         "n_users": len(dists),
-        "input_entries": sum(len(p.entries) for p in dists),
-        "sum_support": len(total.entries),
+        "input_entries": sum(map(len, dists)),
+        "sum_support": len(total),
     }
     return s, trace
 
@@ -152,9 +152,7 @@ def normalize(s_hat: SparseDist) -> tuple[SparseDist, bool]:
     total = s_hat.total_mass
     if total <= 0.0:
         d = s_hat.resolution
-        u = 1.0 / (d * d)
-        entries = {GridPoint(ix, iy, d): u for iy in range(d) for ix in range(d)}
-        return SparseDist(d, entries), True
+        return SparseDist.from_keys(d, np.arange(d * d), np.full(d * d, 1.0 / (d * d))), True
     return s_hat.scaled(1.0 / total), False
 
 

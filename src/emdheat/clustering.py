@@ -37,20 +37,22 @@ def cost_points(points: list[GridPoint], centers: CenterSet) -> float:
     return sum(min(l1_distance(p, c) for c in centers.centers) for p in points)
 
 
+def _coords(points: list[GridPoint] | SparseDist) -> tuple[np.ndarray, np.ndarray]:
+    """Real (x, y) coordinates of grid points, or of a vector's cells in array order."""
+    if isinstance(points, SparseDist):
+        iy, ix = np.divmod(points.keys, points.resolution)
+        return ix / points.resolution, iy / points.resolution
+    return np.array([p.x for p in points]), np.array([p.y for p in points])
+
+
+def _distance_matrix(points: list[GridPoint] | SparseDist, cand: list[GridPoint]) -> np.ndarray:
+    (px, py), (cx, cy) = _coords(points), _coords(cand)
+    return np.abs(px[:, None] - cx[None, :]) + np.abs(py[:, None] - cy[None, :])
+
+
 def cost_vec(x: SparseDist, centers: CenterSet) -> float:
     """Mass-weighted nearest-center distance of a nonnegative vector."""
-    return sum(
-        m * min(l1_distance(p, c) for c in centers.centers)
-        for p, m in x.entries.items()
-    )
-
-
-def _distance_matrix(points: list[GridPoint], candidates: list[GridPoint]) -> np.ndarray:
-    px = np.array([p.x for p in points])
-    py = np.array([p.y for p in points])
-    cx = np.array([c.x for c in candidates])
-    cy = np.array([c.y for c in candidates])
-    return np.abs(px[:, None] - cx[None, :]) + np.abs(py[:, None] - cy[None, :])
+    return float(x.masses @ _distance_matrix(x, list(centers.centers)).min(axis=1))
 
 
 def brute_kmedian(
@@ -66,11 +68,9 @@ def brute_kmedian(
         raise ValueError("candidate combinations exceed the enumeration budget")
 
     cand = sorted(candidates, key=lambda c: (c.iy, c.ix))
-    support = list(x.entries)
-    masses = np.array([x.entries[p] for p in support])
-    if not support:
+    if not len(x):
         return CenterSet((cand[0],)), 0.0
-    dist = _distance_matrix(support, cand)
+    masses, dist = x.masses, _distance_matrix(x, cand)
 
     best_cost = math.inf
     best: tuple[int, ...] | None = None
@@ -118,19 +118,13 @@ def coreset_check(
         raise ValueError("candidate combinations exceed the enumeration budget")
 
     dist_x = _distance_matrix(points, candidates)
-    support = list(s_hat.entries)
-    masses = np.array([s_hat.entries[p] for p in support])
-    dist_s = (
-        _distance_matrix(support, candidates)
-        if support
-        else np.zeros((0, len(candidates)))
-    )
+    masses, dist_s = s_hat.masses, _distance_matrix(s_hat, candidates)
 
     kappa = -math.inf
     for size in range(1, min(k, len(candidates)) + 1):
         for combo in combinations(range(len(candidates)), size):
             cost_x = float(dist_x[:, combo].min(axis=1).sum())
-            cost_s = float(masses @ dist_s[:, combo].min(axis=1)) if support else 0.0
+            cost_s = float(masses @ dist_s[:, combo].min(axis=1))
             kappa = max(kappa, abs(cost_s - cost_x) - lam * cost_x)
     return {
         "k": k,

@@ -10,7 +10,7 @@ ranks a coarse partition by activity, and turns each busy cell into one
 dataset of per-user empirical distributions.  Binning, ranking and the
 per-user grouping run on numpy columns of the parsed records; every
 point goes through the same float operations as snapping it alone with
-grid.snap, so the datasets, their dict order and every mass are those
+grid.snap, so the datasets, their entry order and every mass are those
 of a per-record loop.
 """
 
@@ -24,14 +24,14 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime
 from functools import partial
-from itertools import count, islice
+from itertools import count, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .grid import GridPoint, SparseDist, grid_points, is_power_of_two
+from .grid import SparseDist, is_power_of_two
 from .noise import make_rng
 
 
@@ -115,9 +115,7 @@ def synth_users(spec: MixtureSpec) -> tuple[list[SparseDist], float]:
         # row-major cell order, as SparseDist.from_dense lists a dense array
         cells, counts = np.unique(iy * d + ix, return_counts=True)
         occupied.append(cells)
-        cy, cx = np.divmod(cells, d)
-        masses = (counts / spec.samples_per_user).tolist()
-        users.append(SparseDist(d, dict(zip(grid_points(cx.tolist(), cy.tolist(), d), masses))))
+        users.append(SparseDist.from_keys(d, cells, counts / spec.samples_per_user))
     sparsity = np.unique(np.concatenate(occupied)).size / float(d * d)
     return users, sparsity
 
@@ -333,12 +331,17 @@ def _cell_users(
     # count * (1 / total), not count / total: the masses that scaling
     # the user's counts by 1 / total gives, to the last bit
     scale = 1.0 / np.bincount(user, minlength=codes.size).astype(float)
-    masses = (pair_count[order] * np.repeat(scale, sizes)).tolist()
-    iy, ix = np.divmod(cell_points[pair_point[order]], resolution)
-    entries = zip(grid_points(ix.tolist(), iy.tolist(), resolution), masses)
+    masses = pair_count[order] * np.repeat(scale, sizes)
+    keys = cell_points[pair_point[order]]
+    return _split_users(uids, codes[by_first], sizes, keys, masses, resolution)
+
+
+def _split_users(uids, codes, sizes, keys, masses, resolution: int) -> dict[str, SparseDist]:
+    """User uids[codes[j]] holds the j-th run of sizes[j] consecutive (key, mass) pairs."""
+    ends = np.cumsum(sizes).tolist()
     return {
-        uids[code]: SparseDist(resolution, dict(islice(entries, size)))
-        for code, size in zip(codes[by_first].tolist(), sizes.tolist())
+        uids[code]: SparseDist.from_keys(resolution, keys[a:b], masses[a:b])
+        for code, a, b in zip(codes.tolist(), [0] + ends[:-1], ends)
     }
 
 
@@ -363,11 +366,12 @@ def write_dataset(
     csv_path = _dataset_path(csv_path)
     # rows in user-id order, each user's points in (iy, ix) order; csv
     # writes a float as its repr, which reads back bit for bit
-    by_row_major = itemgetter(1, 0)
     rows = []
     for uid in sorted(users):
-        entries = users[uid].entries
-        rows += [(uid, p.ix, p.iy, entries[p]) for p in sorted(entries, key=by_row_major)]
+        p = users[uid]
+        order = np.argsort(p.keys)
+        iy, ix = np.divmod(p.keys[order], p.resolution)
+        rows += zip(repeat(uid), ix.tolist(), iy.tolist(), p.masses[order].tolist())
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["user_id", "ix", "iy", "mass"])
@@ -383,9 +387,10 @@ def write_dataset(
 def read_dataset(csv_path: str | Path) -> tuple[dict[str, SparseDist], dict]:
     """Inverse of write_dataset; the manifest supplies the resolution.
 
-    Raises ValueError when the file holds another number of users than
-    the manifest's `n_users` (a truncated file) or repeats a
-    (user_id, ix, iy) row.
+    Users come in order of their first row, each user's points in file
+    order.  Raises ValueError when the file holds another number of
+    users than the manifest's `n_users` (a truncated file), repeats a
+    (user_id, ix, iy) row or holds a point off the grid.
     """
     csv_path = _dataset_path(csv_path)
     with open(csv_path.with_suffix(".json")) as f:
@@ -393,30 +398,31 @@ def read_dataset(csv_path: str | Path) -> tuple[dict[str, SparseDist], dict]:
     resolution = int(manifest["resolution"])
     n_users = int(manifest["n_users"])
 
-    raw: dict[str, dict[GridPoint, float]] = {}
-    last, points = None, {}
     with open(csv_path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader)
         if header[:4] != ["user_id", "ix", "iy", "mass"]:
             raise ValueError(f"unexpected dataset header: {header}")
-        # one pass; write_dataset groups rows by user, so the user's dict
-        # is looked up once per run of equal ids
-        for uid, ix, iy, mass in map(itemgetter(0, 1, 2, 3), reader):
-            if uid != last:
-                last, points = uid, raw.setdefault(uid, {})
-            points[GridPoint(int(ix), int(iy), resolution)] = float(mass)
-        # data rows read; a repeated (user_id, ix, iy) row leaves fewer points
-        n_rows = reader.line_num - 1
-    if len(raw) != n_users:
-        raise ValueError(f"{csv_path} holds {len(raw)} users, its manifest {n_users}")
-    n_points = sum(map(len, raw.values()))
-    if n_points != n_rows:
-        raise ValueError(
-            f"{csv_path} repeats {n_rows - n_points} (user_id, ix, iy) rows of {n_rows}"
-        )
-    users = {uid: SparseDist(resolution, pts) for uid, pts in raw.items()}
-    return users, manifest
+        rows = list(map(itemgetter(0, 1, 2, 3), reader))
+    uids, ix, iy, mass = zip(*rows) if rows else ((),) * 4
+    # a user's code is the position of their first row
+    first_seen: dict[str, int] = {}
+    user = np.fromiter(map(first_seen.setdefault, uids, count()), dtype=np.int64, count=len(rows))
+    if len(first_seen) != n_users:
+        raise ValueError(f"{csv_path} holds {len(first_seen)} users, its manifest {n_users}")
+    ix, iy = np.array(ix, dtype=np.int64), np.array(iy, dtype=np.int64)
+    if ((ix < 0) | (ix >= resolution)).any():
+        raise ValueError(f"{csv_path} holds a point off the {resolution} x {resolution} grid")
+    keys = iy * resolution + ix
+    pairs = np.lexsort((keys, user))
+    repeats = np.count_nonzero((np.diff(user[pairs]) == 0) & (np.diff(keys[pairs]) == 0))
+    if repeats:
+        raise ValueError(f"{csv_path} repeats {repeats} (user_id, ix, iy) rows of {len(rows)}")
+    # rows grouped by user in order of first row, file order within each
+    by_user = np.argsort(user, kind="stable")
+    codes, sizes = np.unique(user, return_counts=True)
+    masses = np.array(mass, dtype=np.float64)[by_user]
+    return _split_users(uids, codes, sizes, keys[by_user], masses, resolution), manifest
 
 
 def open_maybe_gzip(path: str | Path):

@@ -11,17 +11,21 @@ shapes has the fewest arcs; all give the exact distance:
   on about 4 arcs per node is exact L1 transport (Ling & Okada,
   EMD-L1).  A dense support makes this the 4-neighbour bounding box; a
   scattered one gives a much smaller grid.
-* one-sided Hanan grid (`emd` only): the Hanan grid of one side, the
-  core, with each cell of the other side as a leaf joined only to the
-  corners of the core-grid cell that contains it.  Every core node lies
+* one-sided Hanan grid: the Hanan grid of one side, the core, with
+  each cell of the other side as a leaf joined only to the corners of
+  the core-grid cell that contains it.  Every core node lies
   outside the open interior of that cell, in the closed quadrant at one
   of its corners, so an l1 shortest path from the leaf to it passes
   through that corner.  A leaf outside the core's bounding box clamps to
   2 corners or 1, and one on a grid line has fewer.  This wins when a
   large support meets a small one: the grid spans only the small side.
-* bipartite: one arc per (source, sink) pair, supp(p) x supp(q) for
-  `emd` and all ordered pairs i != j of the support for `emd_norm`.
-  This wins when a few points are spread far apart.
+* bipartite: one arc per (source, sink) pair.  This wins when a few
+  points are spread far apart.
+
+The sources are supp(p) and the sinks supp(q) for `emd`; for `emd_norm`
+they are the positive and the negative cells.  By the triangle
+inequality, mass never needs to pass through a third terminal on its way
+from a source to a sink, so a one-signed vector is pure slack.
 
 Grid LPs are solved in dual form: node potentials phi with
 phi_u - phi_v <= len(u -> v), maximizing sum_u b_u phi_u.  The EMD-norm
@@ -42,13 +46,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Mapping
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .grid import GridPoint, SparseDist
+from .grid import GridPoint, SparseDist, grid_side
 
 SLACK_RATE = 2.0
 MAX_COMBINED_SUPPORT = 2000
@@ -100,16 +105,15 @@ class _FlowGraph:
     leaves: str | None = None
 
 
-def _cell_arrays(points: list[GridPoint], d: int) -> np.ndarray:
-    """(k, 2) integer coordinates of grid points on the common grid d.
+def _keys_on(p: SparseDist, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """p's cell keys on the finer grid d, ascending, and their masses.
 
     Powers of two nest exactly: a point ix/r equals (ix * d/r)/d.
     """
-    out = np.empty((len(points), 2), dtype=np.int64)
-    for k, p in enumerate(points):
-        f = d // p.resolution
-        out[k] = (p.ix * f, p.iy * f)
-    return out
+    order = np.argsort(p.keys)
+    iy, ix = np.divmod(p.keys[order], p.resolution)
+    f = d // p.resolution
+    return iy * f * d + ix * f, p.masses[order]
 
 
 def _grid_arcs(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,25 +180,22 @@ def _hanan(
     return 2 * (ny * (nx - 1) + nx * (ny - 1)) + len(owner), build
 
 
-def _flow_graph(cells: np.ndarray, n_src: int | None = None) -> _FlowGraph:
+def _flow_graph(cells: np.ndarray, n_src: int) -> _FlowGraph:
     """The Hanan or bipartite graph of `cells` with the fewest arcs.
 
-    cells are distinct (k, 2) coordinates.  With n_src, the first n_src
-    cells are sources and the rest sinks: the bipartite graph joins every
-    source to every sink, and the Hanan grid may span one side only, with
-    the other side as leaves.  Without it, the bipartite graph joins every
-    ordered pair of distinct cells and the Hanan grid spans them all.
-    Ties go to the bipartite graph, then to the grid without leaves.
+    cells are distinct (k, 2) coordinates, the first n_src of them
+    sources and the rest sinks.  The bipartite graph joins every source
+    to every sink; the Hanan grid spans all cells, or one side with the
+    other as leaves.  Ties go to the bipartite graph, then to the grid
+    without leaves.
     """
     k = len(cells)
-    sides = {None: np.zeros(k, dtype=bool)}
-    if n_src is not None:
-        is_src = np.arange(k) < n_src
-        sides.update(sources=is_src, sinks=~is_src)
+    is_src = np.arange(k) < n_src
+    sides = {None: np.zeros(k, dtype=bool), "sources": is_src, "sinks": ~is_src}
     grid_arcs, build = min(
         (_hanan(cells, leaf, side) for side, leaf in sides.items()), key=lambda h: h[0]
     )
-    pair_arcs = k * (k - 1) if n_src is None else n_src * (k - n_src)
+    pair_arcs = n_src * (k - n_src)
     if min(grid_arcs, pair_arcs) > _MAX_ARCS:
         raise CapacityError(
             f"exact EMD needs {min(grid_arcs, pair_arcs)} arcs, "
@@ -202,11 +203,8 @@ def _flow_graph(cells: np.ndarray, n_src: int | None = None) -> _FlowGraph:
         )
     if grid_arcs < pair_arcs:
         return build()
-    if n_src is None:
-        tails, heads = np.nonzero(~np.eye(k, dtype=bool))
-    else:
-        tails = np.repeat(np.arange(n_src), k - n_src)
-        heads = n_src + np.tile(np.arange(k - n_src), n_src)
+    tails = np.repeat(np.arange(n_src), k - n_src)
+    heads = n_src + np.tile(np.arange(k - n_src), n_src)
     length = np.abs(cells[tails] - cells[heads]).sum(axis=1)
     return _FlowGraph(k, np.stack([tails, heads], axis=1), length, np.arange(k), "pair")
 
@@ -335,60 +333,54 @@ def emd(p: SparseDist, q: SparseDist) -> tuple[float, TransportPlan]:
         raise ValueError(f"mass mismatch: {mp} vs {mq}")
     if mp == 0.0 or mq == 0.0:
         return 0.0, TransportPlan(0.0)
-    pts_p, pts_q = p.support(), q.support()
-    if len(pts_p) + len(pts_q) > MAX_COMBINED_SUPPORT:
+    if len(p) + len(q) > MAX_COMBINED_SUPPORT:
         raise CapacityError(
-            f"combined support {len(pts_p) + len(pts_q)} exceeds "
+            f"combined support {len(p) + len(q)} exceeds "
             f"{MAX_COMBINED_SUPPORT}; use pyramid_l1 as an upper bound"
         )
     d = max(p.resolution, q.resolution)
-    cells_p, cells_q = _cell_arrays(pts_p, d), _cell_arrays(pts_q, d)
-    mass_p = np.array([p.entries[pt] for pt in pts_p])
-    mass_q = np.array([q.entries[pt] for pt in pts_q]) * (mp / mq)
+    keys_p, mass_p = _keys_on(p, d)
+    keys_q, mass_q = _keys_on(q, d)
+    mass_q *= mp / mq
 
     # cancel overlapping mass in place (zero-distance flow)
-    _, ip, iq = np.intersect1d(
-        cells_p[:, 1] * d + cells_p[:, 0],
-        cells_q[:, 1] * d + cells_q[:, 0],
-        return_indices=True,
-    )
+    _, ip, iq = np.intersect1d(keys_p, keys_q, return_indices=True)
     shared = np.minimum(mass_p[ip], mass_q[iq])
     mass_p[ip] -= shared
     mass_q[iq] -= shared
-    stay = [(pts_p[i], pts_q[j], float(a)) for i, j, a in zip(ip, iq, shared) if a > 0]
-
     keep_p = mass_p > _FLOW_EPS * max(1.0, mp)
     keep_q = mass_q > _FLOW_EPS * max(1.0, mp)
     rem_p, rem_q = mass_p[keep_p].sum(), mass_q[keep_q].sum()
+
+    def plan(routed=()) -> dict[tuple[GridPoint, GridPoint], float]:
+        """The flows; `routed` holds (k, k', amount) over the kept cells of p, then of q."""
+        pts_p, pts_q = p.support(), q.support()
+        ends = [*compress(pts_p, keep_p), *compress(pts_q, keep_q)]
+        moves = [(pts_p[i], pts_q[j], float(x)) for i, j, x in zip(ip, iq, shared) if x > 0]
+        flows: dict[tuple[GridPoint, GridPoint], float] = {}
+        for a, b, x in moves + [(ends[s], ends[t], x) for s, t, x in routed]:
+            flows[(a, b)] = flows.get((a, b), 0.0) + x
+        return flows
+
     if min(rem_p, rem_q) <= _BALANCE_TOL * max(1.0, mp):
         # residue is cancellation dust on both sides; not worth an LP
-        return 0.0, TransportPlan(0.0, lambda: _sum_flows(stay))
+        return 0.0, TransportPlan(0.0, plan)
     # filtering may break balance at machine precision; restore it exactly
-    src = [pts_p[i] for i in np.flatnonzero(keep_p)]
-    dst = [pts_q[j] for j in np.flatnonzero(keep_q)]
     supply = np.concatenate([mass_p[keep_p], -mass_q[keep_q] * (rem_p / rem_q)])
-    g = _flow_graph(np.concatenate([cells_p[keep_p], cells_q[keep_q]]), len(src))
+    iy, ix = np.divmod(np.concatenate([keys_p[keep_p], keys_q[keep_q]]), d)
+    g = _flow_graph(np.stack([ix, iy], axis=1), int(np.count_nonzero(keep_p)))
     cost, flow = _min_cost_flow(g, supply, d)
 
     def build() -> dict[tuple[GridPoint, GridPoint], float]:
-        ends = src + dst
-        node_pt = {int(node): ends[k] for k, node in enumerate(g.terminal)}
+        end = {int(node): k for k, node in enumerate(g.terminal)}
         out = {int(g.terminal[k]): v for k, v in enumerate(supply) if v > 0}
         into = {int(g.terminal[k]): -v for k, v in enumerate(supply) if v < 0}
         triples = _decompose_flows(g.arcs, flow.copy(), out, into, g.n_nodes)
-        return _sum_flows(stay, [(node_pt[s], node_pt[t], a) for s, t, a in triples])
+        return plan([(end[s], end[t], a) for s, t, a in triples])
 
     # the LP objective is the exact distance; the decomposed plan may
     # shed feasibility-tolerance dust and is kept for inspection only
     return cost, TransportPlan(cost, build)
-
-
-def _sum_flows(*parts) -> dict[tuple[GridPoint, GridPoint], float]:
-    flows: dict[tuple[GridPoint, GridPoint], float] = {}
-    for part in parts:
-        for a, b, amt in part:
-            flows[(a, b)] = flows.get((a, b), 0.0) + amt
-    return flows
 
 
 def emd_norm(
@@ -401,19 +393,20 @@ def emd_norm(
     flow: net outflow at each support cell equals w there, and slack
     creates/destroys mass at rate 2 per unit.  For mass-balanced w the
     slack is never profitable and the value equals EMD(w+, w-).
+
+    An array w is indexed [iy, ix] on G_d, d = `resolution` or its side
+    (see `grid.grid_side`).
     """
     if isinstance(w, np.ndarray):
         arr = np.asarray(w, dtype=float)
-        d = arr.shape[0] if resolution is None else resolution
+        d = grid_side(arr, resolution)
         iy, ix = np.nonzero(arr)
         cells, values = np.stack([ix, iy], axis=1), arr[iy, ix]
     else:
-        items = [(pt, v) for pt, v in w.items() if v != 0.0]
-        d = max((pt.resolution for pt, _ in items), default=1)
-        cells = _cell_arrays([pt for pt, _ in items], d)
-        values = np.array([v for _, v in items], dtype=float)
-    if not len(values):
-        return 0.0
+        pts = np.array([pt for pt, v in w.items() if v != 0.0], dtype=np.int64).reshape(-1, 3)
+        values = np.array([v for v in w.values() if v != 0.0], dtype=float)
+        d = int(pts[:, 2].max(initial=1))
+        cells = pts[:, :2] * (d // pts[:, 2:])
     if len(values) > MAX_COMBINED_SUPPORT:
         raise CapacityError(
             f"support {len(values)} exceeds {MAX_COMBINED_SUPPORT}; "
@@ -422,9 +415,13 @@ def emd_norm(
     # mixed resolutions may put several points on one cell
     cells, where = np.unique(cells, axis=0, return_inverse=True)
     values = np.bincount(where.ravel(), weights=values, minlength=len(cells))
-    cells, values = cells[values != 0.0], values[values != 0.0]
-    if not len(values):
+    # sources first: the positive cells, then the negative ones
+    src = np.flatnonzero(values > 0.0)
+    order = np.concatenate([src, np.flatnonzero(values < 0.0)])
+    if not order.size:
         return 0.0
+    cells, values = cells[order], values[order]
     scale = np.abs(values).max()
-    val, _ = _min_cost_flow(_flow_graph(cells), values, d, SLACK_RATE)
+    g = _flow_graph(cells, len(src))
+    val, _ = _min_cost_flow(g, values, d, SLACK_RATE)
     return 0.0 if val < _FLOW_EPS * max(1.0, scale) else val

@@ -5,8 +5,9 @@ G_d = {(ix/d, iy/d) : 0 <= ix, iy < d} for a power-of-two resolution
 d = 2**l.  Cells at level i are the half-open dyadic squares of side
 2**-i; the level-i cells partition the square, each cell at level i >= 1
 has one parent and four children, and level-l cells coincide with grid
-points.  A level-i cell is its row-major key cy * 2**i + cx (int64);
-`pyramid` and `recovery` hold cell sets as sorted key arrays.
+points.  A level-i cell is its row-major key cy * 2**i + cx (int64).
+`pyramid` and `recovery` hold cell sets as sorted key arrays; a
+`SparseDist` holds level-l keys with an aligned array of masses.
 
 `snap` stays public with no caller here: `datagen` states its binning
 contract against it (each point lands where snap() would put it).
@@ -14,10 +15,11 @@ contract against it (each point lands where snap() would put it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import repeat
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain, repeat
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,9 +43,11 @@ class GridPoint(NamedTuple):
         return self.iy / self.resolution
 
 
-def grid_points(ix: Iterable[int], iy: Iterable[int], resolution: int) -> list[GridPoint]:
-    """GridPoints from coordinate columns, without a Python-level call per point."""
-    return list(map(partial(tuple.__new__, GridPoint), zip(ix, iy, repeat(resolution))))
+def grid_points(keys: np.ndarray, resolution: int) -> list[GridPoint]:
+    """GridPoints of row-major cell keys, without a Python-level call per point."""
+    iy, ix = np.divmod(keys, resolution)
+    columns = zip(ix.tolist(), iy.tolist(), repeat(resolution))
+    return list(map(partial(tuple.__new__, GridPoint), columns))
 
 
 def is_power_of_two(n: int) -> bool:
@@ -55,6 +59,17 @@ def num_levels(resolution: int) -> int:
     if not is_power_of_two(resolution):
         raise ValueError(f"resolution must be a power of two, got {resolution}")
     return resolution.bit_length() - 1
+
+
+def grid_side(arr: np.ndarray, resolution: int | None = None) -> int:
+    """The side d of an array on G_d: `resolution`, or else its own side.
+
+    ValueError unless the array is d x d and d is a power of two.
+    """
+    d = resolution if resolution is not None else arr.shape[0] if arr.ndim == 2 else 0
+    if arr.shape != (d, d) or not is_power_of_two(d):
+        raise ValueError(f"expected a square array of power-of-two side {d}, got shape {arr.shape}")
+    return d
 
 
 def next_pow2(n: int) -> int:
@@ -81,77 +96,88 @@ def l1_distance(a: GridPoint, b: GridPoint) -> float:
 MASS_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SparseDist:
-    """A nonnegative sparse vector over grid points.
+    """A nonnegative sparse vector over grid points: one user, or a sum.
 
-    Zero entries are dropped on construction; negative, NaN and infinite
-    masses are rejected.  User inputs are probability distributions (total
-    mass 1 within 1e-9); aggregates carry arbitrary nonnegative total mass.
-    `entries` is not to be mutated after construction: `columns` caches
-    its contents.
+    Its cells are two aligned read-only arrays: `keys`, the distinct
+    row-major cell keys iy * d + ix (int64), and `masses` (float64).
+    Zero masses are dropped; negative, NaN and infinite ones are refused.
     """
 
     resolution: int
-    entries: Mapping[GridPoint, float] = field(default_factory=dict)
+    keys: np.ndarray
+    masses: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not is_power_of_two(self.resolution):
-            raise ValueError(f"resolution must be a power of two, got {self.resolution}")
-        clean: dict[GridPoint, float] = {}
-        for p, m in self.entries.items():
-            if not 0 <= m < np.inf:
-                raise ValueError(f"mass {m} at {p} is negative or not finite")
-            if p.resolution != self.resolution:
-                raise ValueError(f"point resolution {p.resolution} != {self.resolution}")
-            if not (0 <= p.ix < self.resolution and 0 <= p.iy < self.resolution):
-                raise ValueError(f"point {p} outside the grid")
-            if m > 0:
-                clean[p] = float(m)
-        object.__setattr__(self, "entries", clean)
+    def __init__(self, resolution: int, entries: Mapping[GridPoint, float] = {}) -> None:
+        n = len(entries)
+        ix, iy, res = np.fromiter(chain.from_iterable(entries), np.int64, 3 * n).reshape(n, 3).T
+        if ((res != resolution) | (ix < 0) | (ix >= resolution)).any():
+            raise ValueError(f"a point lies off the {resolution} x {resolution} grid")
+        self._store(resolution, iy * resolution + ix, np.fromiter(entries.values(), np.float64, n))
+
+    @classmethod
+    def from_keys(cls, resolution: int, keys, masses) -> "SparseDist":
+        """The distribution with masses[j] at cell key keys[j]; keys must be distinct."""
+        dist = cls.__new__(cls)
+        dist._store(resolution, np.asarray(keys, np.int64), np.asarray(masses, np.float64))
+        return dist
+
+    def _store(self, d: int, keys: np.ndarray, masses: np.ndarray) -> None:
+        if not is_power_of_two(d):
+            raise ValueError(f"resolution must be a power of two, got {d}")
+        if keys.ndim != 1 or keys.shape != masses.shape:
+            raise ValueError(f"keys {keys.shape} and masses {masses.shape} are not aligned")
+        ordered = np.sort(keys)
+        if keys.size and not 0 <= ordered[0] <= ordered[-1] < d * d:
+            raise ValueError(f"a cell key lies off the {d} x {d} grid")
+        if not (ordered[1:] > ordered[:-1]).all():
+            raise ValueError("cell keys repeat")
+        bad = np.flatnonzero(~((masses >= 0.0) & (masses < np.inf)))[:1]
+        if bad.size:
+            point = grid_points(keys[bad], d)[0]
+            raise ValueError(f"mass {masses[bad][0]} at {point} is negative or not finite")
+        # boolean indexing copies, so no caller holds a writeable alias
+        keep = masses > 0.0
+        keys, masses = keys[keep], masses[keep]
+        keys.flags.writeable = masses.flags.writeable = False
+        for name, value in (("resolution", d), ("keys", keys), ("masses", masses)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # a plain unpickle would give writeable arrays
+        return SparseDist.from_keys, (self.resolution, self.keys, self.masses)
+
+    def __len__(self) -> int:
+        return self.keys.size
+
+    def __eq__(self, other: object) -> bool:
+        """Equal resolutions and key -> mass sets, in any order."""
+        if not isinstance(other, SparseDist):
+            return NotImplemented
+        return self.resolution == other.resolution and self.entries == other.entries
 
     @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, masses) in `entries` order, as read-only arrays.
-
-        keys are the row-major cell keys iy * d + ix (int64), masses are
-        float64.  Computed once, on first use, and kept on the object, so
-        a user summed again is not flattened again; `entries` must not be
-        mutated after that.  The cache takes no part in `==` or pickling.
-        """
-        n, d = len(self.entries), self.resolution
-        keys = np.fromiter([p.iy * d + p.ix for p in self.entries], dtype=np.int64, count=n)
-        masses = np.fromiter(self.entries.values(), dtype=np.float64, count=n)
-        keys.flags.writeable = masses.flags.writeable = False
-        return keys, masses
-
-    def __getstate__(self) -> dict:
-        # unpickled arrays would be writeable; the copy rebuilds its own
-        state = dict(self.__dict__)
-        state.pop("columns", None)
-        return state
+    def entries(self) -> Mapping[GridPoint, float]:
+        """The cells as a read-only GridPoint -> mass map in array order, built on first read."""
+        points = grid_points(self.keys, self.resolution)
+        return MappingProxyType(dict(zip(points, self.masses.tolist())))
 
     @property
     def total_mass(self) -> float:
-        return float(sum(self.entries.values()))
+        """The masses added left to right in array order, as `user_sum` checks them."""
+        return float(self.masses.cumsum()[-1]) if len(self) else 0.0
 
     def support(self) -> list[GridPoint]:
-        return sorted(self.entries, key=lambda p: (p.iy, p.ix))
+        return grid_points(np.sort(self.keys), self.resolution)
 
     def scaled(self, factor: float) -> "SparseDist":
         if factor < 0:
             raise ValueError("scaling factor must be nonnegative")
-        return SparseDist(
-            self.resolution, {p: m * factor for p, m in self.entries.items()}
-        )
+        return SparseDist.from_keys(self.resolution, self.keys, self.masses * factor)
 
     def minus(self, other: "SparseDist") -> dict[GridPoint, float]:
-        """Signed difference self - other as a sparse map.
-
-        The two operands may live at different resolutions; points are
-        compared by identity (resolution is part of the key), which is
-        what the EMD-norm oracle expects.
-        """
+        """self - other as a signed GridPoint map (resolution in the key), for `emd_norm`."""
         diff: dict[GridPoint, float] = dict(self.entries)
         for p, m in other.entries.items():
             diff[p] = diff.get(p, 0.0) - m
@@ -159,67 +185,55 @@ class SparseDist:
 
     def to_dense(self) -> np.ndarray:
         """Dense (d, d) array indexed [iy, ix]."""
-        arr = np.zeros((self.resolution, self.resolution))
-        for p, m in self.entries.items():
-            arr[p.iy, p.ix] += m
-        return arr
+        d = self.resolution
+        return np.bincount(self.keys, weights=self.masses, minlength=d * d).reshape(d, d)
 
     @staticmethod
     def from_dense(arr: np.ndarray, resolution: int | None = None) -> "SparseDist":
+        """The nonzero cells of a square array indexed [iy, ix], in row-major order."""
         arr = np.asarray(arr, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square array, got shape {arr.shape}")
-        d = arr.shape[0] if resolution is None else resolution
-        if arr.shape != (d, d):
-            raise ValueError("array shape does not match resolution")
-        iy, ix = np.nonzero(arr)
-        entries = {
-            GridPoint(int(cx), int(cy), d): float(arr[cy, cx])
-            for cy, cx in zip(iy, ix)
-        }
-        return SparseDist(d, entries)
+        d = grid_side(arr, resolution)
+        flat = arr.reshape(-1)
+        keys = np.flatnonzero(flat)
+        return SparseDist.from_keys(d, keys, flat[keys])
 
     def at_resolution(self, resolution: int) -> "SparseDist":
-        """Re-grid to another power-of-two resolution.
+        """Re-grid to another power-of-two resolution, exactly.
 
-        Coarsening sums masses into containing cells; refining maps each
-        point to the fine point at the same real coordinates.  Both are
-        exact (real coordinates i/d are preserved or snapped by floor,
-        matching `snap`).
+        Coarsening sums masses into containing cells (snapped by floor, as
+        `snap` does), cells in order of first contribution; refining maps
+        each point to the fine point at the same real coordinates.
         """
         if resolution == self.resolution:
             return self
-        out: dict[GridPoint, float] = {}
-        if resolution < self.resolution:
-            factor = self.resolution // resolution
-            for p, m in self.entries.items():
-                tgt = GridPoint(p.ix // factor, p.iy // factor, resolution)
-                out[tgt] = out.get(tgt, 0.0) + m
-        else:
-            factor = resolution // self.resolution
-            for p, m in self.entries.items():
-                out[GridPoint(p.ix * factor, p.iy * factor, resolution)] = m
-        return SparseDist(resolution, out)
+        iy, ix = np.divmod(self.keys, self.resolution)
+        if resolution > self.resolution:
+            f = resolution // self.resolution
+            return SparseDist.from_keys(resolution, iy * f * resolution + ix * f, self.masses)
+        f = self.resolution // resolution
+        cells, first, inverse = np.unique(
+            iy // f * resolution + ix // f, return_index=True, return_inverse=True
+        )
+        # bincount adds each cell's masses in input order, from 0.0
+        sums = np.bincount(inverse, weights=self.masses, minlength=cells.size)
+        order = np.argsort(first)
+        return SparseDist.from_keys(resolution, cells[order], sums[order])
 
 
 def shared_resolution(dists: Sequence[SparseDist]) -> int:
     """The one resolution of a nonempty batch of users.
 
-    Raises ValueError if there is no user, or naming the first user
-    whose resolution differs from user 0's.
+    ValueError if there is none, or naming the first user off user 0's.
     """
-    n = len(dists)
-    if n == 0:
+    if not dists:
         raise ValueError("need at least one user distribution")
     d = dists[0].resolution
-    resolutions = np.fromiter((p.resolution for p in dists), dtype=np.int64, count=n)
-    odd = np.flatnonzero(resolutions != d)
-    if odd.size:
-        u = int(odd[0])
-        raise ValueError(
-            f"user distributions must share one resolution: user {u} has "
-            f"resolution {int(resolutions[u])}, user 0 has {d}"
-        )
+    for u, p in enumerate(dists):
+        if p.resolution != d:
+            raise ValueError(
+                f"user distributions must share one resolution: user {u} has "
+                f"resolution {p.resolution}, user 0 has {d}"
+            )
     return d
 
 
@@ -231,15 +245,12 @@ def user_sum(dists: Sequence[SparseDist]) -> SparseDist:
     total mass 1 within MASS_TOLERANCE.  Each cell's masses are added in
     user order starting from 0.0, as a running sum of dense arrays would
     add them, so `user_sum(dists).to_dense()` equals that sum bit for bit.
-    The users are read through their cached `columns`, so summing the
-    same user objects again skips flattening their entries.
     """
     n = len(dists)
     d = shared_resolution(dists)
-    columns = [p.columns for p in dists]
-    keys = np.concatenate([k for k, _ in columns])
-    masses = np.concatenate([m for _, m in columns])
-    sizes = np.fromiter((k.size for k, _ in columns), dtype=np.int64, count=n)
+    keys = np.concatenate([p.keys for p in dists])
+    masses = np.concatenate([p.masses for p in dists])
+    sizes = np.fromiter(map(len, dists), dtype=np.int64, count=n)
     # bincount accumulates in input order, so each user's mass is the
     # same left-to-right sum that SparseDist.total_mass computes
     user_mass = np.bincount(np.repeat(np.arange(n), sizes), weights=masses, minlength=n)
@@ -252,5 +263,4 @@ def user_sum(dists: Sequence[SparseDist]) -> SparseDist:
         )
     cells, inverse = np.unique(keys, return_inverse=True)
     sums = np.bincount(inverse, weights=masses, minlength=cells.size)
-    iy, ix = np.divmod(cells, d)
-    return SparseDist(d, dict(zip(grid_points(ix.tolist(), iy.tolist(), d), sums.tolist())))
+    return SparseDist.from_keys(d, cells, sums)

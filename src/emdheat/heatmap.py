@@ -64,8 +64,8 @@ def _axis_kernel(sigma: float, resolution: int) -> np.ndarray:
 
 def heatmap(p: SparseDist, sigma: float) -> HeatmapGrid:
     """Truncated heatmap: per-source normalizer keeps total mass 1."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     d = p.resolution
     g = _axis_kernel(sigma, d)
     z = g.sum(axis=0)
@@ -84,8 +84,8 @@ def heatmap_padded(p: SparseDist, sigma: float, pad: int | None = None) -> Heatm
     each source sheds only the tail mass beyond the padding (< 1e-8 at
     pad >= ceil(6 * sigma * resolution)).
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     d = p.resolution
     if pad is None:
         pad = default_pad(sigma, d)
@@ -123,10 +123,7 @@ def _emd_between(h: HeatmapGrid, g: HeatmapGrid) -> tuple[float, bool]:
     size = h.size
     d_embed = next_pow2(size)
     scale = d_embed / h.base_resolution
-    a = np.zeros((d_embed, d_embed))
-    b = np.zeros((d_embed, d_embed))
-    a[:size, :size] = h.values
-    b[:size, :size] = g.values
+    a, b = (np.pad(x.values, (0, d_embed - size)) for x in (h, g))
     support = np.count_nonzero(a) + np.count_nonzero(b)
     if support <= MAX_COMBINED_SUPPORT:
         p = SparseDist.from_dense(a / a.sum(), d_embed)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SparseDist, num_levels
+from .grid import SparseDist, grid_side, num_levels
 from .noise import LaplaceStream, NoiseSchedule
 
 
@@ -194,8 +194,7 @@ def _as_dense(v: SparseDist | np.ndarray) -> np.ndarray:
     if isinstance(v, SparseDist):
         return v.to_dense()
     arr = np.asarray(v, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square grid array, got shape {arr.shape}")
+    grid_side(arr)
     return arr
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SparseDist, grid_points, num_levels
+from .grid import SparseDist, num_levels
 from .pyramid import NoisyPyramid, PyramidVec, split_keys
 
 Measurements = PyramidVec | NoisyPyramid
@@ -234,12 +234,10 @@ def l1_fit(values: list[np.ndarray], sel: SupportSelection) -> SparseDist:
     key = np.concatenate([kept[-1], *dropped])
     level = np.repeat([ell, *range(start + 1, ell + 1)], [n, *map(len, dropped)])
     # dropped subtrees are disjoint from each other and from kept leaves,
-    # so their anchors (minimal grid points) never collide
-    pos = np.flatnonzero(x > 0.0)
-    shift = ell - level[pos]
-    cy, cx = split_keys(key[pos], level[pos])
-    points = grid_points((cx << shift).tolist(), (cy << shift).tolist(), d)
-    return SparseDist(d, dict(zip(points, x[pos].tolist())))
+    # so their anchors (minimal grid points) never collide; zero masses drop
+    cy, cx = split_keys(key, level)
+    shift = ell - level
+    return SparseDist.from_keys(d, (cy << shift) * d + (cx << shift), x)
 
 
 def reconstruct(y_prime: Measurements, w: int) -> SparseDist:

@@ -75,6 +75,27 @@ def dense_loop_sum(dists: list[SparseDist]) -> np.ndarray:
     return total
 
 
+def loop_at_resolution(p: SparseDist, resolution: int) -> SparseDist:
+    """Reference re-gridding: one dict update per entry, in entry order.
+
+    Coarsening adds each target cell's masses from 0.0 in entry order,
+    the cells in order of first contribution; refining keeps the order.
+    """
+    if resolution == p.resolution:
+        return p
+    out: dict[GridPoint, float] = {}
+    if resolution < p.resolution:
+        factor = p.resolution // resolution
+        for g, m in p.entries.items():
+            tgt = GridPoint(g.ix // factor, g.iy // factor, resolution)
+            out[tgt] = out.get(tgt, 0.0) + m
+    else:
+        factor = resolution // p.resolution
+        for g, m in p.entries.items():
+            out[GridPoint(g.ix * factor, g.iy * factor, resolution)] = m
+    return SparseDist(resolution, out)
+
+
 def loop_build_cells(
     records: list[CheckinRecord],
     resolution: int,

@@ -183,6 +183,22 @@ def test_aggregate_refuses_a_nan_eps(tmp_path):
     assert not out.exists()
 
 
+def test_heatmap_refuses_a_nan_sigma(tmp_path):
+    data = tmp_path / "data.csv"
+    main(["synth", "--n", "3", "--delta-grid", "8", "--out", str(data)])
+    out = tmp_path / "h.pgm"
+    run = subprocess.run(
+        [sys.executable, "-m", "emdheat.cli", "heatmap", "--input", str(data),
+         "--sigma", "nan", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(emdheat.__file__).parents[1])},
+    )
+    assert run.returncode != 0
+    assert "sigma must be finite and positive, got nan" in run.stderr
+    assert not out.exists()
+
+
 def test_heatmap_and_metrics_identity(tmp_path, capsys):
     data = tmp_path / "data.csv"
     main(["synth", "--n", "5", "--delta-grid", "8", "--samples", "10",

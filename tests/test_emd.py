@@ -138,6 +138,16 @@ def test_emd_norm_accepts_dense_array():
     assert emd_norm(z) == pytest.approx(1.5)
 
 
+def test_emd_norm_refuses_an_array_off_its_grid():
+    z = delta(0, 0, 8).to_dense() - delta(7, 7, 8).to_dense()
+    assert emd_norm(z) == emd_norm(z, 8) == pytest.approx(1.75)
+    # read on a coarser grid, the same array would cost twice as much
+    for bad, resolution in ((z, 4), (z, 16), (np.zeros((3, 3)), None), (np.zeros((3, 3)), 3),
+                            (np.zeros((4, 8)), None), (np.zeros(4), None), (np.zeros(4), 4)):
+        with pytest.raises(ValueError, match="square array of power-of-two side"):
+            emd_norm(bad, resolution)
+
+
 # --- best k-sparse error: the k-median cost from brute_kmedian is the EMD
 # from x to its best distribution on k grid points
 
@@ -279,6 +289,25 @@ def test_emd_norm_signed_unbalanced_matches_direct_lp(graphs):
         assert sum(w.values()) != pytest.approx(0.0)
         assert emd_norm(w) == pytest.approx(direct_norm(w), abs=1e-9)
     assert graphs[:3] == ["grid"] * 3 and graphs[3:6] == ["pair"] * 3
+
+
+def test_emd_norm_of_a_one_signed_vector_is_pure_slack(graphs):
+    rng = np.random.default_rng(36)
+    for sign in (1.0, -1.0):
+        w = {g: sign * abs(v) for g, v in rand_signed(rng, 64, 30).items()}
+        assert emd_norm(w) == pytest.approx(2.0 * sum(abs(v) for v in w.values()), rel=1e-12)
+    assert graphs == ["pair"] * 2
+
+
+def test_emd_norm_hangs_the_small_side_off_a_grid(leaf_graphs):
+    # a dense block of positive cells against a few scattered negative ones
+    rng = np.random.default_rng(37)
+    d = 64
+    w = {gp(ix, iy, d): float(rng.uniform(0.5, 1.0)) for ix in range(20, 28) for iy in range(30, 37)}
+    w.update({gp(int(ix), int(iy), d): -float(rng.uniform(1.0, 4.0))
+              for ix, iy in rng.choice(d, size=(4, 2), replace=False)})
+    assert emd_norm(w) == pytest.approx(direct_norm(w), abs=1e-9)
+    assert leaf_graphs == [("grid", "sinks")]
 
 
 def assert_plan_moves(p: SparseDist, q: SparseDist, cost: float, plan) -> None:

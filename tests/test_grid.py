@@ -17,7 +17,7 @@ from emdheat.grid import (
     user_sum,
 )
 
-from helpers import dense_loop_sum, gp, rand_sparse
+from helpers import dense_loop_sum, gp, loop_at_resolution, rand_sparse
 
 
 def test_snap_origin():
@@ -164,9 +164,9 @@ def test_user_sum_validation_names_the_user():
         user_sum([good[0], SparseDist(8)])
 
 
-def test_user_sum_reads_cached_columns_cold_then_warm():
+def test_user_sum_of_regridded_and_rescaled_users_matches_dense_loop():
     # users out of row-major order, re-gridded by at_resolution both
-    # ways, and rescaled: the warm sum reads every user's cached columns
+    # ways, and rescaled
     rng = np.random.default_rng(65)
     d = 32
     users = [rand_sparse(rng, d, int(rng.integers(1, 12))) for _ in range(20)]
@@ -174,33 +174,82 @@ def test_user_sum_reads_cached_columns_cold_then_warm():
     users += [rand_sparse(rng, d // 4, 5).at_resolution(d) for _ in range(5)]
     users += [rand_sparse(rng, d, 7, mass=2.0).scaled(0.5) for _ in range(5)]
     assert any(p.support() != list(p.entries) for p in users)
-    cold = user_sum(users)
-    assert all("columns" in vars(p) for p in users)
-    warm = user_sum(users)
-    assert list(warm.entries.items()) == list(cold.entries.items())
-    assert np.array_equal(cold.to_dense(), dense_loop_sum(users))
+    out = user_sum(users)
+    assert np.array_equal(out.to_dense(), dense_loop_sum(users))
+    assert out.keys.tolist() == sorted(set(np.concatenate([p.keys for p in users]).tolist()))
 
 
-def test_columns_follow_entries_order():
+def test_arrays_are_read_only_copies():
+    d = 16
+    keys, masses = np.array([147, 0, 47, 5]), np.array([0.25, 0.5, 0.25, 0.0])
+    p = SparseDist.from_keys(d, keys, masses)
+    assert p.keys.dtype == np.int64 and p.masses.dtype == np.float64
+    assert p.keys.tolist() == [147, 0, 47] and p.masses.tolist() == [0.25, 0.5, 0.25]
+    assert not p.keys.flags.writeable and not p.masses.flags.writeable
+    with pytest.raises(ValueError):
+        p.masses[0] = 1.0
+    # the caller's arrays stay theirs: writeable, and not shared
+    assert keys.flags.writeable and masses.flags.writeable
+    keys[0], masses[0] = 1, 0.125
+    assert p.keys[0] == 147 and p.masses[0] == 0.25
+    with pytest.raises(TypeError):
+        p.entries[gp(0, 0, d)] = 1.0
+
+
+def test_from_keys_validation():
+    with pytest.raises(ValueError, match="repeat"):
+        SparseDist.from_keys(4, [3, 1, 3], [0.25, 0.5, 0.25])
+    for key in (-1, 16):
+        with pytest.raises(ValueError, match="off the 4 x 4 grid"):
+            SparseDist.from_keys(4, [0, key], [0.5, 0.5])
+    with pytest.raises(ValueError, match="aligned"):
+        SparseDist.from_keys(4, [0, 1], [1.0])
+    with pytest.raises(ValueError, match="power of two"):
+        SparseDist.from_keys(6, [0], [1.0])
+    with pytest.raises(ValueError, match=r"mass nan at GridPoint\(ix=1, iy=2, resolution=4\)"):
+        SparseDist.from_keys(4, [0, 9], [1.0, np.nan])
+
+
+def test_entries_follow_array_order():
     d = 16
     p = SparseDist(d, {gp(3, 9, d): 0.25, gp(0, 0, d): 0.5, gp(15, 2, d): 0.25})
-    keys, masses = p.columns
-    assert keys.dtype == np.int64 and masses.dtype == np.float64
-    assert keys.tolist() == [g.iy * d + g.ix for g in p.entries] == [147, 0, 47]
-    assert masses.tolist() == list(p.entries.values())
-    assert not keys.flags.writeable and not masses.flags.writeable
-    assert p.columns is p.columns
+    assert p.keys.tolist() == [147, 0, 47]
+    assert list(p.entries) == [gp(3, 9, d), gp(0, 0, d), gp(15, 2, d)]
+    assert list(p.entries.values()) == p.masses.tolist()
+    assert len(p) == len(p.entries) == 3
+    q = SparseDist.from_keys(d, [47, 147, 0], [0.25, 0.25, 0.5])
+    assert list(q.entries) == [gp(15, 2, d), gp(3, 9, d), gp(0, 0, d)]
+    assert p.entries is p.entries
 
 
-def test_cached_columns_change_neither_equality_nor_pickling():
+def test_equality_ignores_entry_order():
+    d = 16
+    p = SparseDist.from_keys(d, [147, 0, 47], [0.25, 0.5, 0.25])
+    assert p == SparseDist.from_keys(d, [0, 47, 147], [0.5, 0.25, 0.25])
+    assert p == SparseDist(d, {gp(15, 2, d): 0.25, gp(3, 9, d): 0.25, gp(0, 0, d): 0.5})
+    assert p != SparseDist.from_keys(d, [0, 47, 147], [0.5, 0.25, 0.2500000001])
+    assert p != SparseDist.from_keys(d, [0, 47, 146], [0.5, 0.25, 0.25])
+    assert p != SparseDist.from_keys(2 * d, [0, 47, 147], [0.5, 0.25, 0.25])
+    assert p != SparseDist.from_keys(d, [0, 47], [0.5, 0.25])
+    assert SparseDist(d) == SparseDist.from_keys(d, [], [])
+
+
+def test_pickle_round_trip_keeps_arrays_read_only():
     rng = np.random.default_rng(66)
     p = rand_sparse(rng, 64, 10)
-    twin = SparseDist(64, dict(p.entries))
-    before = pickle.dumps(p)
-    p.columns
-    assert p == twin and twin == p
-    assert pickle.dumps(p) == before
+    p.entries
     back = pickle.loads(pickle.dumps(p))
-    assert back == p
-    assert "columns" not in vars(back)
-    assert all(np.array_equal(a, b) for a, b in zip(back.columns, p.columns))
+    assert back == p and back.resolution == 64
+    assert back.keys.tolist() == p.keys.tolist() and back.masses.tolist() == p.masses.tolist()
+    assert not back.keys.flags.writeable and not back.masses.flags.writeable
+
+
+@pytest.mark.parametrize("target", [1, 2, 8, 32, 64, 256])
+def test_at_resolution_matches_the_dict_loop(target):
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        p = rand_sparse(rng, 32, int(rng.integers(1, 60)), mass=float(rng.uniform(0.5, 3)))
+        got, want = p.at_resolution(target), loop_at_resolution(p, target)
+        assert got.resolution == want.resolution == target
+        assert list(got.entries) == list(want.entries)
+        assert [m.hex() for m in got.entries.values()] == [m.hex() for m in want.entries.values()]

@@ -155,6 +155,16 @@ def test_validation_errors():
         metrics(heatmap(two_blob(4), 0.1), heatmap(two_blob(8), 0.1))
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_heatmaps_refuse_a_sigma_that_is_not_finite_and_positive(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        heatmap(two_blob(), sigma)
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        heatmap_padded(two_blob(), sigma)
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        heatmap_padded(two_blob(), sigma, pad=2)
+
+
 @pytest.mark.parametrize("d", [8, 64])  # below and above the exact-EMD cap
 def test_metrics_rejects_a_massless_heatmap(d):
     zero = HeatmapGrid(np.zeros((d, d)), 0.05, True, d, 0)
