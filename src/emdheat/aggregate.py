@@ -9,12 +9,12 @@ noise.LaplaceStream): each cell gets the draw that dense per-level
 the cells the support descent reads are drawn.  Noise at a cell that is
 never read cannot change the output, so a given seed gives the same
 release, with the same privacy, as noising every cell, and the RNG
-ends where those dense draws would leave it.  aggregate_dense: snap to a
-coarse grid chosen from the total budget, noise every cell, repair with
-a transport-norm projection.  baseline_laplace: per-cell noise with an
-optional keep-top-t-percent threshold.
+ends where those dense draws would leave it.  aggregate_dense: snap the
+sum to a coarse grid chosen from the total budget, noise every cell,
+project back in EMD norm with emd's flow LP (emd.nearest_nonnegative).
+baseline_laplace: per-cell noise, optional keep-top-t-percent threshold.
 
-All mechanisms take the unnormalized sum s = sum_u p_u, formed by
+All mechanisms take the unnormalized sum s = sum_u p_u, formed once by
 grid.user_sum in O(total support) and densified once to the d x d array
 the measurements need; no user is expanded to a dense array.  Each user's
 distribution has unit mass and the level sums partition the grid, so
@@ -30,11 +30,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
-from .emd import SLACK_RATE, _grid_arcs, _incidence
-from .grid import GridPoint, SparseDist, num_levels, shared_resolution, user_sum
+from .emd import nearest_nonnegative
+from .grid import GridPoint, SparseDist, num_levels, user_sum
 from .noise import NoiseSchedule, budget_schedule, check_eps, laplace, pivot_level
 from .pyramid import NoisyPyramid, level_sums
 from .recovery import reconstruct
@@ -102,13 +100,12 @@ class AggregateResult:
 def _dense_sum(dists: list[SparseDist], resolution: int | None = None) -> tuple[np.ndarray, dict]:
     """The checked user sum densified once, with its trace entries.
 
-    With `resolution`, every user is re-gridded to it before summing.
+    With `resolution`, the sum is re-gridded to it before densifying.
     """
     start = time.perf_counter()
-    # before re-gridding, which would hide a mismatch from user_sum
-    shared_resolution(dists)
-    summands = dists if resolution is None else [p.at_resolution(resolution) for p in dists]
-    total = user_sum(summands)
+    total = user_sum(dists)
+    if resolution is not None:
+        total = total.at_resolution(resolution)
     s = total.to_dense()
     trace = {
         "sum_s": time.perf_counter() - start,
@@ -156,30 +153,6 @@ def normalize(s_hat: SparseDist) -> tuple[SparseDist, bool]:
     return s_hat.scaled(1.0 / total), False
 
 
-def _dense_fit(noisy: np.ndarray, resolution: int) -> np.ndarray:
-    """argmin_{v >= 0} emd_norm(v - noisy) as one min-cost-flow LP.
-
-    Variables: v per cell (free objective), directed 4-neighbor arcs at
-    cost 1/resolution, and +/- slack per cell at rate 2.  Node balance:
-    out - in + r+ - r- - v = -noisy.
-    """
-    d = resolution
-    n_cells = d * d
-    coords = np.arange(d)
-    arcs, length = _grid_arcs(coords, coords)
-    eye = sparse.identity(n_cells, format="csr")
-    a_eq = sparse.hstack([-eye, _incidence(n_cells, arcs), eye, -eye], format="csr")
-    cost = np.concatenate(
-        [np.zeros(n_cells), length / d, np.full(2 * n_cells, SLACK_RATE)]
-    )
-    b_eq = -noisy.reshape(-1)
-
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
-    if res.status != 0:
-        raise RuntimeError(f"dense fit LP failed: {res.message}")
-    return res.x[:n_cells].reshape(d, d)
-
-
 def aggregate_dense(
     dists: list[SparseDist],
     eps: float,
@@ -197,8 +170,7 @@ def aggregate_dense(
     t0 = time.perf_counter()
     noisy = s + laplace(1.0 / eps, rng, s.shape)
     t1 = time.perf_counter()
-    fit = _dense_fit(noisy, coarse)
-    s_hat = SparseDist.from_dense(fit, coarse)
+    s_hat = SparseDist.from_dense(nearest_nonnegative(noisy), coarse)
     a_hat, degenerate = normalize(s_hat)
     trace.update(
         measure_s=t1 - t0,

@@ -233,13 +233,13 @@ def run_sweep(config: dict) -> Path:
                             "delta_grid": dgrid,
                             "trial": trial,
                             "w": config["w"],
-                            "gamma": config.get("gamma"),
-                            "mode": config.get("mode", "experiment"),
+                            "gamma": config["gamma"],
+                            "mode": config["mode"],
                             "sigma": config["sigma"],
-                            "gaussians": config.get("gaussians", 20),
-                            "samples": config.get("samples", 50),
+                            "gaussians": config["gaussians"],
+                            "samples": config["samples"],
                             "algorithms": algorithms,
-                            "shuffle_delta": config.get("shuffle_delta", 1e-5),
+                            "shuffle_delta": config["shuffle_delta"],
                         }
                     )
 

@@ -252,6 +252,8 @@ def build_cells(
     Users appear in order of their first check-in in the cell, and each
     user's entries in order of first visit.
     """
+    if coarse < 1 or top_cells < 0:
+        raise ValueError(f"need coarse >= 1 and top_cells >= 0, got {coarse} and {top_cells}")
     lon_span = bbox.lon_max - bbox.lon_min
     lat_span = bbox.lat_max - bbox.lat_min
     lon = _column(records, 3, float)
@@ -360,8 +362,10 @@ def write_dataset(
 ) -> None:
     """CSV of user_id, ix, iy, mass plus a JSON manifest alongside.
 
-    The manifest is `csv_path` with its `.csv` suffix replaced by `.json`;
-    any other suffix raises ValueError before a file is written.
+    The manifest is `csv_path` with its `.csv` suffix replaced by `.json`.
+    Any other suffix, or a user at another resolution than `resolution`
+    (the first in user-id order is named), raises ValueError before a
+    file is written.
     """
     csv_path = _dataset_path(csv_path)
     # rows in user-id order, each user's points in (iy, ix) order; csv
@@ -369,6 +373,8 @@ def write_dataset(
     rows = []
     for uid in sorted(users):
         p = users[uid]
+        if p.resolution != resolution:
+            raise ValueError(f"user {uid!r} has resolution {p.resolution}, not {resolution}")
         order = np.argsort(p.keys)
         iy, ix = np.divmod(p.keys[order], p.resolution)
         rows += zip(repeat(uid), ix.tolist(), iy.tolist(), p.masses[order].tolist())

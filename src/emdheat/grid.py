@@ -220,23 +220,6 @@ class SparseDist:
         return SparseDist.from_keys(resolution, cells[order], sums[order])
 
 
-def shared_resolution(dists: Sequence[SparseDist]) -> int:
-    """The one resolution of a nonempty batch of users.
-
-    ValueError if there is none, or naming the first user off user 0's.
-    """
-    if not dists:
-        raise ValueError("need at least one user distribution")
-    d = dists[0].resolution
-    for u, p in enumerate(dists):
-        if p.resolution != d:
-            raise ValueError(
-                f"user distributions must share one resolution: user {u} has "
-                f"resolution {p.resolution}, user 0 has {d}"
-            )
-    return d
-
-
 def user_sum(dists: Sequence[SparseDist]) -> SparseDist:
     """The unnormalized sum of unit-mass user distributions, in O(total support).
 
@@ -246,8 +229,15 @@ def user_sum(dists: Sequence[SparseDist]) -> SparseDist:
     user order starting from 0.0, as a running sum of dense arrays would
     add them, so `user_sum(dists).to_dense()` equals that sum bit for bit.
     """
-    n = len(dists)
-    d = shared_resolution(dists)
+    if not dists:
+        raise ValueError("need at least one user distribution")
+    n, d = len(dists), dists[0].resolution
+    for u, p in enumerate(dists):
+        if p.resolution != d:
+            raise ValueError(
+                f"user distributions must share one resolution: user {u} has "
+                f"resolution {p.resolution}, user 0 has {d}"
+            )
     keys = np.concatenate([p.keys for p in dists])
     masses = np.concatenate([p.masses for p in dists])
     sizes = np.fromiter(map(len, dists), dtype=np.int64, count=n)

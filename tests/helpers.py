@@ -65,6 +65,37 @@ def signed_to_dense(z: dict[GridPoint, float], d: int) -> np.ndarray:
     return arr
 
 
+def dense_fit_lp(noisy: np.ndarray) -> tuple[np.ndarray, float]:
+    """Reference dense projection: argmin_{v >= 0} emd_norm(v - noisy) and its value.
+
+    One LP over the whole d x d array, indexed [iy, ix]: v per cell at
+    no cost, both directions of every 4-neighbour edge at cost 1/d, and
+    +/- slack per cell at rate 2.  Node balance:
+    out - in + r+ - r- - v = -noisy.
+    """
+    d = noisy.shape[0]
+    n_cells = d * d
+    arcs = []
+    for iy in range(d):
+        for ix in range(d):
+            u = iy * d + ix
+            for v in ([u + 1] if ix + 1 < d else []) + ([u + d] if iy + 1 < d else []):
+                arcs += [(u, v), (v, u)]
+    arcs = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+    m = len(arcs)
+    cols = np.arange(m)
+    incidence = sparse.csr_matrix(
+        (np.repeat([1.0, -1.0], m), (arcs.T.ravel(), np.concatenate([cols, cols]))),
+        shape=(n_cells, m),
+    )
+    eye = sparse.identity(n_cells, format="csr")
+    a_eq = sparse.hstack([-eye, incidence, eye, -eye], format="csr")
+    cost = np.concatenate([np.zeros(n_cells), np.full(m, 1.0 / d), np.full(2 * n_cells, 2.0)])
+    res = linprog(cost, A_eq=a_eq, b_eq=-noisy.reshape(-1), bounds=(0, None), method="highs-ds")
+    assert res.status == 0, res.message
+    return res.x[:n_cells].reshape(d, d), float(res.fun)
+
+
 def dense_loop_sum(dists: list[SparseDist]) -> np.ndarray:
     """Reference user sum: every user's masses added into one d x d array."""
     d = dists[0].resolution

@@ -276,6 +276,16 @@ def test_build_cells_rejects_non_power_of_two_resolution():
         assert build(records, 12, bbox=BBox(0.0, 1.0, 0.0, 1.0)) == []
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"coarse": 0}, "got 0 and 30"), ({"top_cells": -1}, "got 300 and -1")],
+)
+def test_build_cells_rejects_a_bad_partition(kwargs, message):
+    records, _ = parse_checkins(city_lines())
+    with pytest.raises(ValueError, match=message):
+        build_cells(records, 16, **kwargs)
+
+
 def test_in_bbox_is_strict():
     records, _ = parse_checkins(
         [
@@ -441,6 +451,18 @@ def test_dataset_io_rejects_a_non_csv_name(tmp_path, name):
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ValueError, match=r"\.csv"):
         read_dataset(tmp_path / name)
+
+
+def test_write_dataset_rejects_a_user_off_the_manifest_resolution(tmp_path):
+    users = {
+        "zed": SparseDist(16, {gp(3, 4, 16): 1.0}),
+        "amy": SparseDist(64, {gp(3, 4, 64): 1.0}),
+        "bob": SparseDist(16, {gp(5, 6, 16): 1.0}),
+    }
+    # the first such user in user-id order, before any file is written
+    with pytest.raises(ValueError, match="user 'bob' has resolution 16, not 64"):
+        write_dataset(tmp_path / "cell.csv", users, 64)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_dataset_rejects_foreign_header(tmp_path):

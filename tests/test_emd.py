@@ -10,10 +10,10 @@ from scipy.optimize import linprog
 import emdheat.emd as emd_module
 import emdheat.heatmap as heatmap_module
 from emdheat.clustering import brute_kmedian, subgrid_candidates
-from emdheat.emd import CapacityError, emd, emd_norm
+from emdheat.emd import CapacityError, emd, emd_norm, nearest_nonnegative
 from emdheat.grid import GridPoint, SparseDist, l1_distance
 
-from helpers import delta, gp, rand_signed, rand_sparse
+from helpers import delta, dense_fit_lp, gp, rand_signed, rand_sparse
 
 
 def test_emd_and_heatmap_import_as_modules():
@@ -393,7 +393,7 @@ def test_emd_plan_flows_after_leaf_graph_solve(leaf_graphs):
 
 
 def test_grid_arcs_match_neighbour_loop():
-    # the order matters: aggregate_dense's LP lists its arcs this way
+    # the order is part of the contract: it decides which optimal flow the solver returns
     def loop(xs, ys):
         arcs, lengths = [], []
         w = len(xs)
@@ -413,3 +413,39 @@ def test_grid_arcs_match_neighbour_loop():
         want_arcs, want_lengths = loop(list(xs), list(ys))
         assert arcs.reshape(-1, 2).tolist() == [list(a) for a in want_arcs]
         assert lengths.tolist() == want_lengths
+
+
+def projection_cases(rng: np.random.Generator, d: int) -> list[np.ndarray]:
+    """Random, all-positive, all-negative and zero-holding d x d arrays."""
+    signed = rng.normal(scale=3.0, size=(d, d))
+    holey = rng.normal(scale=3.0, size=(d, d))
+    holey[rng.random((d, d)) < 0.4] = 0.0
+    return [signed, np.abs(signed) + 0.1, -np.abs(signed) - 0.1, holey]
+
+
+def test_nearest_nonnegative_reaches_the_reference_lp(graphs):
+    rng = np.random.default_rng(38)
+    kinds = set()
+    for d in (1, 2, 4, 8, 16, 32):
+        for noisy in projection_cases(rng, d):
+            seen = len(graphs)
+            v = nearest_nonnegative(noisy)
+            kinds.update(graphs[seen:])
+            assert v.shape == noisy.shape
+            assert (v >= 0.0).all()
+            # no rounding dust: every kept cell holds more than 1e-12 of the peak
+            assert (v[v > 0.0] > 1e-12 * np.abs(noisy).max()).all()
+            assert (v[noisy == 0.0] == 0.0).all()
+            _, want = dense_fit_lp(noisy)
+            assert emd_norm(v - noisy) == pytest.approx(want, rel=1e-9, abs=1e-12)
+    assert kinds == {"grid", "pair"}
+
+
+def test_nearest_nonnegative_moves_mass_before_paying_slack():
+    # filling the -0.5 cell from its neighbour costs 0.5 * 1/2 = 0.25;
+    # slack would cost 2 * 0.5 = 1.0
+    noisy = np.array([[1.0, -0.5], [0.0, 0.0]])
+    v = nearest_nonnegative(noisy)
+    np.testing.assert_allclose(v, [[0.5, 0.0], [0.0, 0.0]], atol=1e-12)
+    assert emd_norm(v - noisy) == pytest.approx(0.25)
+    assert dense_fit_lp(noisy)[1] == pytest.approx(0.25)
