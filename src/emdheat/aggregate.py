@@ -158,7 +158,10 @@ def aggregate_dense(
     eps: float,
     rng: np.random.Generator,
 ) -> AggregateResult:
-    """Coarse-grid variant: snap, noise every cell once, project back."""
+    """Coarse-grid variant: snap, noise every cell once, project back.
+
+    Raises emd.CapacityError at coarse side 1024 (eps * n >= 2^20).
+    """
     check_eps(eps)
     if not dists:
         raise ValueError("need at least one user distribution")

@@ -1,10 +1,9 @@
 """Exact earth mover's distance oracles on the unit-square grid.
 
-Three callers solve min-cost flows with the l1 ground distance: `emd`,
-`emd_norm` and `nearest_nonnegative`, the dense release's projection
-onto the nonnegative vectors in EMD norm.  One builder, `_flow_graph`,
-picks per instance whichever of three graph shapes has the fewest arcs;
-all give the exact distance:
+`emd`, `emd_norm` and the dense release's projection `nearest_nonnegative`
+solve min-cost flows with the l1 ground distance.  One builder,
+`_flow_graph`, picks per instance whichever of three graph shapes has
+the fewest arcs; all give the exact distance:
 
 * Hanan grid: the distinct x and y coordinates of the support, with
   directed arcs between neighbouring nodes whose lengths are the
@@ -27,19 +26,18 @@ all give the exact distance:
 The sources are supp(p) and the sinks supp(q) for `emd`; for the other
 two they are the positive and the negative cells.  By the triangle
 inequality, mass never needs to pass through a third terminal on its way
-from a source to a sink, so a one-signed vector is pure slack, priced
-per unit by (destroy, create) rates: (2, 2) for `emd_norm`, 2 being the
-l1 diameter of the domain, and (2, 0) for `nearest_nonnegative`.
+from a source to a sink, so a one-signed vector is pure slack: mass
+created or destroyed at rate 2 per unit, the l1 diameter of the domain.
 
 Grid LPs are solved in dual form: node potentials phi with
-phi_u - phi_v <= len(u -> v), maximizing sum_u b_u phi_u.  The rates
-become the bounds -create <= phi_u <= destroy at terminals, and the
-optimal flow is read back from the arc constraints' marginals.  On a
-grid the dual has one variable per node instead of one per arc and
-solves faster.  Bipartite LPs, which have many more arcs than nodes,
-are solved in primal form, where the dual form is slower.  Both run
-scipy's dual-simplex HiGHS, which returns vertex (hence acyclic-flow)
-solutions deterministically.
+phi_u - phi_v <= len(u -> v), maximizing sum_u b_u phi_u.  The slack
+becomes the bound |phi_u| <= 2 at terminals, and the optimal flow is
+read back from the arc constraints' marginals.  On a grid the dual has
+one variable per node instead of one per arc and solves faster.
+Bipartite LPs, which have many more arcs than nodes, are solved in
+primal form, where the dual form is slower.  Both run scipy's
+dual-simplex HiGHS, which returns vertex (hence acyclic-flow) solutions
+deterministically.
 
 `emd` returns the LP objective at once; its `TransportPlan` walks the
 flow into (source, sink) paths only when `flows` is first read.
@@ -233,34 +231,34 @@ def _linprog(*args, **kwargs):
 
 
 def _min_cost_flow(
-    g: _FlowGraph, supply: np.ndarray, d: int, rates: tuple[float, float] | None = None
+    g: _FlowGraph, supply: np.ndarray, d: int, slack: float | None = None
 ) -> tuple[float, np.ndarray]:
     """Cost and arc flows of the cheapest flow with net outflow `supply`.
 
-    supply holds one value per terminal.  Without rates it must sum to
-    zero; with rates (destroy, create), mass may also be destroyed or
-    created at each terminal at those costs per unit.
+    supply holds one value per terminal.  Without slack it must sum to
+    zero; with slack, mass may also be created or destroyed at each
+    terminal at that rate per unit.
     """
     b = np.zeros(g.n_nodes)
     b[g.terminal] = supply
     cost = g.length / d
     if g.kind == "grid":
         # dual: maximize b.phi subject to phi_u - phi_v <= cost(u -> v);
-        # rates bound phi at terminals, and the arc rows' marginals are
+        # slack bounds phi at terminals, and the arc rows' marginals are
         # minus the optimal flows
         bounds = np.tile([-np.inf, np.inf], (g.n_nodes, 1))
-        if rates is not None:
-            bounds[g.terminal] = (-rates[1], rates[0])
+        if slack is not None:
+            bounds[g.terminal] = (-slack, slack)
         res = _linprog(
             -b, A_ub=_incidence(g.n_nodes, g.arcs).T.tocsr(), b_ub=cost, bounds=bounds
         )
         return float(-res.fun), -res.ineqlin.marginals
     a_eq, c = _incidence(g.n_nodes, g.arcs), cost
-    if rates is not None:
+    if slack is not None:
         # every node of a bipartite graph is a terminal
         eye = sparse.identity(g.n_nodes, format="csr")
         a_eq = sparse.hstack([a_eq, eye, -eye], format="csr")
-        c = np.concatenate([cost, np.repeat(rates, g.n_nodes)])
+        c = np.concatenate([cost, np.full(2 * g.n_nodes, slack)])
     res = _linprog(c, A_eq=a_eq, b_eq=b, bounds=(0, None))
     return float(res.fun), res.x[: len(g.arcs)]
 
@@ -386,11 +384,11 @@ def emd(p: SparseDist, q: SparseDist) -> tuple[float, TransportPlan]:
     return cost, TransportPlan(cost, build)
 
 
-def _signed_flow(cells: np.ndarray, values: np.ndarray, d: int, rates) -> tuple[float, np.ndarray]:
+def _signed_flow(cells: np.ndarray, values: np.ndarray, d: int) -> tuple[float, np.ndarray]:
     """Cost and per-cell net outflow of the cheapest flow with supply `values` at `cells`.
 
     The positive cells are the sources and the negative ones the sinks;
-    zero cells stay out of the graph.  rates are (destroy, create).
+    zero cells stay out of the graph.  Slack costs SLACK_RATE per unit.
     """
     src = np.flatnonzero(values > 0.0)
     order = np.concatenate([src, np.flatnonzero(values < 0.0)])
@@ -398,7 +396,7 @@ def _signed_flow(cells: np.ndarray, values: np.ndarray, d: int, rates) -> tuple[
     if not order.size:
         return 0.0, net
     g = _flow_graph(cells[order], len(src))
-    cost, flow = _min_cost_flow(g, values[order], d, rates)
+    cost, flow = _min_cost_flow(g, values[order], d, SLACK_RATE)
     out = np.bincount(g.arcs[:, 0], flow, g.n_nodes) - np.bincount(g.arcs[:, 1], flow, g.n_nodes)
     net[order] = out[g.terminal]
     return cost, net
@@ -436,21 +434,20 @@ def emd_norm(
     # mixed resolutions may put several points on one cell
     cells, where = np.unique(cells, axis=0, return_inverse=True)
     values = np.bincount(where.ravel(), weights=values, minlength=len(cells))
-    val, _ = _signed_flow(cells, values, d, (SLACK_RATE, SLACK_RATE))
-    scale = np.abs(values).max(initial=0.0)
-    return 0.0 if val < _FLOW_EPS * max(1.0, scale) else val
+    val, _ = _signed_flow(cells, values, d)
+    return 0.0 if val < _FLOW_EPS * max(1.0, np.abs(values).max(initial=0.0)) else val
 
 
 def nearest_nonnegative(noisy: np.ndarray) -> np.ndarray:
     """argmin over v >= 0 of emd_norm(v - noisy), for a square array indexed [iy, ix].
 
-    That is the flow of supply -noisy in which mass may also be created
-    free, v being the mass created: noisy + net outflow where positive.
-    Unlike `emd_norm` it has no support cap, only `_flow_graph`'s arc limit.
+    v is the mass that `emd_norm`'s flow of supply -noisy creates, since
+    moving mass beats creating it at rate 2: every path is shorter than 2.
+    Only `_flow_graph`'s 1.5 M-arc limit applies, not `emd_norm`'s support
+    cap: a full array of side 1024 raises CapacityError.
     """
     iy, ix = np.nonzero(noisy)
-    rates = (SLACK_RATE, 0.0)
-    _, net = _signed_flow(np.stack([ix, iy], axis=1), -noisy[iy, ix], grid_side(noisy), rates)
+    _, net = _signed_flow(np.stack([ix, iy], axis=1), -noisy[iy, ix], grid_side(noisy))
     v = noisy[iy, ix] + net
     out = np.zeros_like(noisy, dtype=float)
     # the solver's rounding leaves dust where the answer is 0

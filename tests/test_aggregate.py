@@ -13,7 +13,7 @@ from emdheat.aggregate import (
     coreset,
     normalize,
 )
-from emdheat.emd import emd, emd_norm
+from emdheat.emd import CapacityError, emd, emd_norm
 from emdheat.grid import GridPoint, SparseDist
 from emdheat.noise import budget_schedule, make_rng, pivot_level
 from emdheat.pyramid import PyramidVec, partition_sums
@@ -186,6 +186,13 @@ def test_aggregate_dense_rejects_mixed_resolutions():
     ):
         with pytest.raises(ValueError, match="user 30 has resolution 4, user 0 has 64"):
             run()
+
+
+def test_aggregate_dense_refuses_a_coarse_grid_past_the_flow_limit():
+    # eps * n = 2^20 puts the coarse grid at side 1024, whose noised cells
+    # need about 4 M grid arcs, above the projection's 1.5 M limit
+    with pytest.raises(CapacityError, match="above the 1500000 limit"):
+        aggregate_dense([delta(3, 5, 1024)], eps=2.0**20, rng=make_rng(6))
 
 
 def test_baseline_zero_noise_is_normalized_average():
