@@ -36,10 +36,10 @@ lines.append("truncated\t2010-06-01T00:00:00Z")
 lines.append("badtime\tyesterday\t40.0\t-74.0")
 lines.append("offworld\t2010-06-01T00:00:00Z\t123.4\t-74.0")
 
-records, skipped = parse_checkins(lines)
-print(f"parsed {len(records)} check-ins, skipped {skipped} malformed lines")
+checkins, skipped = parse_checkins(lines)
+print(f"parsed {len(checkins)} check-ins, skipped {skipped} malformed lines")
 
-cells = build_cells(records, resolution=64, top_cells=5, min_users=50)
+cells = build_cells(checkins, resolution=64, top_cells=5, min_users=50)
 print("\nrank  checkins  users  enough-users")
 for cell in cells:
     print(

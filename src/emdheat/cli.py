@@ -326,23 +326,21 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     with open_maybe_gzip(args.input) as f:
-        records, skipped = parse_checkins(f)
+        checkins, skipped = parse_checkins(f)
     parse_s = time.perf_counter() - t0
-    records_parsed = len(records)
-    start = date.fromisoformat(args.date_from) if args.date_from else None
-    end = date.fromisoformat(args.date_to) if args.date_to else None
-    if start or end:
-        records = filter_date_range(records, start, end)
+    records_parsed = len(checkins)
+    checkins = filter_date_range(checkins, args.date_from, args.date_to)
 
     bbox = US_BBOX
     if args.bbox:
-        parts = [float(t) for t in args.bbox.split(",")]
-        if len(parts) != 4:
-            raise SystemExit("--bbox needs lon_min,lon_max,lat_min,lat_max")
-        bbox = BBox(*parts)
+        try:
+            bbox = BBox(*map(float, args.bbox.split(",")))
+        except (TypeError, ValueError):
+            # TypeError: not four parts; ValueError: a part is no number
+            raise SystemExit("--bbox needs lon_min,lon_max,lat_min,lat_max") from None
     t0 = time.perf_counter()
     cells = build_cells(
-        records,
+        checkins,
         args.delta_grid,
         bbox=bbox,
         coarse=args.coarse,
@@ -374,7 +372,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "build_s": build_s,
         "write_s": time.perf_counter() - t0,
         "records_parsed": records_parsed,
-        "records_in_bbox": int(in_bbox(records, bbox).sum()),
+        "records_in_bbox": int(in_bbox(checkins, bbox).sum()),
         "skipped_lines": skipped,
     }
     write_manifest(
@@ -574,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coarse", type=int, default=300)
     p.add_argument("--top-cells", type=int, default=30)
     p.add_argument("--min-users", type=int, default=200)
-    p.add_argument("--date-from", default=None)
-    p.add_argument("--date-to", default=None)
+    p.add_argument("--date-from", type=date.fromisoformat, default=None)
+    p.add_argument("--date-to", type=date.fromisoformat, default=None)
     p.add_argument("--bbox", default=None,
                    help="lon_min,lon_max,lat_min,lat_max (default continental US)")
     p.add_argument("--out-dir", required=True)

@@ -5,25 +5,25 @@ pooled support is steered by the component count, covariance size, and
 samples per user.  Each user's samples are counted per grid cell with
 np.unique, never in a d x d array.
 
-Ingestion reads tab-separated check-in logs, filters to a bounding box,
-ranks a coarse partition by activity, and turns each busy cell into one
-dataset of per-user empirical distributions.  Binning, ranking and the
-per-user grouping run on numpy columns of the parsed records; every
-point goes through the same float operations as snapping it alone with
-grid.snap, so the datasets, their entry order and every mass are those
-of a per-record loop.
+Ingestion parses tab-separated check-in logs into columns (`Checkins`:
+user ids, calendar day, latitude, longitude; the time of day and the
+location id are checked but not kept), filters them to a date range and
+a bounding box with masks, ranks a coarse partition by activity, and
+turns each busy cell into one dataset of per-user empirical
+distributions.  Binning, ranking and the per-user grouping run on those
+columns; every point goes through the same float operations as snapping
+it alone with grid.snap, so the datasets, their entry order and every
+mass are those of a per-check-in loop.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import gzip
 import json
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
-from functools import partial
 from itertools import count, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -120,12 +120,27 @@ def synth_users(spec: MixtureSpec) -> tuple[list[SparseDist], float]:
     return users, sparsity
 
 
-class CheckinRecord(NamedTuple):
-    user_id: str
-    timestamp: datetime
-    lat: float
-    lon: float
-    location_id: str | None = None
+@dataclass(frozen=True, eq=False)
+class Checkins:
+    """Parsed check-ins as aligned columns, in log order.
+
+    `user_ids` is an object array of user id strings; `day` holds each
+    timestamp's calendar date, in the timestamp's own offset, as a
+    proleptic Gregorian ordinal (int64); `lat` and `lon` are float64
+    degrees.  Neither the time of day nor the location id is kept.
+    """
+
+    user_ids: np.ndarray
+    day: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lat.size
+
+    def __getitem__(self, rows) -> Checkins:
+        """The check-ins at `rows`, a boolean mask or an index array."""
+        return Checkins(self.user_ids[rows], self.day[rows], self.lat[rows], self.lon[rows])
 
 
 class BBox(NamedTuple):
@@ -141,67 +156,54 @@ US_BBOX = BBox(-135.0, -60.0, 0.0, 50.0)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
-def parse_checkins(lines: Iterable[str]) -> tuple[list[CheckinRecord], int]:
+def parse_checkins(lines: Iterable[str]) -> tuple[Checkins, int]:
     """Tab-separated user_id, timestamp, lat, lon[, location_id] lines.
 
-    Returns the parsed records and the number of malformed lines skipped
-    (bad field count, unparseable timestamp or number, out-of-range
-    coordinates).
+    Returns the parsed check-ins and the number of malformed lines
+    skipped (bad field count, unparseable timestamp or number,
+    out-of-range coordinates).
     """
-    records: list[CheckinRecord] = []
-    append = records.append
-    # CheckinRecord is a plain NamedTuple; building it with tuple.__new__
-    # skips the Python-level constructor call per line
-    make = partial(tuple.__new__, CheckinRecord)
+    uids: list[str] = []
+    days: list[int] = []
+    lats: list[float] = []
+    lons: list[float] = []
     parse_stamp = datetime.fromisoformat
     skipped = 0
-    # the kept records are acyclic, yet each allocation counts toward a
-    # cyclic collection that rescans them all: about a quarter of the parse
-    gc_was_on = gc.isenabled()
-    gc.disable()
-    try:
-        for line in lines:
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            n = len(parts)
-            if n != 4 and n != 5:
-                skipped += 1
-                continue
-            try:
-                # datetime.fromisoformat in 3.10 rejects a trailing Z
-                stamp = parse_stamp(parts[1].replace("Z", "+00:00"))
-                lat = float(parts[2])
-                lon = float(parts[3])
-            except ValueError:
-                skipped += 1
-                continue
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-                skipped += 1
-                continue
-            append(make((parts[0], stamp, lat, lon, parts[4] if n == 5 else None)))
-    finally:
-        if gc_was_on:
-            gc.enable()
-    return records, skipped
+    for line in lines:
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4 and len(parts) != 5:
+            skipped += 1
+            continue
+        try:
+            # datetime.fromisoformat in 3.10 rejects a trailing Z
+            day = parse_stamp(parts[1].replace("Z", "+00:00")).toordinal()
+            lat = float(parts[2])
+            lon = float(parts[3])
+        except ValueError:
+            skipped += 1
+            continue
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            skipped += 1
+            continue
+        uids.append(parts[0])
+        days.append(day)
+        lats.append(lat)
+        lons.append(lon)
+    user_ids, day = np.array(uids, dtype=object), np.array(days, dtype=np.int64)
+    return Checkins(user_ids, day, np.array(lats), np.array(lons)), skipped
 
 
 def filter_date_range(
-    records: list[CheckinRecord],
+    checkins: Checkins,
     start: date | None = None,
     end: date | None = None,
-) -> list[CheckinRecord]:
-    """Inclusive calendar-date filter on record timestamps."""
-    out = []
-    for rec in records:
-        day = rec.timestamp.date()
-        if start is not None and day < start:
-            continue
-        if end is not None and day > end:
-            continue
-        out.append(rec)
-    return out
+) -> Checkins:
+    """The check-ins whose calendar date lies in [start, end]; None leaves a side open."""
+    first, last = (start or date.min).toordinal(), (end or date.max).toordinal()
+    return checkins[(first <= checkins.day) & (checkins.day <= last)]
 
 
 @dataclass
@@ -221,21 +223,14 @@ class CellDataset:
         return len(self.users)
 
 
-def _column(records: list[CheckinRecord], index: int, dtype) -> np.ndarray:
-    return np.fromiter(map(itemgetter(index), records), dtype=dtype, count=len(records))
-
-
-def _bbox_mask(lon: np.ndarray, lat: np.ndarray, bbox: BBox) -> np.ndarray:
+def in_bbox(checkins: Checkins, bbox: BBox = US_BBOX) -> np.ndarray:
+    """Boolean mask of the check-ins strictly inside `bbox`, as build_cells keeps them."""
+    lon, lat = checkins.lon, checkins.lat
     return (bbox.lon_min < lon) & (lon < bbox.lon_max) & (bbox.lat_min < lat) & (lat < bbox.lat_max)
 
 
-def in_bbox(records: list[CheckinRecord], bbox: BBox = US_BBOX) -> np.ndarray:
-    """Boolean mask of the records strictly inside `bbox`, as build_cells keeps them."""
-    return _bbox_mask(_column(records, 3, float), _column(records, 2, float), bbox)
-
-
 def build_cells(
-    records: list[CheckinRecord],
+    checkins: Checkins,
     resolution: int,
     bbox: BBox = US_BBOX,
     coarse: int = 300,
@@ -244,7 +239,7 @@ def build_cells(
 ) -> list[CellDataset]:
     """Filter, rank a coarse partition by activity, build per-cell datasets.
 
-    Records strictly inside `bbox` are binned into a `coarse` x `coarse`
+    Check-ins strictly inside `bbox` are binned into a `coarse` x `coarse`
     partition; cells are ranked by check-in count (ties by row-major
     index) and the top `top_cells` become datasets.  A user's
     distribution is the empirical distribution of their check-ins in the
@@ -256,13 +251,11 @@ def build_cells(
         raise ValueError(f"need coarse >= 1 and top_cells >= 0, got {coarse} and {top_cells}")
     lon_span = bbox.lon_max - bbox.lon_min
     lat_span = bbox.lat_max - bbox.lat_min
-    lon = _column(records, 3, float)
-    lat = _column(records, 2, float)
-    keep = np.flatnonzero(_bbox_mask(lon, lat, bbox))
-    # the IEEE operations of binning one record at a time with snap(),
+    keep = np.flatnonzero(in_bbox(checkins, bbox))
+    # the IEEE operations of binning one check-in at a time with snap(),
     # in the same order, so every point lands on the same grid point
-    xs = (lon[keep] - bbox.lon_min) / lon_span * coarse
-    ys = (lat[keep] - bbox.lat_min) / lat_span * coarse
+    xs = (checkins.lon[keep] - bbox.lon_min) / lon_span * coarse
+    ys = (checkins.lat[keep] - bbox.lat_min) / lat_span * coarse
     cxs = np.minimum(xs.astype(np.int64), coarse - 1)
     cys = np.minimum(ys.astype(np.int64), coarse - 1)
     cells, cell_of, cell_count = np.unique(
@@ -275,12 +268,12 @@ def build_cells(
     u = np.clip(xs - cxs, 0.0, _BELOW_ONE)
     v = np.clip(ys - cys, 0.0, _BELOW_ONE)
     point = (v * resolution).astype(np.int64) * resolution + (u * resolution).astype(np.int64)
-    # a user's code is the position of their first record
+    # a user's code is the position of their first check-in
     first_seen: dict[str, int] = {}
-    uids = list(map(itemgetter(0), records))
+    uids = checkins.user_ids.tolist()
     user = np.fromiter(map(first_seen.setdefault, uids, count()), dtype=np.int64, count=len(uids))
     user = user[keep]
-    # record positions grouped by cell, record order within each cell
+    # check-in positions grouped by cell, log order within each cell
     by_cell = np.argsort(cell_of, kind="stable")
     starts = np.concatenate(([0], np.cumsum(cell_count)))
 
@@ -313,7 +306,7 @@ def build_cells(
 def _cell_users(
     user: np.ndarray, point: np.ndarray, uids: list[str], resolution: int
 ) -> dict[str, SparseDist]:
-    """Per-user empirical distributions of one cell's check-ins, given in record order.
+    """Per-user empirical distributions of one cell's check-ins, given in log order.
 
     `user` holds codes that index `uids`; `point` holds flat grid indices.
     """

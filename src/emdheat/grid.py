@@ -155,7 +155,12 @@ class SparseDist:
         """Equal resolutions and key -> mass sets, in any order."""
         if not isinstance(other, SparseDist):
             return NotImplemented
-        return self.resolution == other.resolution and self.entries == other.entries
+        if self.resolution != other.resolution or len(self) != len(other):
+            return False
+        # keys are distinct, so sorting by key puts both in one order
+        a, b = np.argsort(self.keys), np.argsort(other.keys)
+        same_keys = np.array_equal(self.keys[a], other.keys[b])
+        return same_keys and np.array_equal(self.masses[a], other.masses[b])
 
     @cached_property
     def entries(self) -> Mapping[GridPoint, float]:

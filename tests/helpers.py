@@ -10,7 +10,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from emdheat.datagen import US_BBOX, BBox, CellDataset, CheckinRecord, MixtureSpec
+from emdheat.datagen import US_BBOX, BBox, CellDataset, Checkins, MixtureSpec
 from emdheat.grid import GridPoint, SparseDist, num_levels, snap
 from emdheat.noise import make_rng
 from emdheat.pyramid import PyramidVec, apply_pyramid
@@ -128,7 +128,7 @@ def loop_at_resolution(p: SparseDist, resolution: int) -> SparseDist:
 
 
 def loop_build_cells(
-    records: list[CheckinRecord],
+    checkins: Checkins,
     resolution: int,
     bbox: BBox = US_BBOX,
     coarse: int = 300,
@@ -140,18 +140,19 @@ def loop_build_cells(
     lat_span = bbox.lat_max - bbox.lat_min
 
     per_cell: dict[int, list[tuple[str, float, float]]] = {}
-    for rec in records:
-        if not (bbox.lon_min < rec.lon < bbox.lon_max):
+    columns = (checkins.user_ids.tolist(), checkins.lat.tolist(), checkins.lon.tolist())
+    for user_id, lat, lon in zip(*columns):
+        if not (bbox.lon_min < lon < bbox.lon_max):
             continue
-        if not (bbox.lat_min < rec.lat < bbox.lat_max):
+        if not (bbox.lat_min < lat < bbox.lat_max):
             continue
-        x = (rec.lon - bbox.lon_min) / lon_span
-        y = (rec.lat - bbox.lat_min) / lat_span
+        x = (lon - bbox.lon_min) / lon_span
+        y = (lat - bbox.lat_min) / lat_span
         cx = min(int(x * coarse), coarse - 1)
         cy = min(int(y * coarse), coarse - 1)
         u = min(max(x * coarse - cx, 0.0), math.nextafter(1.0, 0.0))
         v = min(max(y * coarse - cy, 0.0), math.nextafter(1.0, 0.0))
-        per_cell.setdefault(cy * coarse + cx, []).append((rec.user_id, u, v))
+        per_cell.setdefault(cy * coarse + cx, []).append((user_id, u, v))
 
     ranked = sorted(per_cell.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     datasets = []

@@ -159,6 +159,53 @@ def test_ingest_writes_cells_and_trace(tmp_path):
     assert (len(users), cell["checkin_count"], cell["meets_min_users"]) == (25, 50, False)
 
 
+def test_ingest_date_window_counts_by_hand(tmp_path):
+    rng = np.random.default_rng(31)
+    lines = []
+    for u in range(60):
+        day = int(rng.integers(1, 29))
+        offset = ["Z", "-05:00", "+09:00"][u % 3]
+        lat = 30.25 + rng.uniform(-0.01, 0.01) + (20.0 if u % 7 == 0 else 0.0)
+        lines.append(f"u{u}\t2011-02-{day:02d}T23:30:00{offset}\t{lat:.6f}\t-97.7")
+    lines += ["bad\t2011-02-30T00:00:00Z\t30.25\t-97.7", "short\t2011-02-10T00:00:00Z"]
+    # by hand: the date as written, and the default bbox's latitude < 50
+    fields = [line.split("\t") for line in lines[:60]]
+    want = sum("2011-02-08" <= f[1][:10] <= "2011-02-20" and float(f[2]) < 50.0 for f in fields)
+    assert 0 < want < 60
+    log = tmp_path / "log.tsv"
+    log.write_text("\n".join(lines) + "\n")
+    rc = main(["ingest", "--input", str(log), "--delta-grid", "16", "--min-users", "1",
+               "--date-from", "2011-02-08", "--date-to", "2011-02-20",
+               "--out-dir", str(tmp_path / "cells")])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "cells" / "manifest.json").read_text())
+    assert manifest["trace"]["records_parsed"] == 60
+    assert manifest["trace"]["records_in_bbox"] == want
+    assert manifest["trace"]["skipped_lines"] == 2
+    assert manifest["config"]["date_from"] == "2011-02-08"
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [(["--date-from", "2011-13-01"], "--date-from"),
+     (["--date-to", "soon"], "--date-to")],
+)
+def test_ingest_rejects_a_bad_date_with_status_2(tmp_path, capsys, flag, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ingest", "--input", str(tmp_path / "log.tsv"), *flag,
+              "--out-dir", str(tmp_path / "cells")])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bbox", ["-100,-90,20", "-100,-90,20,north", "-100,-90,20,40,1"])
+def test_ingest_rejects_a_bad_bbox(tmp_path, bbox):
+    log = tmp_path / "log.tsv"
+    log.write_text("u\t2011-02-10T00:00:00Z\t30.0\t-97.0\n")
+    with pytest.raises(SystemExit, match="--bbox needs lon_min,lon_max,lat_min,lat_max"):
+        main(["ingest", "--input", str(log), f"--bbox={bbox}", "--out-dir", str(tmp_path / "cells")])
+
+
 def test_aggregate_rejects_unknown_algorithm(tmp_path):
     data = tmp_path / "data.csv"
     main(["synth", "--n", "2", "--delta-grid", "8", "--out", str(data)])

@@ -1,9 +1,8 @@
 """Synthetic mixtures and check-in ingestion."""
 
-import gc
 import gzip
 import math
-from datetime import date, timezone
+from datetime import date
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ import pytest
 from emdheat.datagen import (
     US_BBOX,
     BBox,
-    CheckinRecord,
+    Checkins,
     MixtureSpec,
     build_cells,
     filter_date_range,
@@ -29,24 +28,23 @@ from helpers import assert_same_cells, dense_count_synth, gp, loop_build_cells, 
 
 
 def test_parse_single_line():
-    records, skipped = parse_checkins(["u1\t2010-01-15T08:00:00Z\t30.24\t-97.79\tL1"])
+    checkins, skipped = parse_checkins(["u1\t2010-01-15T08:00:00Z\t30.24\t-97.79\tL1"])
     assert skipped == 0
-    rec = records[0]
-    assert rec.user_id == "u1"
-    assert rec.lat == pytest.approx(30.24)
-    assert rec.lon == pytest.approx(-97.79)
-    assert rec.location_id == "L1"
-    assert rec.timestamp.tzinfo == timezone.utc
-    assert rec.timestamp.year == 2010
+    assert type(checkins) is Checkins and len(checkins) == 1
+    assert checkins.user_ids.dtype == object and checkins.user_ids.tolist() == ["u1"]
+    assert checkins.day.dtype == np.int64
+    assert checkins.day.tolist() == [date(2010, 1, 15).toordinal()]
+    assert checkins.lat.dtype == checkins.lon.dtype == np.float64
+    assert checkins.lat.tolist() == [30.24]
+    assert checkins.lon.tolist() == [-97.79]
 
 
 def test_parse_optional_location_and_blank_lines():
-    records, skipped = parse_checkins(
+    checkins, skipped = parse_checkins(
         ["u2\t2011-02-03T10:00:00\t40.0\t-74.0", "", "\n"]
     )
     assert skipped == 0
-    assert len(records) == 1
-    assert records[0].location_id is None
+    assert checkins.user_ids.tolist() == ["u2"]
 
 
 def test_parse_skips_malformed_lines():
@@ -59,9 +57,9 @@ def test_parse_skips_malformed_lines():
         "a\tb\tc\td\te\tf",  # too many fields
         "u9\t2010-01-15T08:00:00Z\t30.24\t-97.79",
     ]
-    records, skipped = parse_checkins(lines)
+    checkins, skipped = parse_checkins(lines)
     assert skipped == 6
-    assert [r.user_id for r in records] == ["u9"]
+    assert checkins.user_ids.tolist() == ["u9"]
 
 
 def test_parse_line_endings():
@@ -71,60 +69,42 @@ def test_parse_line_endings():
         "\r\n",
         "\n\r",  # not a blank line once its line feeds are stripped
     ]
-    records, skipped = parse_checkins(lines)
+    checkins, skipped = parse_checkins(lines)
     assert skipped == 1
-    assert [(r.user_id, r.location_id) for r in records] == [("u1", "L1"), ("u2", None)]
-    assert all(type(r) is CheckinRecord for r in records)
-
-
-@pytest.fixture
-def collector():
-    """Restores the cyclic garbage collector's state after the test."""
-    was_on = gc.isenabled()
-    yield
-    (gc.enable if was_on else gc.disable)()
-
-
-@pytest.mark.parametrize("on", [True, False])
-def test_parse_restores_the_collector_state(collector, on):
-    (gc.enable if on else gc.disable)()
-    seen = []
-
-    def lines():
-        yield "u1\t2010-01-15T08:00:00Z\t30.24\t-97.79\tL1"
-        seen.append(gc.isenabled())  # read while the parse loop runs
-        yield "u2\t2010-01-15T08:00:00Z\t30.24\t-97.79"
-
-    records, skipped = parse_checkins(lines())
-    assert (len(records), skipped) == (2, 0)
-    assert seen == [False]
-    assert gc.isenabled() == on
-
-
-def test_parse_restores_the_collector_when_lines_raise(collector):
-    gc.enable()
-
-    def lines():
-        yield "u1\t2010-01-15T08:00:00Z\t30.24\t-97.79\tL1"
-        raise OSError("read failed")
-
-    with pytest.raises(OSError, match="read failed"):
-        parse_checkins(lines())
-    assert gc.isenabled()
+    assert checkins.user_ids.tolist() == ["u1", "u2"]
 
 
 def test_filter_date_range_inclusive():
-    records, _ = parse_checkins(
+    checkins, _ = parse_checkins(
         [
             "u1\t2010-01-15T08:00:00Z\t30.0\t-97.0",
             "u2\t2010-01-16T23:59:00Z\t30.0\t-97.0",
             "u3\t2010-01-17T00:00:00Z\t30.0\t-97.0",
         ]
     )
-    kept = filter_date_range(records, start=date(2010, 1, 16), end=date(2010, 1, 16))
-    assert [r.user_id for r in kept] == ["u2"]
-    assert len(filter_date_range(records, start=date(2010, 1, 15))) == 3
-    assert len(filter_date_range(records, end=date(2010, 1, 15))) == 1
+    kept = filter_date_range(checkins, start=date(2010, 1, 16), end=date(2010, 1, 16))
+    assert kept.user_ids.tolist() == ["u2"]
+    assert len(filter_date_range(checkins, start=date(2010, 1, 15))) == 3
+    assert len(filter_date_range(checkins, end=date(2010, 1, 15))) == 1
+
+
+def test_filter_date_range_uses_each_timestamps_own_date():
+    # 04:30 UTC on Jan 16, but Jan 15 in the timestamp's own offset
+    checkins, skipped = parse_checkins(
+        [
+            "west\t2010-01-15T23:30:00-05:00\t30.0\t-97.0",
+            "east\t2010-01-16T00:30:00+09:00\t30.0\t-97.0",
+        ]
+    )
+    assert skipped == 0
+    jan15, jan16 = date(2010, 1, 15), date(2010, 1, 16)
+    assert filter_date_range(checkins, jan15, jan15).user_ids.tolist() == ["west"]
+    assert filter_date_range(checkins, jan16, jan16).user_ids.tolist() == ["east"]
+    # the columns keep their alignment through the mask
+    kept = filter_date_range(checkins, start=jan16)
+    assert (kept.day.tolist(), kept.lat.tolist(), kept.lon.tolist()) == (
+        [jan16.toordinal()], [30.0], [-97.0]
+    )
 
 
 def test_us_bbox_bounds():
@@ -150,9 +130,9 @@ def city_lines():
 
 
 def test_build_cells_ranks_cities_by_activity():
-    records, skipped = parse_checkins(city_lines())
+    checkins, skipped = parse_checkins(city_lines())
     assert skipped == 0
-    cells = build_cells(records, resolution=16, top_cells=3, min_users=25)
+    cells = build_cells(checkins, resolution=16, top_cells=3, min_users=25)
     assert [c.rank for c in cells] == [0, 1, 2]
     assert [c.checkin_count for c in cells] == [50, 30, 20]
     assert [c.meets_min_users for c in cells] == [True, True, False]
@@ -172,8 +152,8 @@ def test_build_cells_excludes_bbox_boundary():
         "e2\t2010-05-01T12:00:00Z\t0.0\t-100.0",  # on the southern edge
         "ok\t2010-05-01T12:00:00Z\t25.0\t-100.0",
     ]
-    records, _ = parse_checkins(lines)
-    cells = build_cells(records, resolution=8, top_cells=5, min_users=1)
+    checkins, _ = parse_checkins(lines)
+    cells = build_cells(checkins, resolution=8, top_cells=5, min_users=1)
     assert sum(c.checkin_count for c in cells) == 1
 
 
@@ -183,8 +163,8 @@ def test_build_cells_repeat_user_aggregates():
         "u1\t2010-05-01T13:00:00Z\t30.250\t-97.700",
         "u1\t2010-05-01T14:00:00Z\t30.300\t-97.600",
     ]
-    records, _ = parse_checkins(lines)
-    cells = build_cells(records, resolution=4, top_cells=1, min_users=1)
+    checkins, _ = parse_checkins(lines)
+    cells = build_cells(checkins, resolution=4, top_cells=1, min_users=1)
     dist = cells[0].users["u1"]
     assert dist.total_mass == pytest.approx(1.0)
     assert max(dist.entries.values()) == pytest.approx(2 / 3)
@@ -216,11 +196,11 @@ CITY = BBox(-97.9, -97.5, 30.1, 30.5)
     [(16, 300, 3, 25), (1024, 300, 30, 1), (8, 1000, 200, 1)],
 )
 def test_build_cells_matches_loop_on_city_lines(resolution, coarse, top_cells, min_users):
-    records, _ = parse_checkins(city_lines())
+    checkins, _ = parse_checkins(city_lines())
     kwargs = dict(coarse=coarse, top_cells=top_cells, min_users=min_users)
     assert_same_cells(
-        build_cells(records, resolution, **kwargs),
-        loop_build_cells(records, resolution, **kwargs),
+        build_cells(checkins, resolution, **kwargs),
+        loop_build_cells(checkins, resolution, **kwargs),
     )
 
 
@@ -229,14 +209,14 @@ def test_build_cells_matches_loop_on_city_lines(resolution, coarse, top_cells, m
     [(1024, 1, 1), (64, 4, 5), (32, 7, 100)],
 )
 def test_build_cells_matches_loop_on_generated_log(resolution, coarse, top_cells):
-    records, skipped = parse_checkins(venue_log(7, 300, CITY))
+    checkins, skipped = parse_checkins(venue_log(7, 300, CITY))
     assert skipped == 0
     kwargs = dict(bbox=CITY, coarse=coarse, top_cells=top_cells, min_users=20)
-    got = build_cells(records, resolution, **kwargs)
-    assert_same_cells(got, loop_build_cells(records, resolution, **kwargs))
+    got = build_cells(checkins, resolution, **kwargs)
+    assert_same_cells(got, loop_build_cells(checkins, resolution, **kwargs))
     assert len(got) == min(top_cells, coarse * coarse)
-    in_city = int(in_bbox(records, CITY).sum())
-    assert 0 < in_city < len(records)
+    in_city = int(in_bbox(checkins, CITY).sum())
+    assert 0 < in_city < len(checkins)
     if coarse == 1:
         assert got[0].checkin_count == in_city
         assert got[0].n_users == 300
@@ -247,33 +227,37 @@ def test_build_cells_matches_loop_on_edge_points():
     # x rounds to exactly 1.0 here: clipped into the last coarse cell
     top = math.nextafter(east, -math.inf)
     assert (top - west) / (east - west) == 1.0
-    records = [
-        CheckinRecord("edge", None, 25.0, west),  # on the western edge: dropped
-        CheckinRecord("top", None, 25.0, top),
-        CheckinRecord("top", None, 25.0, top),
-        CheckinRecord("mid", None, 25.0, -100.0),  # on a coarse-cell boundary
-        CheckinRecord("mid", None, 25.0, -100.0 + 1e-9),
-        CheckinRecord("mid", None, 26.0, -100.0),
-        CheckinRecord("top", None, 49.99, top),
+    rows = [
+        ("edge", 25.0, west),  # on the western edge: dropped
+        ("top", 25.0, top),
+        ("top", 25.0, top),
+        ("mid", 25.0, -100.0),  # on a coarse-cell boundary
+        ("mid", 25.0, -100.0 + 1e-9),
+        ("mid", 26.0, -100.0),
+        ("top", 49.99, top),
     ]
+    uids, lats, lons = zip(*rows)
+    checkins = Checkins(
+        np.array(uids, dtype=object), np.zeros(len(rows), np.int64), np.array(lats), np.array(lons)
+    )
     for coarse in (1, 3, 300):
         kwargs = dict(coarse=coarse, top_cells=10, min_users=1)
-        got = build_cells(records, 1024, **kwargs)
-        assert_same_cells(got, loop_build_cells(records, 1024, **kwargs))
+        got = build_cells(checkins, 1024, **kwargs)
+        assert_same_cells(got, loop_build_cells(checkins, 1024, **kwargs))
         assert sum(c.checkin_count for c in got) == 6
-    east_cell = build_cells(records, 1024, coarse=3, top_cells=10, min_users=1)[1]
+    east_cell = build_cells(checkins, 1024, coarse=3, top_cells=10, min_users=1)[1]
     assert east_cell.cell_x == 2
     assert list(east_cell.users) == ["top"]
     assert east_cell.users["top"].entries == {gp(1023, 512, 1024): 1.0}
 
 
 def test_build_cells_rejects_non_power_of_two_resolution():
-    records, _ = parse_checkins(city_lines())
+    checkins, _ = parse_checkins(city_lines())
     for build in (build_cells, loop_build_cells):
         with pytest.raises(ValueError, match="power of two"):
-            build(records, 12)
+            build(checkins, 12)
         # nothing in the box: no grid is built, so nothing to reject
-        assert build(records, 12, bbox=BBox(0.0, 1.0, 0.0, 1.0)) == []
+        assert build(checkins, 12, bbox=BBox(0.0, 1.0, 0.0, 1.0)) == []
 
 
 @pytest.mark.parametrize(
@@ -281,21 +265,21 @@ def test_build_cells_rejects_non_power_of_two_resolution():
     [({"coarse": 0}, "got 0 and 30"), ({"top_cells": -1}, "got 300 and -1")],
 )
 def test_build_cells_rejects_a_bad_partition(kwargs, message):
-    records, _ = parse_checkins(city_lines())
+    checkins, _ = parse_checkins(city_lines())
     with pytest.raises(ValueError, match=message):
-        build_cells(records, 16, **kwargs)
+        build_cells(checkins, 16, **kwargs)
 
 
 def test_in_bbox_is_strict():
-    records, _ = parse_checkins(
+    checkins, _ = parse_checkins(
         [
             "a\t2010-05-01T12:00:00Z\t25.0\t-135.0",
             "b\t2010-05-01T12:00:00Z\t25.0\t-134.9",
             "c\t2010-05-01T12:00:00Z\t50.0\t-100.0",
         ]
     )
-    assert in_bbox(records).tolist() == [False, True, False]
-    assert in_bbox([]).tolist() == []
+    assert in_bbox(checkins).tolist() == [False, True, False]
+    assert in_bbox(parse_checkins([])[0]).tolist() == []
 
 
 def test_mixture_spec_validation():
