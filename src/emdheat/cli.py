@@ -324,6 +324,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    if args.date_from and args.date_to and args.date_from > args.date_to:
+        print(f"emdheat ingest: error: --date-from {args.date_from} is later than "
+              f"--date-to {args.date_to}", file=sys.stderr)
+        raise SystemExit(2)
     t0 = time.perf_counter()
     with open_maybe_gzip(args.input) as f:
         checkins, skipped = parse_checkins(f)
@@ -350,7 +354,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     build_s = time.perf_counter() - t0
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if not cells:
+    if records_parsed and not len(checkins):
+        print(f"warning: the date window keeps none of the {records_parsed} check-ins", file=sys.stderr)
+    elif not cells:
         print("warning: no records inside the bounding box", file=sys.stderr)
     t0 = time.perf_counter()
     for ds in cells:
@@ -372,6 +378,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "build_s": build_s,
         "write_s": time.perf_counter() - t0,
         "records_parsed": records_parsed,
+        "records_in_window": len(checkins),
         "records_in_bbox": int(in_bbox(checkins, bbox).sum()),
         "skipped_lines": skipped,
     }
@@ -427,8 +434,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     a_emb, mask = embed_square(a / checked_mass(a, "a"))
     b_emb, _ = embed_square(b / checked_mass(b, "b"))
     d = a_emb.shape[0]
-    h = HeatmapGrid(a_emb, args.sigma, True, d, 0)
-    g = HeatmapGrid(b_emb, args.sigma, True, d, 0)
+    h = HeatmapGrid(a_emb, d)
+    g = HeatmapGrid(b_emb, d)
     met = metrics(h, g, mask=None if mask.all() else mask)
     for key in ("sim", "pearson", "kl", "emd", "emd_is_surrogate"):
         print(f"{key}: {met[key]}")
@@ -605,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="compare two rendered grids")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--sigma", type=float, default=0.05)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_metrics)
 

@@ -29,25 +29,38 @@ inequality, mass never needs to pass through a third terminal on its way
 from a source to a sink, so a one-signed vector is pure slack: mass
 created or destroyed at rate 2 per unit, the l1 diameter of the domain.
 
-Grid LPs are solved in dual form: node potentials phi with
+The LP form goes by graph and slack.  Grid graphs, and bipartite ones
+priced with slack (from `emd_norm` and `nearest_nonnegative`), are
+solved in dual form: node potentials phi with
 phi_u - phi_v <= len(u -> v), maximizing sum_u b_u phi_u.  The slack
 becomes the bound |phi_u| <= 2 at terminals, and the optimal flow is
-read back from the arc constraints' marginals.  On a grid the dual has
-one variable per node instead of one per arc and solves faster.
-Bipartite LPs, which have many more arcs than nodes, are solved in
-primal form, where the dual form is slower.  Both run scipy's
-dual-simplex HiGHS, which returns vertex (hence acyclic-flow) solutions
-deterministically.
+read back from the arc constraints' marginals.  The dual has one
+variable per node instead of one per arc.  Balanced bipartite
+transport, which has no slack, is solved in primal form without
+presolve; HiGHS presolve wrongly reports some feasible primal transport
+LPs as infeasible.  Both run scipy's dual-simplex HiGHS, which is
+deterministic.  Against the primal form with presolve (scipy 1.17.1,
+2-vCPU VM, best of 3 runs per LP):
 
-`emd` returns the LP objective at once; its `TransportPlan` walks the
-flow into (source, sink) paths only when `flows` is first read.
+* slack-priced bipartite, dual form: faster on 11 of `error_eval`'s 12
+  residual LPs (-17%), 34 of 36 synthetic ones at d=1024 (-41%) and
+  921 of 1038 captured from the acceptance tests (-10%);
+* balanced bipartite, primal without presolve: faster on 36 of 36
+  synthetic LPs of up to 10,000 arcs (-42%) and 169 of 226 from the
+  acceptance tests (-5%);
+* neither form everywhere: the primal form made `nearest_nonnegative`'s
+  grid LPs 2.9-84x slower at sides 16-128, and the dual form made the
+  36 balanced bipartite LPs 75% slower.
+
+`emd` returns the LP objective at once; its `TransportPlan` solves
+the bipartite transport between supp(p) and supp(q) only when `flows`
+is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Callable, Mapping
 
 import numpy as np
@@ -71,23 +84,34 @@ class CapacityError(ValueError):
 
 
 class TransportPlan:
-    """An optimal transport plan: its cost, and flows keyed (source, sink).
+    """An optimal transport plan from p to q: its cost, and flows keyed (source, sink).
 
-    The flows are built by `build` on first access, so callers that only
-    need the cost never pay for the path decomposition.
+    `flows` is solved on first read, as one more LP: the bipartite
+    transport on |supp p| * |supp q| arcs, one per (source, sink) pair,
+    a zero-length one carrying the mass two cells share.  Only the tests
+    read it; ROADMAP item 4 moves it into the tests.
     """
 
-    def __init__(
-        self,
-        cost: float,
-        build: Callable[[], dict[tuple[GridPoint, GridPoint], float]] = dict,
-    ) -> None:
+    def __init__(self, cost: float, p: SparseDist, q: SparseDist) -> None:
         self.cost = cost
-        self._build = build
+        self._p, self._q = p, q
 
     @cached_property
     def flows(self) -> dict[tuple[GridPoint, GridPoint], float]:
-        return self._build()
+        p, q = self._p, self._q
+        if not (len(p) and len(q)):
+            return {}
+        d = max(p.resolution, q.resolution)
+        keys_p, mass_p = _keys_on(p, d)
+        keys_q, mass_q = _keys_on(q, d)
+        iy, ix = np.divmod(np.concatenate([keys_p, keys_q]), d)
+        g = _pair_graph(np.stack([ix, iy], axis=1), len(keys_p))
+        supply = np.concatenate([mass_p, -mass_q * (p.total_mass / q.total_mass)])
+        _, flow = _min_cost_flow(g, supply, d)
+        moved = np.flatnonzero(flow > 0.0)
+        pts_p, pts_q = p.support(), q.support()
+        ends = zip(*np.divmod(moved, len(keys_q)), flow[moved])
+        return {(pts_p[i], pts_q[j]): float(x) for i, j, x in ends}
 
 
 @dataclass
@@ -202,8 +226,12 @@ def _flow_graph(cells: np.ndarray, n_src: int) -> _FlowGraph:
             f"exact EMD needs {min(grid_arcs, pair_arcs)} arcs, "
             f"above the {_MAX_ARCS} limit"
         )
-    if grid_arcs < pair_arcs:
-        return build()
+    return build() if grid_arcs < pair_arcs else _pair_graph(cells, n_src)
+
+
+def _pair_graph(cells: np.ndarray, n_src: int) -> _FlowGraph:
+    """The bipartite graph: an arc from each of the first n_src cells to each of the rest."""
+    k = len(cells)
     tails = np.repeat(np.arange(n_src), k - n_src)
     heads = n_src + np.tile(np.arange(k - n_src), n_src)
     length = np.abs(cells[tails] - cells[heads]).sum(axis=1)
@@ -237,87 +265,24 @@ def _min_cost_flow(
 
     supply holds one value per terminal.  Without slack it must sum to
     zero; with slack, mass may also be created or destroyed at each
-    terminal at that rate per unit.
+    terminal at that rate per unit.  Balanced bipartite graphs are
+    solved in primal form, all others in dual form (module docstring).
     """
     b = np.zeros(g.n_nodes)
     b[g.terminal] = supply
     cost = g.length / d
-    if g.kind == "grid":
-        # dual: maximize b.phi subject to phi_u - phi_v <= cost(u -> v);
-        # slack bounds phi at terminals, and the arc rows' marginals are
-        # minus the optimal flows
-        bounds = np.tile([-np.inf, np.inf], (g.n_nodes, 1))
-        if slack is not None:
-            bounds[g.terminal] = (-slack, slack)
-        res = _linprog(
-            -b, A_ub=_incidence(g.n_nodes, g.arcs).T.tocsr(), b_ub=cost, bounds=bounds
-        )
-        return float(-res.fun), -res.ineqlin.marginals
-    a_eq, c = _incidence(g.n_nodes, g.arcs), cost
+    incidence = _incidence(g.n_nodes, g.arcs)
+    if g.kind == "pair" and slack is None:
+        res = _linprog(cost, A_eq=incidence, b_eq=b, bounds=(0, None), options={"presolve": False})
+        return float(res.fun), res.x
+    # dual: maximize b.phi subject to phi_u - phi_v <= cost(u -> v);
+    # slack bounds phi at terminals, and the arc rows' marginals are
+    # minus the optimal flows
+    bounds = np.tile([-np.inf, np.inf], (g.n_nodes, 1))
     if slack is not None:
-        # every node of a bipartite graph is a terminal
-        eye = sparse.identity(g.n_nodes, format="csr")
-        a_eq = sparse.hstack([a_eq, eye, -eye], format="csr")
-        c = np.concatenate([cost, np.full(2 * g.n_nodes, slack)])
-    res = _linprog(c, A_eq=a_eq, b_eq=b, bounds=(0, None))
-    return float(res.fun), res.x[: len(g.arcs)]
-
-
-def _decompose_flows(arcs, flow, supply, demand, n_nodes):
-    """Path-decompose an acyclic flow into (source, sink, amount) triples.
-
-    supply/demand are dicts node -> positive residual amounts.  The flow
-    comes from a simplex vertex, so its support is a forest and every
-    walk from a supplied node along positive arcs reaches residual
-    demand.  The solver only balances nodes to its feasibility
-    tolerance, so walks may dead-end on residuals at that scale; those
-    are dropped, never routed.  Anything larger than `dust` stalling the
-    walk is a real error.
-    """
-    total = sum(supply.values())
-    tol = 1e-7 * max(1.0, total)
-    dust = 1e-5 * max(1.0, total)
-    out_arcs: list[list[int]] = [[] for _ in range(n_nodes)]
-    for j, (u, _) in enumerate(arcs):
-        if flow[j] > tol:
-            out_arcs[u].append(j)
-    triples = []
-    for s in sorted(supply):
-        while supply.get(s, 0.0) > tol:
-            path = []
-            cur = s
-            for _ in range(n_nodes + 1):
-                if demand.get(cur, 0.0) > tol:
-                    break
-                j = max(
-                    (j for j in out_arcs[cur] if flow[j] > tol),
-                    key=lambda j: flow[j],
-                    default=None,
-                )
-                if j is None:
-                    break
-                path.append(j)
-                cur = arcs[j][1]
-            else:
-                raise RuntimeError("flow decomposition found a cycle")
-            amt = supply[s]
-            if path:
-                amt = min(amt, min(flow[j] for j in path))
-            if demand.get(cur, 0.0) > tol:
-                amt = min(amt, demand[cur])
-                demand[cur] -= amt
-                if demand[cur] <= tol:
-                    demand.pop(cur, None)
-                triples.append((s, cur, amt))
-            elif amt > dust:
-                raise RuntimeError("flow decomposition stalled")
-            # else: dead-end dust, subtracted below but not routed
-            for j in path:
-                flow[j] -= amt
-            supply[s] -= amt
-            if supply.get(s, 0.0) <= tol:
-                supply.pop(s, None)
-    return triples
+        bounds[g.terminal] = (-slack, slack)
+    res = _linprog(-b, A_ub=incidence.T.tocsr(), b_ub=cost, bounds=bounds)
+    return float(-res.fun), -res.ineqlin.marginals
 
 
 def emd(p: SparseDist, q: SparseDist) -> tuple[float, TransportPlan]:
@@ -326,14 +291,14 @@ def emd(p: SparseDist, q: SparseDist) -> tuple[float, TransportPlan]:
     The distributions may live at different (power-of-two) resolutions;
     distances are taken between real coordinates.  Total masses must
     agree within 1e-9; a tiny residual imbalance is rescaled away so the
-    LP is exactly feasible.  The plan's flows are decomposed on first
-    access; the returned cost is the LP objective.
+    LP is exactly feasible.  The returned cost is the LP objective; the
+    plan solves its flows on first access.
     """
     mp, mq = p.total_mass, q.total_mass
     if abs(mp - mq) > _BALANCE_TOL * max(1.0, mp, mq):
         raise ValueError(f"mass mismatch: {mp} vs {mq}")
     if mp == 0.0 or mq == 0.0:
-        return 0.0, TransportPlan(0.0)
+        return 0.0, TransportPlan(0.0, p, q)
     if len(p) + len(q) > MAX_COMBINED_SUPPORT:
         raise CapacityError(
             f"combined support {len(p) + len(q)} exceeds "
@@ -352,36 +317,15 @@ def emd(p: SparseDist, q: SparseDist) -> tuple[float, TransportPlan]:
     keep_p = mass_p > _FLOW_EPS * max(1.0, mp)
     keep_q = mass_q > _FLOW_EPS * max(1.0, mp)
     rem_p, rem_q = mass_p[keep_p].sum(), mass_q[keep_q].sum()
-
-    def plan(routed=()) -> dict[tuple[GridPoint, GridPoint], float]:
-        """The flows; `routed` holds (k, k', amount) over the kept cells of p, then of q."""
-        pts_p, pts_q = p.support(), q.support()
-        ends = [*compress(pts_p, keep_p), *compress(pts_q, keep_q)]
-        moves = [(pts_p[i], pts_q[j], float(x)) for i, j, x in zip(ip, iq, shared) if x > 0]
-        flows: dict[tuple[GridPoint, GridPoint], float] = {}
-        for a, b, x in moves + [(ends[s], ends[t], x) for s, t, x in routed]:
-            flows[(a, b)] = flows.get((a, b), 0.0) + x
-        return flows
-
     if min(rem_p, rem_q) <= _BALANCE_TOL * max(1.0, mp):
         # residue is cancellation dust on both sides; not worth an LP
-        return 0.0, TransportPlan(0.0, plan)
+        return 0.0, TransportPlan(0.0, p, q)
     # filtering may break balance at machine precision; restore it exactly
     supply = np.concatenate([mass_p[keep_p], -mass_q[keep_q] * (rem_p / rem_q)])
     iy, ix = np.divmod(np.concatenate([keys_p[keep_p], keys_q[keep_q]]), d)
     g = _flow_graph(np.stack([ix, iy], axis=1), int(np.count_nonzero(keep_p)))
-    cost, flow = _min_cost_flow(g, supply, d)
-
-    def build() -> dict[tuple[GridPoint, GridPoint], float]:
-        end = {int(node): k for k, node in enumerate(g.terminal)}
-        out = {int(g.terminal[k]): v for k, v in enumerate(supply) if v > 0}
-        into = {int(g.terminal[k]): -v for k, v in enumerate(supply) if v < 0}
-        triples = _decompose_flows(g.arcs, flow.copy(), out, into, g.n_nodes)
-        return plan([(end[s], end[t], a) for s, t, a in triples])
-
-    # the LP objective is the exact distance; the decomposed plan may
-    # shed feasibility-tolerance dust and is kept for inspection only
-    return cost, TransportPlan(cost, build)
+    cost, _ = _min_cost_flow(g, supply, d)
+    return cost, TransportPlan(cost, p, q)
 
 
 def _signed_flow(cells: np.ndarray, values: np.ndarray, d: int) -> tuple[float, np.ndarray]:

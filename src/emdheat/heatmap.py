@@ -35,8 +35,6 @@ class HeatmapGrid:
     """
 
     values: np.ndarray
-    sigma: float
-    normalized: bool
     base_resolution: int
     pad: int = 0
 
@@ -70,7 +68,7 @@ def heatmap(p: SparseDist, sigma: float) -> HeatmapGrid:
     g = _axis_kernel(sigma, d)
     z = g.sum(axis=0)
     w = p.to_dense() / np.outer(z, z)
-    return HeatmapGrid(g @ w @ g, sigma, True, d, 0)
+    return HeatmapGrid(g @ w @ g, d)
 
 
 def default_pad(sigma: float, resolution: int) -> int:
@@ -102,7 +100,7 @@ def heatmap_padded(p: SparseDist, sigma: float, pad: int | None = None) -> Heatm
     src = np.arange(d, dtype=float)
     gp = np.exp(-(((dest[:, None] - src[None, :]) / d) ** 2) / (2.0 * sigma**2))
     values = gp @ (p.to_dense() / (z_axis * z_axis)) @ gp.T
-    return HeatmapGrid(values, sigma, True, d, pad)
+    return HeatmapGrid(values, d, pad)
 
 
 def checked_mass(values: np.ndarray, name: str) -> float:

@@ -236,12 +236,11 @@ def apply_pyramid(v: SparseDist | np.ndarray, start_level: int = 0) -> PyramidVe
     return PyramidVec(sums[-1].shape[0], start_level, levels)
 
 
-def pyramid_l1(z: SparseDist | np.ndarray, start_level: int = 0) -> float:
+def pyramid_l1(z: SparseDist | np.ndarray) -> float:
     """The l1 norm of the scaled transform of a signed grid vector.
 
     Sum over levels i of 2**-i * sum over cells of |cell sum of z|.
     For mass-balanced z this upper-bounds emd_norm(z), so it serves as
     the documented surrogate when exact transportation is too large.
     """
-    sums = level_sums(z, start_level)
-    return sum((2.0 ** -i) * float(np.abs(a).sum()) for i, a in enumerate(sums, start_level))
+    return sum((2.0 ** -i) * float(np.abs(a).sum()) for i, a in enumerate(level_sums(z)))

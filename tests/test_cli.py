@@ -198,6 +198,26 @@ def test_ingest_rejects_a_bad_date_with_status_2(tmp_path, capsys, flag, message
     assert message in capsys.readouterr().err
 
 
+def test_ingest_names_a_date_window_that_keeps_nothing(tmp_path, capsys):
+    log = tmp_path / "log.tsv"
+    log.write_text("".join(f"u{u}\t2011-03-0{u + 1}T12:00:00Z\t30.25\t-97.7\n" for u in range(4)))
+    rc = main(["ingest", "--input", str(log), "--min-users", "1", "--date-from", "2012-01-01",
+               "--out-dir", str(tmp_path / "cells")])
+    assert rc == 0
+    assert "the date window keeps none of the 4 check-ins" in capsys.readouterr().err
+    trace = json.loads((tmp_path / "cells" / "manifest.json").read_text())["trace"]
+    assert (trace["records_parsed"], trace["records_in_window"], trace["records_in_bbox"]) == (4, 0, 0)
+
+
+def test_ingest_rejects_a_reversed_date_window_with_status_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ingest", "--input", str(tmp_path / "log.tsv"), "--date-from", "2011-03-02",
+              "--date-to", "2011-03-01", "--out-dir", str(tmp_path / "cells")])
+    assert exit_info.value.code == 2
+    assert "--date-from 2011-03-02 is later than --date-to 2011-03-01" in capsys.readouterr().err
+    assert not (tmp_path / "cells").exists()
+
+
 @pytest.mark.parametrize("bbox", ["-100,-90,20", "-100,-90,20,north", "-100,-90,20,40,1"])
 def test_ingest_rejects_a_bad_bbox(tmp_path, bbox):
     log = tmp_path / "log.tsv"
@@ -259,8 +279,7 @@ def test_heatmap_and_metrics_identity(tmp_path, capsys):
 
     capsys.readouterr()
     met_csv = tmp_path / "m.csv"
-    rc = main(["metrics", "--a", str(grid_csv), "--b", str(grid_csv),
-               "--sigma", "0.1", "--out", str(met_csv)])
+    rc = main(["metrics", "--a", str(grid_csv), "--b", str(grid_csv), "--out", str(met_csv)])
     assert rc == 0
     printed = capsys.readouterr().out
     assert "sim:" in printed
@@ -277,7 +296,7 @@ def test_metrics_accepts_rectangular_grids(tmp_path, capsys):
     rng = np.random.default_rng(5)
     np.savetxt(a, rng.random((2, 4)), delimiter=",")
     np.savetxt(b, rng.random((2, 4)), delimiter=",")
-    rc = main(["metrics", "--a", str(a), "--b", str(b), "--sigma", "0.1"])
+    rc = main(["metrics", "--a", str(a), "--b", str(b)])
     assert rc == 0
     out = capsys.readouterr().out
     sim = float(out.split("sim: ")[1].splitlines()[0])
@@ -295,8 +314,8 @@ def test_metrics_rejects_shape_mismatch(tmp_path):
 
 def test_metrics_rejects_an_all_zero_pgm(tmp_path):
     zero, ones = tmp_path / "zero.pgm", tmp_path / "ones.pgm"
-    write_pgm(HeatmapGrid(np.zeros((8, 8)), 0.05, False, 8, 0), str(zero))
-    write_pgm(HeatmapGrid(np.ones((8, 8)), 0.05, False, 8, 0), str(ones))
+    write_pgm(HeatmapGrid(np.zeros((8, 8)), 8), str(zero))
+    write_pgm(HeatmapGrid(np.ones((8, 8)), 8), str(ones))
     with pytest.raises(ValueError, match="heatmap a has total mass 0.0"):
         main(["metrics", "--a", str(zero), "--b", str(ones)])
     with pytest.raises(ValueError, match="heatmap b has total mass 0.0"):

@@ -335,6 +335,32 @@ def test_emd_plan_flows_after_hanan_grid_solve(graphs):
     assert_plan_moves(p, q, cost, plan)
 
 
+def test_emd_plan_of_a_distribution_with_itself_is_the_self_moves():
+    p = rand_sparse(np.random.default_rng(38), 16, 12)
+    cost, plan = emd(p, p)
+    assert cost == 0.0
+    assert plan.flows == {(pt, pt): m for pt, m in p.entries.items()}
+
+
+def test_emd_plan_across_resolutions_keeps_the_shared_mass_in_place():
+    # q's fine cells include the d=64 corners of p's d=8 cells, so part of
+    # the mass moves along zero-length arcs
+    rng = np.random.default_rng(39)
+    p = rand_sparse(rng, 8, 6)
+    fine = [gp(8 * pt.ix, 8 * pt.iy, 64) for pt in p.entries][:4]
+    fine += [pt for pt in rand_sparse(rng, 64, 10).entries if pt not in fine][:6]
+    q = SparseDist(64, dict(zip(fine, rng.dirichlet(np.ones(len(fine))).tolist())))
+    cost, plan = emd(p, q)
+    assert cost == pytest.approx(direct_transport(p, q), abs=1e-9)
+    assert_plan_moves(p, q, cost, plan)
+    assert any(l1_distance(a, b) == 0.0 for a, b in plan.flows)
+
+
+def test_emd_plan_of_zero_mass_is_empty():
+    cost, plan = emd(SparseDist(8), SparseDist(16))
+    assert cost == 0.0 and plan.flows == {}
+
+
 def boxed_sparse(rng: np.random.Generator, d: int, k: int, lo: int, hi: int) -> SparseDist:
     """A random k-sparse distribution on the cells [lo, hi)^2 of a d-grid."""
     side = hi - lo

@@ -113,7 +113,7 @@ def test_sim_decreases_along_mixing_path():
     g = heatmap(rand_sparse(rng, 8, 4), 0.1)
 
     def mix(t):
-        return HeatmapGrid((1 - t) * h.values + t * g.values, 0.1, True, 8, 0)
+        return HeatmapGrid((1 - t) * h.values + t * g.values, 8)
 
     sims = [metrics(h, mix(t))["sim"] for t in (0.0, 0.25, 0.5, 0.75)]
     assert all(a > b for a, b in zip(sims, sims[1:]))
@@ -148,9 +148,9 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         heatmap_padded(two_blob(), 0.1, pad=-1)
     with pytest.raises(ValueError):
-        HeatmapGrid(np.zeros((4, 5)), 0.1, True, 4, 0)
+        HeatmapGrid(np.zeros((4, 5)), 4)
     with pytest.raises(ValueError):
-        HeatmapGrid(np.zeros((4, 4)), 0.1, True, 4, 1)
+        HeatmapGrid(np.zeros((4, 4)), 4, 1)
     with pytest.raises(ValueError):
         metrics(heatmap(two_blob(4), 0.1), heatmap(two_blob(8), 0.1))
 
@@ -167,14 +167,14 @@ def test_heatmaps_refuse_a_sigma_that_is_not_finite_and_positive(sigma):
 
 @pytest.mark.parametrize("d", [8, 64])  # below and above the exact-EMD cap
 def test_metrics_rejects_a_massless_heatmap(d):
-    zero = HeatmapGrid(np.zeros((d, d)), 0.05, True, d, 0)
-    uniform = HeatmapGrid(np.full((d, d), 1.0 / d**2), 0.05, True, d, 0)
+    zero = HeatmapGrid(np.zeros((d, d)), d)
+    uniform = HeatmapGrid(np.full((d, d), 1.0 / d**2), d)
     with pytest.raises(ValueError, match="heatmap a has total mass 0.0"):
         metrics(zero, uniform)
     with pytest.raises(ValueError, match="heatmap b has total mass 0.0"):
         metrics(uniform, zero)
     with pytest.raises(ValueError, match="heatmap b has total mass nan"):
-        metrics(uniform, HeatmapGrid(np.full((d, d), np.nan), 0.05, True, d, 0))
+        metrics(uniform, HeatmapGrid(np.full((d, d), np.nan), d))
 
 
 def test_pgm_round_trip(tmp_path):
@@ -193,7 +193,7 @@ def test_pgm_round_trip(tmp_path):
 
 
 def test_pgm_all_zero(tmp_path):
-    h = HeatmapGrid(np.zeros((4, 4)), 0.1, False, 4, 0)
+    h = HeatmapGrid(np.zeros((4, 4)), 4)
     path = str(tmp_path / "z.pgm")
     write_pgm(h, path)
     np.testing.assert_array_equal(read_pgm(path), np.zeros((4, 4)))

@@ -156,12 +156,10 @@ def test_partition_sums_finest_level_is_a_read_only_view():
 
 @pytest.mark.parametrize("start_level", [-1, 3])
 def test_start_level_outside_the_grid_is_rejected(start_level):
-    # log2(4) = 2; pyramid_l1 used to return a false bound of 0.0 above it
+    # log2(4) = 2
     z = delta(0, 0, 4).to_dense() - delta(3, 3, 4).to_dense()
     with pytest.raises(ValueError, match="start_level"):
         apply_pyramid(z, start_level)
-    with pytest.raises(ValueError, match="start_level"):
-        pyramid_l1(z, start_level)
 
 
 def test_noisy_pyramid_reads_agree_with_its_whole_levels():
