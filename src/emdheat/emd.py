@@ -29,28 +29,35 @@ inequality, mass never needs to pass through a third terminal on its way
 from a source to a sink, so a one-signed vector is pure slack: mass
 created or destroyed at rate 2 per unit, the l1 diameter of the domain.
 
-The LP form goes by graph and slack.  Grid graphs, and bipartite ones
-priced with slack (from `emd_norm` and `nearest_nonnegative`), are
-solved in dual form: node potentials phi with
-phi_u - phi_v <= len(u -> v), maximizing sum_u b_u phi_u.  The slack
-becomes the bound |phi_u| <= 2 at terminals, and the optimal flow is
-read back from the arc constraints' marginals.  The dual has one
-variable per node instead of one per arc.  Balanced bipartite
-transport, which has no slack, is solved in primal form without
-presolve; HiGHS presolve wrongly reports some feasible primal transport
-LPs as infeasible.  Both run scipy's dual-simplex HiGHS, which is
-deterministic.  Against the primal form with presolve (scipy 1.17.1,
-2-vCPU VM, best of 3 runs per LP):
+The LP form goes by slack alone.  Balanced transport (`emd` and its
+plan) is solved in primal form, one variable per arc, with HiGHS
+presolve off, which wrongly calls some feasible primal transport LPs
+infeasible.  The reduction presolve would make is done exactly first
+(Andersen & Andersen 1995): on a one-sided grid, a leaf with 1 corner
+moves its supply to it at a constant cost, and one with 2 corners to the
+nearer one, plus a redirect arc of length l_far - l_near to the farther
+one, capped at its supply; only 4-corner leaves stay nodes.
+Slack-priced flows (`emd_norm`, `nearest_nonnegative`) are solved in
+dual form: node potentials phi with phi_u - phi_v <= len(u -> v),
+maximizing sum_u b_u phi_u, the slack as the bound |phi_u| <= 2 at
+terminals, and the flows read back from the arc rows' marginals.  Both
+run scipy's deterministic dual-simplex HiGHS.  The primal form prices by
+devex and meets supplies to 1e-10: at the default 1e-7, small supplies
+go partly unrouted (3.8e-8 relative error on acceptance criterion 06's
+first pair).  Measured with scipy 1.17.1 on a 2-vCPU VM, best of 3 runs
+per LP:
 
-* slack-priced bipartite, dual form: faster on 11 of `error_eval`'s 12
-  residual LPs (-17%), 34 of 36 synthetic ones at d=1024 (-41%) and
-  921 of 1038 captured from the acceptance tests (-10%);
-* balanced bipartite, primal without presolve: faster on 36 of 36
-  synthetic LPs of up to 10,000 arcs (-42%) and 169 of 226 from the
-  acceptance tests (-5%);
-* neither form everywhere: the primal form made `nearest_nonnegative`'s
-  grid LPs 2.9-84x slower at sides 16-128, and the dual form made the
-  36 balanced bipartite LPs 75% slower.
+* balanced one-sided grids, folded primal against dual: 1.38 -> 0.84 s
+  (-39%; -25% without devex) on the 18 LPs of `error_eval` ops 0-5,
+  faster on 18 of 18; plain balanced Hanan grids at d=16-64, -3% to +9%;
+* slack-priced bipartite, dual against primal with presolve: faster on
+  11 of `error_eval`'s 12 residual LPs (-17%) and 34 of 36 synthetic
+  ones at d=1024 (-41%);
+* balanced bipartite, primal without against with presolve: faster on
+  36 of 36 synthetic LPs of up to 10,000 arcs (-42%);
+* neither form everywhere: primal made `nearest_nonnegative`'s grid LPs
+  2.9-84x slower at sides 16-128, and dual the 36 balanced bipartite
+  LPs 75% slower.
 
 `emd` returns the LP objective at once; its `TransportPlan` solves
 the bipartite transport between supp(p) and supp(q) only when `flows`
@@ -59,7 +66,7 @@ is first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping
 
@@ -74,6 +81,9 @@ MAX_COMBINED_SUPPORT = 2000
 _MAX_ARCS = 1_500_000
 _FLOW_EPS = 1e-12
 _BALANCE_TOL = 1e-9
+_PRIMAL_OPTIONS = dict(
+    presolve=False, simplex_dual_edge_weight_strategy="devex", primal_feasibility_tolerance=1e-10
+)
 
 
 class CapacityError(ValueError):
@@ -118,8 +128,9 @@ class TransportPlan:
 class _FlowGraph:
     """A directed graph for one instance; lengths in common-grid units.
 
-    kind is "grid" (Hanan, solved in dual form) or "pair" (bipartite);
-    leaves is the side, "sources" or "sinks", hung off a grid as leaves.
+    kind is "grid" (Hanan) or "pair" (bipartite); leaves is the side,
+    "sources" or "sinks", hung off a grid as leaves; fold is (node, arc to
+    nearer corner, arc to farther corner or -1) of each 1- or 2-corner leaf.
     """
 
     n_nodes: int
@@ -128,6 +139,7 @@ class _FlowGraph:
     terminal: np.ndarray  # node of each input cell
     kind: str
     leaves: str | None = None
+    fold: np.ndarray = field(default_factory=lambda: np.zeros((3, 0), dtype=np.int64))
 
 
 def _keys_on(p: SparseDist, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,6 +205,12 @@ def _hanan(
         if side == "sinks":
             ends.reverse()
         corner_gap = np.abs(pts[owner] - np.stack([xs[cx], ys[cy]], axis=1)).sum(axis=1)
+        # each leaf's arcs are consecutive; a 2-corner leaf's nearer one may be its second
+        n = keep.sum(axis=1)
+        first = np.cumsum(n) - n
+        second = (n == 2) & (corner_gap[first] > corner_gap[np.minimum(first + 1, len(owner) - 1)])
+        far = np.where(n == 2, len(arcs) + first + 1 - second, -1)
+        fold = np.stack([terminal[leaf], len(arcs) + first + second, far])[:, n <= 2]
         return _FlowGraph(
             nx * ny + len(pts),
             np.concatenate([arcs, np.stack(ends, axis=1)]),
@@ -200,6 +218,7 @@ def _hanan(
             terminal,
             "grid",
             side,
+            fold,
         )
 
     return 2 * (ny * (nx - 1) + nx * (ny - 1)) + len(owner), build
@@ -212,7 +231,7 @@ def _flow_graph(cells: np.ndarray, n_src: int) -> _FlowGraph:
     sources and the rest sinks.  The bipartite graph joins every source
     to every sink; the Hanan grid spans all cells, or one side with the
     other as leaves.  Ties go to the bipartite graph, then to the grid
-    without leaves.
+    without leaves.  Arcs are counted before `_min_cost_flow`'s fold.
     """
     k = len(cells)
     is_src = np.arange(k) < n_src
@@ -251,10 +270,13 @@ def _incidence(n_nodes: int, arcs: np.ndarray) -> sparse.csr_matrix:
     )
 
 
-def _linprog(*args, **kwargs):
+def _linprog(g: _FlowGraph, form: str, folded: int, *args, **kwargs):
     res = linprog(*args, method="highs-ds", **kwargs)
     if res.status != 0:
-        raise RuntimeError(f"transportation LP failed: {res.message}")
+        raise RuntimeError(
+            f"{form} transport LP failed on a {g.kind} graph (leaves: {g.leaves}, "
+            f"{g.n_nodes} nodes, {len(g.arcs)} arcs, {folded} leaves folded): {res.message}"
+        )
     return res
 
 
@@ -264,24 +286,41 @@ def _min_cost_flow(
     """Cost and arc flows of the cheapest flow with net outflow `supply`.
 
     supply holds one value per terminal.  Without slack it must sum to
-    zero; with slack, mass may also be created or destroyed at each
-    terminal at that rate per unit.  Balanced bipartite graphs are
-    solved in primal form, all others in dual form (module docstring).
+    zero; g.fold's leaves are folded into their corners, the rest is
+    solved in primal form without presolve, and the flows are mapped back
+    onto g's arcs.  With slack, mass may also be created or destroyed at
+    each terminal at that rate per unit; that is solved in dual form.
     """
     b = np.zeros(g.n_nodes)
     b[g.terminal] = supply
     cost = g.length / d
     incidence = _incidence(g.n_nodes, g.arcs)
-    if g.kind == "pair" and slack is None:
-        res = _linprog(cost, A_eq=incidence, b_eq=b, bounds=(0, None), options={"presolve": False})
-        return float(res.fun), res.x
+    if slack is None:
+        # a folded leaf's supply x0 rides the arc to its nearer corner; a redirect
+        # column, capped at x0, moves flow from that arc to the farther corner's
+        leaf, near, far = g.fold
+        near2, far2 = near[far >= 0], far[far >= 0]
+        m, k = len(cost), len(far2)
+        x0 = np.zeros(m)
+        x0[near] = np.abs(b[leaf])
+        free = np.isin(np.arange(m), np.r_[near, far2], invert=True)
+        redirect = (np.repeat([1.0, -1.0], k), (np.r_[far2, near2], np.tile(np.arange(k), 2)))
+        lift = sparse.hstack([sparse.eye(m, format="csc")[:, free], sparse.csc_matrix(redirect, (m, k))])
+        live = np.isin(np.arange(g.n_nodes), leaf, invert=True)
+        ub = np.r_[np.full(np.count_nonzero(free), np.inf), x0[near2]]
+        if not len(ub):  # a one-node core: every leaf folded, no LP left
+            return float(cost @ x0), x0
+        res = _linprog(
+            g, "primal", len(leaf), lift.T @ cost, A_eq=(incidence @ lift)[live],
+            b_eq=(b - incidence @ x0)[live], bounds=np.c_[np.zeros_like(ub), ub], options=_PRIMAL_OPTIONS,
+        )
+        return float(cost @ x0 + res.fun), x0 + lift @ res.x
     # dual: maximize b.phi subject to phi_u - phi_v <= cost(u -> v);
     # slack bounds phi at terminals, and the arc rows' marginals are
     # minus the optimal flows
     bounds = np.tile([-np.inf, np.inf], (g.n_nodes, 1))
-    if slack is not None:
-        bounds[g.terminal] = (-slack, slack)
-    res = _linprog(-b, A_ub=incidence.T.tocsr(), b_ub=cost, bounds=bounds)
+    bounds[g.terminal] = (-slack, slack)
+    res = _linprog(g, "dual", 0, -b, A_ub=incidence.T.tocsr(), b_ub=cost, bounds=bounds)
     return float(-res.fun), -res.ineqlin.marginals
 
 

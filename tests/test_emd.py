@@ -188,6 +188,15 @@ def direct_transport(p: SparseDist, q: SparseDist) -> float:
     return res.fun
 
 
+def scaled_direct_transport(p: SparseDist, q: SparseDist) -> float:
+    """direct_transport with the masses scaled up by 1e6, above HiGHS's tolerances.
+
+    The LP is linear in the masses; unscaled, HiGHS may leave dust of up to
+    its 1e-7 feasibility tolerance unrouted.
+    """
+    return direct_transport(p.scaled(1e6), q.scaled(1e6)) / 1e6
+
+
 def direct_norm(w: dict[GridPoint, float]) -> float:
     """EMD norm as a dense LP: flows between every ordered pair, plus slack."""
     pts = list(w)
@@ -416,6 +425,102 @@ def test_emd_plan_flows_after_leaf_graph_solve(leaf_graphs):
         cost, plan = emd(p, q)
         assert leaf_graphs[-1] == ("grid", side)
         assert_plan_moves(p, q, cost, plan)
+
+
+def folding_instance(rng: np.random.Generator, d: int, per_kind: int) -> tuple[SparseDist, SparseDist, int]:
+    """Leaves of every corner count around a 6-point core.
+
+    One leaf of each folded kind carries 2e-12 of dust.  Returns the
+    leaves, the core and how many leaves have 1 or 2 corners.
+    """
+    xs = np.sort(rng.choice(np.arange(d // 4, 3 * d // 4), 6, replace=False))
+    ys = rng.choice(np.arange(d // 4, 3 * d // 4), 6, replace=False)
+    core = set(zip(xs.tolist(), ys.tolist()))
+    off_x = np.setdiff1d(np.arange(xs.min(), xs.max()), xs)
+    off_y = np.setdiff1d(np.arange(ys.min(), ys.max()), ys)
+    below_x, above_y = np.arange(xs.min()), np.arange(ys.max() + 1, d)
+
+    def pick(cx, cy):
+        cand = [(int(x), int(y)) for x in cx for y in cy if (x, y) not in core]
+        return [cand[i] for i in rng.choice(len(cand), per_kind, replace=False)]
+
+    kinds = [
+        pick(xs, ys),  # on a core-grid node: 1 corner
+        pick(xs, off_y),  # on one grid line: 2 corners
+        pick(below_x, off_y),  # outside the core's box in x only: 2 corners
+        pick(below_x, above_y),  # outside it in both axes: 1 corner
+        pick(off_x, off_y),  # inside a grid cell: 4 corners, not folded
+    ]
+    masses = rng.dirichlet(np.ones(5 * per_kind))
+    # just above emd's 1e-12 filter; dust at a 4-corner leaf stays an LP
+    # row, which HiGHS meets only within its 1e-7 feasibility tolerance
+    masses[: 4 * per_kind : per_kind] = 2e-12
+    leaves = SparseDist(d, {gp(x, y, d): float(m) for (x, y), m in zip(sum(kinds, []), masses / masses.sum())})
+    core_masses = rng.dirichlet(np.ones(6))
+    return leaves, SparseDist(d, {gp(x, y, d): float(m) for (x, y), m in zip(sorted(core), core_masses)}), 4 * per_kind
+
+
+@pytest.mark.parametrize("side", ["sources", "sinks"])
+def test_emd_folded_leaves_match_direct_lp(monkeypatch, side):
+    seen = spy_on_solves(monkeypatch, lambda g: (g.kind, g.leaves, g.fold.shape[1]))
+    rng = np.random.default_rng(40)
+    for _ in range(5):
+        leaves, core, n_folded = folding_instance(rng, 64, 10)
+        p, q = (leaves, core) if side == "sources" else (core, leaves)
+        cost, _ = emd(p, q)
+        assert seen[-1] == ("grid", side, n_folded)
+        assert cost == pytest.approx(scaled_direct_transport(p, q), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("side", ["sources", "sinks"])
+def test_one_node_core_folds_every_leaf_and_leaves_no_lp(monkeypatch, side):
+    rng = np.random.default_rng(41)
+    d, centre = 32, 16 * 32 + 16
+    iy, ix = np.divmod(np.r_[centre, rng.choice(np.setdiff1d(np.arange(d * d), centre), 12, replace=False)], d)
+    cells = np.stack([ix, iy], axis=1)
+    n_arcs, build = emd_module._hanan(cells, np.arange(13) > 0, side)
+    g = build()
+    assert n_arcs == 12 and g.fold.shape[1] == 12
+    masses = rng.dirichlet(np.ones(12))
+    sign = 1.0 if side == "sources" else -1.0
+    monkeypatch.setattr(emd_module, "linprog", lambda *a, **k: pytest.fail("an LP was solved"))
+    cost, flow = emd_module._min_cost_flow(g, sign * np.r_[-1.0, masses], d)
+    assert cost == pytest.approx(masses @ np.abs(cells[1:] - cells[0]).sum(axis=1) / d, rel=1e-12)
+    np.testing.assert_array_equal(flow, masses)
+
+
+def test_criterion_06_first_pair_matches_direct_lp(monkeypatch):
+    # criterion 06's first pair at sigma=0.1 (seed 60): 95 one-arc leaves
+    # and supplies down to 1e-12, on which HiGHS presolve calls the
+    # primal form infeasible; at HiGHS's default 1e-7 feasibility
+    # tolerance the primal objective is 3.8e-8 off
+    seen = spy_on_solves(monkeypatch, lambda g: (g.kind, g.leaves, g.n_nodes, g.fold.shape[1]))
+    rng = np.random.default_rng(60)
+    p = rand_sparse(rng, 8, int(rng.integers(1, 7)))
+    q = rand_sparse(rng, 8, int(rng.integers(1, 7)))
+    hp, hq = heatmap_module.heatmap_padded(p, 0.1), heatmap_module.heatmap_padded(q, 0.1)
+    got = heatmap_module.metrics(hp, hq)["emd"]
+    assert seen == [("grid", "sources", 207, 95)]
+    a, b = (np.pad(h.values, (0, 32 - h.size)) for h in (hp, hq))
+    want = scaled_direct_transport(SparseDist.from_dense(a / a.sum(), 32), SparseDist.from_dense(b / b.sum(), 32))
+    assert got == pytest.approx(want * 32 / 8, rel=1e-10)
+
+
+@pytest.mark.parametrize("form", ["primal", "dual"])
+def test_a_failed_lp_names_its_instance(monkeypatch, form):
+    seen = spy_on_solves(monkeypatch, lambda g: g)
+    monkeypatch.setattr(
+        emd_module, "linprog", lambda *a, **k: types.SimpleNamespace(status=2, message="The problem is infeasible.")
+    )
+    leaves, core, n_folded = folding_instance(np.random.default_rng(42), 64, 10)
+    with pytest.raises(RuntimeError) as err:
+        emd(leaves, core) if form == "primal" else emd_norm(leaves.minus(core.scaled(0.5)), 64)
+    g = seen[-1]
+    folded = n_folded if form == "primal" else 0  # the dual form folds nothing
+    assert str(err.value) == (
+        f"{form} transport LP failed on a grid graph (leaves: sources, {g.n_nodes} nodes, "
+        f"{len(g.arcs)} arcs, {folded} leaves folded): The problem is infeasible."
+    )
 
 
 def test_grid_arcs_match_neighbour_loop():
