@@ -13,14 +13,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from datetime import date
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -77,6 +81,8 @@ TRIAL_CSV_FIELDS = [
 ]
 # stage timings from the release trace, empty for releases without one
 TRACE_TIMINGS = ("sum_s", "measure_s", "reconstruct_s")
+# the scores a sweep summarizes
+SCORES = ("sim", "pearson", "kl", "emd")
 
 
 def _branch_seed(master: int, *coords: int) -> int:
@@ -114,193 +120,137 @@ def _load_grid(path: str) -> np.ndarray:
     return read_csv(path)
 
 
-def _release(
-    algorithm: str,
-    users: list[SparseDist],
-    cfg: AggregationConfig,
-    rng: np.random.Generator,
-    shuffle_delta: float | None,
-) -> tuple[SparseDist, dict, int]:
-    """One named release of `users`: (a_hat, trace, wraparound violations).
+def _ours(users, cfg, rng, shuffle_delta):
+    res = aggregate_central(users, cfg, rng=rng)
+    return res.a_hat, res.trace
+
+
+def _dense(users, cfg, rng, shuffle_delta):
+    res = aggregate_dense(users, cfg.eps, rng=rng)
+    return res.a_hat, res.trace
+
+
+def _baseline(top_pct, users, cfg, rng, shuffle_delta):
+    return baseline_laplace(users, cfg.eps, top_pct, rng=rng), {}
+
+
+def _shuffle(b_scale, users, cfg, rng, shuffle_delta):
+    d = users[0].resolution
+    params = ShuffleParams.from_schedule(b_scale, len(users), shuffle_delta, cfg.schedule(d), d)
+    y_prime, report = simulate_round(users, params, rng)
+    a_hat, _ = normalize(reconstruct(y_prime, cfg.w))
+    return a_hat, {"wraparound_violations": report["wraparound_violations"]}
+
+
+RELEASES = {"ours": _ours, "dense": _dense, "baseline": functools.partial(_baseline, None)}
+# the families named <prefix><parameter>: how the parameter parses, and the release it feeds
+FAMILIES = {"baseline-top-": (float, _baseline), "shuffle-": (int, _shuffle)}
+
+
+def _release(algorithm: str) -> Callable[..., tuple[SparseDist, dict]]:
+    """The release named `algorithm`, as f(users, cfg, rng, shuffle_delta) -> (a_hat, trace).
 
     Names: ours, dense, baseline, baseline-top-<pct> and shuffle-<B>.
-    Releases without a stage trace return an empty one.
+    A shuffle's trace holds its wraparound_violations; a baseline's is
+    empty.  Raises ValueError on any other name, or on a parameter that
+    does not parse.
     """
-    if algorithm == "ours":
-        res = aggregate_central(users, cfg, rng=rng)
-        return res.a_hat, res.trace, 0
-    if algorithm == "dense":
-        res = aggregate_dense(users, cfg.eps, rng=rng)
-        return res.a_hat, res.trace, 0
-    if algorithm == "baseline":
-        return baseline_laplace(users, cfg.eps, rng=rng), {}, 0
-    if algorithm.startswith("baseline-top-"):
-        pct = float(algorithm.removeprefix("baseline-top-"))
-        return baseline_laplace(users, cfg.eps, pct, rng=rng), {}, 0
-    if algorithm.startswith("shuffle-"):
-        b_scale = int(algorithm.removeprefix("shuffle-"))
-        d = users[0].resolution
-        params = ShuffleParams.from_schedule(b_scale, len(users), shuffle_delta, cfg.schedule(d), d)
-        y_prime, report = simulate_round(users, params, rng)
-        a_hat, _ = normalize(reconstruct(y_prime, cfg.w))
-        return a_hat, {}, report["wraparound_violations"]
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm in RELEASES:
+        return RELEASES[algorithm]
+    for prefix, (parse, family) in FAMILIES.items():
+        if algorithm.startswith(prefix):
+            return functools.partial(family, parse(algorithm.removeprefix(prefix)))
+    raise ValueError("not one of ours, dense, baseline, baseline-top-<pct>, shuffle-<B>")
+
+
+def _score(algorithm, users, h_true, sigma, cfg, rng, shuffle_delta) -> tuple[dict, dict]:
+    """Release `users` by name, render it on their grid and score it against `h_true`.
+
+    Returns the metrics plus the release's wraparound_violations (0 for
+    any release but a shuffle), and the release's trace.
+    """
+    a_hat, trace = _release(algorithm)(users, cfg, rng, shuffle_delta)
+    # a dense release is coarser; it renders on the users' grid, as EMD scores it
+    met = metrics(h_true, heatmap(a_hat.at_resolution(users[0].resolution), sigma))
+    return {**met, "wraparound_violations": trace.get("wraparound_violations", 0)}, trace
+
+
+def _synth_truth(gaussians: int, n: int, samples: int, d: int, seed: int, sigma: float):
+    """Synthetic users and the heatmap of their average: (users, h_true)."""
+    users, _ = synth_users(random_mixture_spec(gaussians, n, samples, d, seed))
+    return users, heatmap(user_sum(users).scaled(1.0 / len(users)), sigma)
+
+
+def _write_rows(path, fields: list[str], rows: list[dict]) -> None:
+    """One CSV table; csv writes a float as its repr, so values round-trip."""
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _usage_error(args: argparse.Namespace, message: str) -> NoReturn:
+    print(f"emdheat {args.command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_trial(task: dict) -> tuple[list[dict], list[str]]:
-    """All algorithm rows for one (eps, n, delta_grid, trial) point."""
-    master = task["seed"]
-    eps = task["eps"]
-    n = task["n"]
-    dgrid = task["delta_grid"]
-    trial = task["trial"]
-    w = task["w"]
-    sigma = task["sigma"]
+def _sweep_trial(config: dict, point: tuple) -> tuple[list[dict], list[str]]:
+    """All algorithm rows for one ((eps_index, eps), n, delta_grid, trial) point.
 
-    data_seed = _branch_seed(master, 1, dgrid, n, trial)
-    spec = random_mixture_spec(task["gaussians"], n, task["samples"], dgrid, data_seed)
-    users, _ = synth_users(spec)
-    true_avg = user_sum(users).scaled(1.0 / len(users))
-    h_true = heatmap(true_avg, sigma)
-
+    A row leaves out the trace columns its release has no value for, and
+    the trials CSV writes them empty.
+    """
+    (eps_index, eps), n, dgrid, trial = point
+    coords = {"eps": eps, "n": n, "delta_grid": dgrid, "w": config["w"], "trial": trial}
+    seed, sigma, delta = config["seed"], config["sigma"], config["shuffle_delta"]
+    data_seed = _branch_seed(seed, 1, dgrid, n, trial)
+    users, h_true = _synth_truth(config["gaussians"], n, config["samples"], dgrid, data_seed, sigma)
     rows: list[dict] = []
     errors: list[str] = []
-    for alg_idx, algorithm in enumerate(task["algorithms"]):
-        mech_rng = make_rng(master, (2, dgrid, n, trial, alg_idx, task["eps_index"]))
+    for alg_idx, algorithm in enumerate(config["algorithms"]):
+        rng = make_rng(seed, (2, dgrid, n, trial, alg_idx, eps_index))
         start = time.perf_counter()
         try:
-            cfg = AggregationConfig(eps=eps, w=w, mode=task["mode"], gamma=task["gamma"])
-            a_hat, trace, wraparound = _release(
-                algorithm, users, cfg, mech_rng, task["shuffle_delta"]
-            )
-            # a dense release is coarser; it renders on the sweep grid, as EMD scores it
-            h_alg = heatmap(a_hat.at_resolution(dgrid), sigma)
-            met = metrics(h_true, h_alg)
+            cfg = AggregationConfig(eps, config["w"], config["mode"], config["gamma"])
+            scores, trace = _score(algorithm, users, h_true, sigma, cfg, rng, delta)
         except Exception as exc:  # failures recorded, sweep continues
             errors.append(
                 f"eps={eps} n={n} delta_grid={dgrid} trial={trial} {algorithm}: {exc}"
             )
             continue
         wall_ms = (time.perf_counter() - start) * 1000.0
-        rows.append(
-            {
-                "run_id": "",
-                "algorithm": algorithm,
-                "eps": eps,
-                "n": n,
-                "delta_grid": dgrid,
-                "w": w,
-                "trial": trial,
-                "sim": met["sim"],
-                "pearson": met["pearson"],
-                "kl": met["kl"],
-                "emd": met["emd"],
-                "emd_is_surrogate": met["emd_is_surrogate"],
-                "wraparound_violations": wraparound,
-                **{key: trace.get(key, "") for key in TRACE_TIMINGS},
-                "cells_noised": sum(trace["cells_noised"]) if trace else "",
-                "wall_ms": wall_ms,
-            }
-        )
+        row = {"algorithm": algorithm, **coords, **scores, "wall_ms": f"{wall_ms:.3f}"}
+        row.update((key, f"{trace[key]:.6f}") for key in TRACE_TIMINGS if key in trace)
+        if "cells_noised" in trace:
+            row["cells_noised"] = sum(trace["cells_noised"])
+        rows.append(row)
     return rows, errors
 
 
-def run_sweep(config: dict) -> Path:
-    """Full sweep; returns the trials CSV path.
-
-    Writes trials.csv (one row per algorithm per trial), summary.csv
-    (mean and 95% normal-approximation CI per group), manifest.json,
-    and optional first-trial heatmap PGMs.
-    """
-    out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    algorithms = list(config["algorithms"])
-    tasks = []
-    for eps_index, eps in enumerate(config["eps_list"]):
-        for n in config["n_list"]:
-            for dgrid in config["delta_list"]:
-                for trial in range(config["trials"]):
-                    tasks.append(
-                        {
-                            "seed": config["seed"],
-                            "eps": eps,
-                            "eps_index": eps_index,
-                            "n": n,
-                            "delta_grid": dgrid,
-                            "trial": trial,
-                            "w": config["w"],
-                            "gamma": config["gamma"],
-                            "mode": config["mode"],
-                            "sigma": config["sigma"],
-                            "gaussians": config["gaussians"],
-                            "samples": config["samples"],
-                            "algorithms": algorithms,
-                            "shuffle_delta": config["shuffle_delta"],
-                        }
-                    )
-
-    workers = int(os.environ.get("EMDHEAT_WORKERS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_trial, tasks))
-    else:
-        results = [_sweep_trial(t) for t in tasks]
-
-    rows: list[dict] = []
-    errors: list[str] = []
-    for task_rows, task_errors in results:
-        rows.extend(task_rows)
-        errors.extend(task_errors)
-    for i, row in enumerate(rows):
-        row["run_id"] = f"r{i:06d}"
-
-    trials_path = out_dir / "trials.csv"
-    with open(trials_path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=TRIAL_CSV_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            for key in ("sim", "pearson", "kl", "emd"):
-                out[key] = repr(float(out[key]))
-            for key in TRACE_TIMINGS:
-                if out[key] != "":
-                    out[key] = f"{out[key]:.6f}"
-            out["wall_ms"] = f"{out['wall_ms']:.3f}"
-            writer.writerow(out)
-
-    _write_summary(rows, out_dir / "summary.csv")
-    write_manifest(out_dir / "manifest.json", {**config, "errors": errors})
-    return trials_path
-
-
 def _write_summary(rows: list[dict], path: Path) -> None:
+    """Mean and 95% normal-approximation CI of each score per group of trials."""
+    group_keys = ["algorithm", "eps", "n", "delta_grid", "w"]
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        key = (row["algorithm"], row["eps"], row["n"], row["delta_grid"], row["w"])
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(tuple(row[key] for key in group_keys), []).append(row)
 
-    fields = ["algorithm", "eps", "n", "delta_grid", "w", "n_trials"]
-    for metric in ("sim", "pearson", "kl", "emd"):
+    summary = []
+    for key, batch in sorted(groups.items()):
+        record = {**dict(zip(group_keys, key)), "n_trials": len(batch)}
+        for metric in SCORES:
+            vals = np.array([r[metric] for r in batch], dtype=float)
+            record[f"{metric}_mean"] = float(vals.mean())
+            record[f"{metric}_ci95"] = 0.0
+            if len(vals) > 1:
+                record[f"{metric}_ci95"] = 1.96 * float(vals.std(ddof=1)) / math.sqrt(len(vals))
+        summary.append(record)
+    fields = group_keys + ["n_trials"]
+    for metric in SCORES:
         fields.extend([f"{metric}_mean", f"{metric}_ci95"])
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(fields)
-        for key in sorted(groups, key=lambda k: (k[0], k[1], k[2], k[3], k[4])):
-            batch = groups[key]
-            record = list(key) + [len(batch)]
-            for metric in ("sim", "pearson", "kl", "emd"):
-                vals = np.array([r[metric] for r in batch], dtype=float)
-                mean = float(vals.mean())
-                if len(vals) > 1:
-                    ci = 1.96 * float(vals.std(ddof=1)) / math.sqrt(len(vals))
-                else:
-                    ci = 0.0
-                record.extend([repr(mean), repr(ci)])
-            writer.writerow(record)
+    _write_rows(path, fields, summary)
 
 
 # ---------------------------------------------------------- subcommands
@@ -325,9 +275,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.date_from and args.date_to and args.date_from > args.date_to:
-        print(f"emdheat ingest: error: --date-from {args.date_from} is later than "
-              f"--date-to {args.date_to}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(args, f"--date-from {args.date_from} is later than --date-to {args.date_to}")
     t0 = time.perf_counter()
     with open_maybe_gzip(args.input) as f:
         checkins, skipped = parse_checkins(f)
@@ -395,11 +343,13 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     users, manifest = read_dataset(args.input)
     dists = [users[uid] for uid in sorted(users)]
     algorithm = args.algorithm
-    if algorithm == "baseline" and args.top_pct is not None:
+    if args.top_pct is not None:
+        if algorithm != "baseline":
+            _usage_error(args, f"--top-pct applies to --algorithm baseline, not {algorithm}")
         algorithm = f"baseline-top-{args.top_pct!r}"
     cfg = AggregationConfig(eps=args.eps, w=args.w, mode=args.mode, gamma=args.gamma)
     # aggregate offers no shuffle release, so no shuffle delta
-    a_hat, trace, _ = _release(algorithm, dists, cfg, make_rng(args.seed), None)
+    a_hat, trace = _release(algorithm)(dists, cfg, make_rng(args.seed), None)
     write_dataset(
         args.out,
         {"aggregate": a_hat},
@@ -437,16 +387,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     h = HeatmapGrid(a_emb, d)
     g = HeatmapGrid(b_emb, d)
     met = metrics(h, g, mask=None if mask.all() else mask)
-    for key in ("sim", "pearson", "kl", "emd", "emd_is_surrogate"):
-        print(f"{key}: {met[key]}")
+    for key, value in met.items():
+        print(f"{key}: {value}")
     if args.out:
-        with open(args.out, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["sim", "pearson", "kl", "emd", "emd_is_surrogate"])
-            writer.writerow(
-                [repr(met["sim"]), repr(met["pearson"]), repr(met["kl"]),
-                 repr(met["emd"]), met["emd_is_surrogate"]]
-            )
+        _write_rows(args.out, list(met), [met])
         write_manifest(Path(args.out).with_suffix(".manifest.json"), vars_clean(args))
     return 0
 
@@ -455,48 +399,27 @@ def _cmd_shuffle_sim(args: argparse.Namespace) -> int:
     b_values = [int(t) for t in args.B.split(",")]
     cfg = AggregationConfig(eps=args.eps, w=args.w, mode=args.mode, gamma=args.gamma)
     schedule = cfg.schedule(args.delta_grid)
-
-    comm_rows = []
-    for b_scale in b_values:
-        params = ShuffleParams.from_schedule(
-            b_scale, args.n, args.delta, schedule, args.delta_grid
-        )
-        comm_rows.append(communication(params))
-    with open(args.out, "w", newline="") as f:
-        writer = csv.DictWriter(
-            f, fieldnames=["B", "r", "m", "q", "messages_per_user", "bytes_per_user"]
-        )
-        writer.writeheader()
-        writer.writerows(comm_rows)
+    comm_rows = [
+        communication(ShuffleParams.from_schedule(b, args.n, args.delta, schedule, args.delta_grid))
+        for b in b_values
+    ]
+    _write_rows(args.out, ["B", "r", "m", "q", "messages_per_user", "bytes_per_user"], comm_rows)
     print(f"wrote communication table for B in {b_values} to {args.out}")
 
     if args.simulate:
-        spec = random_mixture_spec(
-            args.gaussians, args.n, args.samples, args.delta_grid, args.seed
+        users, h_true = _synth_truth(
+            args.gaussians, args.n, args.samples, args.delta_grid, args.seed, args.sigma
         )
-        users, _ = synth_users(spec)
-        h_true = heatmap(user_sum(users).scaled(1.0 / len(users)), args.sigma)
         # the i-th shuffle round draws from stream (3, i), the central release from 4
         runs = [(b, f"shuffle-{b}", (3, i)) for i, b in enumerate(b_values)]
         sim_rows = []
         for b_scale, algorithm, stream in runs + [("", "ours", 4)]:
-            a_hat, _, wraparound = _release(
-                algorithm, users, cfg, make_rng(args.seed, stream), args.delta
-            )
-            met = metrics(h_true, heatmap(a_hat, args.sigma))
-            sim_rows.append(
-                {"B": b_scale, "algorithm": algorithm if b_scale else "central",
-                 "wraparound_violations": wraparound, **met}
-            )
+            rng = make_rng(args.seed, stream)
+            scores, _ = _score(algorithm, users, h_true, args.sigma, cfg, rng, args.delta)
+            name = algorithm if b_scale else "central"
+            sim_rows.append({"B": b_scale, "algorithm": name, **scores})
         sim_path = Path(args.out).with_suffix(".metrics.csv")
-        with open(sim_path, "w", newline="") as f:
-            writer = csv.DictWriter(
-                f,
-                fieldnames=["B", "algorithm", "sim", "pearson", "kl", "emd",
-                            "emd_is_surrogate", "wraparound_violations"],
-            )
-            writer.writeheader()
-            writer.writerows(sim_rows)
+        _write_rows(sim_path, list(sim_rows[0]), sim_rows)
         print(f"wrote end-to-end comparison to {sim_path}")
     write_manifest(Path(args.out).with_suffix(".manifest.json"), vars_clean(args))
     return 0
@@ -525,13 +448,28 @@ def _cmd_coreset_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    algorithms = args.algorithms.split(",")
-    expanded = []
-    for alg in algorithms:
+    """Full sweep into --out-dir.
+
+    Writes trials.csv (one row per algorithm per trial), summary.csv
+    (mean and 95% normal-approximation CI per group) and manifest.json.
+    Every algorithm name and EMDHEAT_WORKERS are checked before any
+    trial runs; a release that fails inside a trial is recorded in the
+    manifest's errors and the sweep goes on.
+    """
+    algorithms = []
+    for alg in args.algorithms.split(","):
         if alg == "baseline-top":
-            expanded.extend(f"baseline-top-{t}" for t in args.top_pct.split(","))
+            algorithms.extend(f"baseline-top-{t}" for t in args.top_pct.split(","))
         else:
-            expanded.append(alg)
+            algorithms.append(alg)
+    for alg in algorithms:
+        try:
+            _release(alg)
+        except ValueError as exc:
+            _usage_error(args, f"cannot parse algorithm {alg!r}: {exc}")
+    workers = os.environ.get("EMDHEAT_WORKERS", "1")
+    if not (workers.isdecimal() and int(workers) >= 1):
+        _usage_error(args, f"EMDHEAT_WORKERS must be a positive integer, got {workers!r}")
     config = {
         "eps_list": [float(t) for t in args.eps.split(",")],
         "n_list": [int(t) for t in args.n.split(",")],
@@ -544,11 +482,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "gaussians": args.gaussians,
         "samples": args.samples,
-        "algorithms": expanded,
+        "algorithms": algorithms,
         "shuffle_delta": args.delta,
         "out_dir": args.out_dir,
     }
-    trials_path = run_sweep(config)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    trial = functools.partial(_sweep_trial, config)
+    points = itertools.product(
+        enumerate(config["eps_list"]), config["n_list"], config["delta_list"], range(args.trials)
+    )
+    if int(workers) > 1:
+        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+            results = list(pool.map(trial, points))
+    else:
+        results = list(map(trial, points))
+    rows = [row for task_rows, _ in results for row in task_rows]
+    errors = [error for _, task_errors in results for error in task_errors]
+    for i, row in enumerate(rows):
+        row["run_id"] = f"r{i:06d}"
+
+    trials_path = out_dir / "trials.csv"
+    _write_rows(trials_path, TRIAL_CSV_FIELDS, rows)
+    _write_summary(rows, out_dir / "summary.csv")
+    write_manifest(out_dir / "manifest.json", {**config, "errors": errors})
     print(f"wrote {trials_path}")
     return 0
 

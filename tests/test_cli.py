@@ -234,6 +234,19 @@ def test_aggregate_rejects_unknown_algorithm(tmp_path):
               "--algorithm", "bogus", "--out", str(tmp_path / "x.csv")])
 
 
+@pytest.mark.parametrize("algorithm", ["ours", "dense"])
+def test_aggregate_refuses_top_pct_off_the_baseline(tmp_path, capsys, algorithm):
+    data = tmp_path / "data.csv"
+    main(["synth", "--n", "3", "--delta-grid", "8", "--out", str(data)])
+    out = tmp_path / "agg.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["aggregate", "--input", str(data), "--eps", "1", "--algorithm", algorithm,
+              "--top-pct", "5", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"--top-pct applies to --algorithm baseline, not {algorithm}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_aggregate_refuses_a_nan_eps(tmp_path):
     data = tmp_path / "data.csv"
     main(["synth", "--n", "3", "--delta-grid", "8", "--out", str(data)])
@@ -349,6 +362,35 @@ def test_shuffle_sim_end_to_end(tmp_path):
     for row in rows:
         assert 0.0 <= float(row["sim"]) <= 1.0
         assert float(row["emd"]) >= 0.0
+
+
+@pytest.mark.filterwarnings("ignore:.*wrap:RuntimeWarning")
+def test_shuffle_sim_rows_replay_from_their_streams(tmp_path):
+    # the i-th shuffle round draws from make_rng(seed, (3, i)), the central release from 4
+    out = tmp_path / "comm.csv"
+    seed, n, d, w, eps, delta, sigma, b_values = 3, 8, 8, 20, 5.0, 1e-5, 0.2, [64, 256]
+    assert main(["shuffle-sim", "--B", "64,256", "--n", str(n), "--delta-grid", str(d),
+                 "--samples", "20", "--simulate", "--seed", str(seed), "--out", str(out)]) == 0
+    rows = read_rows(tmp_path / "comm.metrics.csv")
+    users, _ = synth_users(random_mixture_spec(4, n, 20, d, seed))
+    h_true = heatmap(user_sum(users).scaled(1.0 / n), sigma)
+    cfg = AggregationConfig(eps=eps, w=w, mode="theory")
+    # shuffle-sim's default theory mode: gamma 0.8, measured from the root
+    schedule = budget_schedule(eps, num_levels(d), w, 0.8, 0)
+    want = []
+    for i, b in enumerate(b_values):
+        params = ShuffleParams.from_schedule(b, n, delta, schedule, d)
+        y_prime, report = simulate_round(users, params, make_rng(seed, (3, i)))
+        a_hat = normalize(reconstruct(y_prime, w))[0]
+        want.append((str(b), f"shuffle-{b}", a_hat, report["wraparound_violations"]))
+    want.append(("", "central", aggregate_central(users, cfg, rng=make_rng(seed, 4)).a_hat, 0))
+    assert len(rows) == len(want)
+    for row, (b, algorithm, a_hat, wraps) in zip(rows, want):
+        met = metrics(h_true, heatmap(a_hat, sigma))
+        assert (row["B"], row["algorithm"], int(row["wraparound_violations"])) == (b, algorithm, wraps)
+        assert [row[key] for key in ("sim", "pearson", "kl", "emd", "emd_is_surrogate")] == [
+            repr(float(met[key])) for key in ("sim", "pearson", "kl", "emd")
+        ] + [str(met["emd_is_surrogate"])]
 
 
 def test_coreset_check_subcommand(tmp_path):
@@ -471,6 +513,36 @@ def test_sweep_rows_replay_from_their_branch_streams(tmp_path):
             repr(float(met[key])) for key in ("sim", "pearson", "kl", "emd")
         ]
         assert int(row["wraparound_violations"]) == wraps
+
+
+@pytest.mark.parametrize(
+    "names, bad",
+    [(["--algorithms", "ours,baselin"], "'baselin'"),
+     (["--algorithms", "ours,shuffle-2.5"], "'shuffle-2.5'"),
+     (["--algorithms", "baseline-top", "--top-pct", "5,five"], "'baseline-top-five'")],
+)
+def test_sweep_refuses_a_name_it_cannot_parse_before_any_trial(tmp_path, capsys, names, bad):
+    out_dir = tmp_path / "run"
+    args = SWEEP_ARGS[: SWEEP_ARGS.index("--algorithms")] + names
+    with pytest.raises(SystemExit) as exit_info:
+        main(args + ["--out-dir", str(out_dir)])
+    assert exit_info.value.code == 2
+    assert f"emdheat sweep: error: cannot parse algorithm {bad}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("workers", ["two", "0", "-1", "1.5", ""])
+def test_sweep_refuses_a_worker_count_that_is_not_a_positive_integer(
+    tmp_path, capsys, monkeypatch, workers
+):
+    monkeypatch.setenv("EMDHEAT_WORKERS", workers)
+    out_dir = tmp_path / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        main(SWEEP_ARGS + ["--out-dir", str(out_dir)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"EMDHEAT_WORKERS must be a positive integer, got {workers!r}" in err
+    assert not out_dir.exists()
 
 
 def test_sweep_is_deterministic_modulo_wall_time(tmp_path):
