@@ -142,9 +142,23 @@ def _shuffle(b_scale, users, cfg, rng, shuffle_delta):
     return a_hat, {"wraparound_violations": report["wraparound_violations"]}
 
 
+def _top_pct(text: str) -> float:
+    pct = float(text)
+    if not 0.0 < pct <= 100.0:
+        raise ValueError(f"the percentage must lie in (0, 100], got {text}")
+    return pct
+
+
+def _b_scale(text: str) -> int:
+    b_scale = int(text)
+    if b_scale < 1:
+        raise ValueError(f"B must be >= 1, got {text}")
+    return b_scale
+
+
 RELEASES = {"ours": _ours, "dense": _dense, "baseline": functools.partial(_baseline, None)}
 # the families named <prefix><parameter>: how the parameter parses, and the release it feeds
-FAMILIES = {"baseline-top-": (float, _baseline), "shuffle-": (int, _shuffle)}
+FAMILIES = {"baseline-top-": (_top_pct, _baseline), "shuffle-": (_b_scale, _shuffle)}
 
 
 def _release(algorithm: str) -> Callable[..., tuple[SparseDist, dict]]:
@@ -153,7 +167,7 @@ def _release(algorithm: str) -> Callable[..., tuple[SparseDist, dict]]:
     Names: ours, dense, baseline, baseline-top-<pct> and shuffle-<B>.
     A shuffle's trace holds its wraparound_violations; a baseline's is
     empty.  Raises ValueError on any other name, or on a parameter that
-    does not parse.
+    does not parse or lies outside its range (0 < pct <= 100, B >= 1).
     """
     if algorithm in RELEASES:
         return RELEASES[algorithm]
@@ -192,6 +206,20 @@ def _write_rows(path, fields: list[str], rows: list[dict]) -> None:
 def _usage_error(args: argparse.Namespace, message: str) -> NoReturn:
     print(f"emdheat {args.command}: error: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _list_of(parse: Callable[[str], object]) -> Callable[[str], list]:
+    """An argparse type: a comma list whose every item `parse` reads."""
+
+    def parse_list(text: str) -> list:
+        try:
+            return [parse(item) for item in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma list of {parse.__name__} values: {text!r}"
+            ) from None
+
+    return parse_list
 
 
 # ---------------------------------------------------------------- sweep
@@ -347,9 +375,13 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         if algorithm != "baseline":
             _usage_error(args, f"--top-pct applies to --algorithm baseline, not {algorithm}")
         algorithm = f"baseline-top-{args.top_pct!r}"
+    try:
+        release = _release(algorithm)
+    except ValueError as exc:  # --algorithm has fixed choices, so only --top-pct gets here
+        _usage_error(args, f"--top-pct: {exc}")
     cfg = AggregationConfig(eps=args.eps, w=args.w, mode=args.mode, gamma=args.gamma)
     # aggregate offers no shuffle release, so no shuffle delta
-    a_hat, trace = _release(algorithm)(dists, cfg, make_rng(args.seed), None)
+    a_hat, trace = release(dists, cfg, make_rng(args.seed), None)
     write_dataset(
         args.out,
         {"aggregate": a_hat},
@@ -396,22 +428,21 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_shuffle_sim(args: argparse.Namespace) -> int:
-    b_values = [int(t) for t in args.B.split(",")]
     cfg = AggregationConfig(eps=args.eps, w=args.w, mode=args.mode, gamma=args.gamma)
     schedule = cfg.schedule(args.delta_grid)
     comm_rows = [
         communication(ShuffleParams.from_schedule(b, args.n, args.delta, schedule, args.delta_grid))
-        for b in b_values
+        for b in args.B
     ]
     _write_rows(args.out, ["B", "r", "m", "q", "messages_per_user", "bytes_per_user"], comm_rows)
-    print(f"wrote communication table for B in {b_values} to {args.out}")
+    print(f"wrote communication table for B in {args.B} to {args.out}")
 
     if args.simulate:
         users, h_true = _synth_truth(
             args.gaussians, args.n, args.samples, args.delta_grid, args.seed, args.sigma
         )
         # the i-th shuffle round draws from stream (3, i), the central release from 4
-        runs = [(b, f"shuffle-{b}", (3, i)) for i, b in enumerate(b_values)]
+        runs = [(b, f"shuffle-{b}", (3, i)) for i, b in enumerate(args.B)]
         sim_rows = []
         for b_scale, algorithm, stream in runs + [("", "ours", 4)]:
             rng = make_rng(args.seed, stream)
@@ -433,7 +464,7 @@ def _cmd_coreset_check(args: argparse.Namespace) -> int:
         for ix, iy in rng.integers(0, d, size=(args.n_points, 2))
     ]
     reports = []
-    for k in (int(t) for t in args.k.split(",")):
+    for k in args.k:
         lam = args.lam if args.lam is not None else math.sqrt(k / args.w)
         s_hat = coreset(points, args.eps, args.w, mode=args.mode,
                         rng=make_rng(args.seed, (6, k)))
@@ -452,9 +483,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     Writes trials.csv (one row per algorithm per trial), summary.csv
     (mean and 95% normal-approximation CI per group) and manifest.json.
-    Every algorithm name and EMDHEAT_WORKERS are checked before any
-    trial runs; a release that fails inside a trial is recorded in the
-    manifest's errors and the sweep goes on.
+    Every algorithm name with its parameter, the release config at
+    every eps and EMDHEAT_WORKERS are checked before any trial runs; a
+    release that fails inside a trial is recorded in the manifest's
+    errors and the sweep goes on.
     """
     algorithms = []
     for alg in args.algorithms.split(","):
@@ -467,13 +499,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             _release(alg)
         except ValueError as exc:
             _usage_error(args, f"cannot parse algorithm {alg!r}: {exc}")
+    for eps in args.eps:
+        try:
+            AggregationConfig(eps, args.w, args.mode, args.gamma)
+        except ValueError as exc:
+            _usage_error(args, str(exc))
     workers = os.environ.get("EMDHEAT_WORKERS", "1")
     if not (workers.isdecimal() and int(workers) >= 1):
         _usage_error(args, f"EMDHEAT_WORKERS must be a positive integer, got {workers!r}")
     config = {
-        "eps_list": [float(t) for t in args.eps.split(",")],
-        "n_list": [int(t) for t in args.n.split(",")],
-        "delta_list": [int(t) for t in args.delta_grid.split(",")],
+        "eps_list": args.eps,
+        "n_list": args.n,
+        "delta_list": args.delta_grid,
         "w": args.w,
         "gamma": args.gamma,
         "mode": args.mode,
@@ -574,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("shuffle-sim", help="shuffle-model accounting and simulation")
-    p.add_argument("--B", default="64,256,1024")
+    p.add_argument("--B", type=_list_of(int), default="64,256,1024")
     p.add_argument("--eps", type=float, default=5.0)
     p.add_argument("--delta", type=float, default=1e-5)
     p.add_argument("--n", type=int, default=50)
@@ -591,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_shuffle_sim)
 
     p = sub.add_parser("coreset-check", help="empirical coreset quality report")
-    p.add_argument("--k", default="1,2")
+    p.add_argument("--k", type=_list_of(int), default="1,2")
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--w", type=int, default=20)
     p.add_argument("--lam", type=float, default=None,
@@ -605,9 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coreset_check)
 
     p = sub.add_parser("sweep", help="full experiment sweep to CSV")
-    p.add_argument("--eps", default="0.1,0.5,1,2,5,10")
-    p.add_argument("--n", default="200")
-    p.add_argument("--delta-grid", default="64")
+    p.add_argument("--eps", type=_list_of(float), default="0.1,0.5,1,2,5,10")
+    p.add_argument("--n", type=_list_of(int), default="200")
+    p.add_argument("--delta-grid", type=_list_of(int), default="64")
     p.add_argument("--w", type=int, default=20)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--mode", choices=["theory", "experiment"], default="experiment")

@@ -9,9 +9,13 @@ symmetric range, and dividing by B recovers the noisy sum.
 
 Messages are rows of an (N, 2) int64 array, column 0 the coordinate in
 [0, m) and column 1 the share in [0, q).  A client's block holds its r
-shares of coordinate 0, then of coordinate 1, and so on.  `analyze`
-rejects out-of-range rows and folds with int64 arithmetic, which cannot
-overflow while n*r*(q-1) < 2**63.
+shares of coordinate 0, then of coordinate 1, and so on.  Both the
+client's block and the round's table are returned as (N, 2) views of
+coordinate-major planes, a (2, m, k) array whose plane 0 holds the
+coordinates and plane 1 the shares, so each column is contiguous and a
+round holds one N x 16-byte table.  `analyze` takes any (N, 2) integer
+array, rejects out-of-range rows and folds with int64 arithmetic, which
+cannot overflow while n*r*(q-1) < 2**63.
 
 The shuffler hands the analyzer the multiset in canonical order: rows
 sorted by coordinate, then by share.  That order is a function of the
@@ -113,7 +117,10 @@ def _unscaled_measurements(p: SparseDist, params: ShuffleParams) -> np.ndarray:
 def encode_client_detailed(
     p: SparseDist, params: ShuffleParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The client's (m*r, 2) message array plus z and z' (for diagnostics).
+    """The client's (m*r, 2) message rows plus z and z' (for diagnostics).
+
+    The rows are a view of a (2, m, r) array: plane 0 the coordinates,
+    plane 1 the r shares of each coordinate.
 
     z' is the noised vector the shares sum to; when the root is measured,
     its coordinate 0 carries the public offset -B.
@@ -135,14 +142,12 @@ def encode_client_detailed(
         # public root offset: the root's n*B = q would wrap mod q
         z_noised[0] -= params.B
 
-    q = params.q
-    r = params.r
-    shares = rng.integers(0, q, size=(params.m, r - 1), dtype=np.int64)
-    last = (z_noised - shares.sum(axis=1)) % q
-    messages = np.empty((params.m * r, 2), dtype=np.int64)
-    messages[:, 0] = np.repeat(np.arange(params.m), r)
-    messages[:, 1] = np.concatenate([shares, last[:, None]], axis=1).ravel()
-    return messages, z, z_noised
+    block = np.empty((2, params.m, params.r), dtype=np.int64)
+    block[0] = np.arange(params.m)[:, None]
+    shares = block[1]
+    shares[:, :-1] = rng.integers(0, params.q, size=(params.m, params.r - 1), dtype=np.int64)
+    shares[:, -1] = (z_noised - shares[:, :-1].sum(axis=1)) % params.q
+    return block.reshape(2, -1).T, z, z_noised
 
 
 def analyze(messages: np.ndarray, params: ShuffleParams) -> PyramidVec:
@@ -217,20 +222,20 @@ def simulate_round(
     if len(dists) != params.n:
         raise ValueError(f"expected {params.n} client distributions")
     r = params.r
-    shares = np.empty((params.m, params.n * r), dtype=np.int64)
+    # the round's one message table: plane 0 the coordinates, plane 1 the shares
+    planes = np.empty((2, params.m, params.n * r), dtype=np.int64)
+    planes[0] = np.arange(params.m)[:, None]
     true_sums = np.zeros(params.m, dtype=np.int64)
     t0 = time.perf_counter()
     for k, p in enumerate(dists):
         msgs, _, z_noised = encode_client_detailed(p, params, rng)
-        shares[:, k * r : (k + 1) * r] = msgs[:, 1].reshape(params.m, r)
+        planes[1, :, k * r : (k + 1) * r] = msgs[:, 1].reshape(params.m, r)
         true_sums += z_noised
 
     # the shuffler's output in canonical order: by coordinate, then share
     t1 = time.perf_counter()
-    shares.sort(axis=1)
-    shuffled = np.empty((shares.size, 2), dtype=np.int64)
-    shuffled[:, 0] = np.repeat(np.arange(params.m), params.n * r)
-    shuffled[:, 1] = shares.ravel()
+    planes[1].sort(axis=1)
+    shuffled = planes.reshape(2, -1).T
     t2 = time.perf_counter()
     y_prime = analyze(shuffled, params)
     t3 = time.perf_counter()

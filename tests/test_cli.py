@@ -247,6 +247,20 @@ def test_aggregate_refuses_top_pct_off_the_baseline(tmp_path, capsys, algorithm)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pct", ["150", "0", "nan"])
+def test_aggregate_refuses_a_top_pct_outside_its_range(tmp_path, capsys, pct):
+    data = tmp_path / "users.csv"
+    main(["synth", "--n", "5", "--gaussians", "2", "--samples", "10",
+          "--delta-grid", "8", "--out", str(data)])
+    out = tmp_path / "agg.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["aggregate", "--input", str(data), "--eps", "1", "--algorithm", "baseline",
+              "--top-pct", pct, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "the percentage must lie in (0, 100]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_aggregate_refuses_a_nan_eps(tmp_path):
     data = tmp_path / "data.csv"
     main(["synth", "--n", "3", "--delta-grid", "8", "--out", str(data)])
@@ -364,6 +378,15 @@ def test_shuffle_sim_end_to_end(tmp_path):
         assert float(row["emd"]) >= 0.0
 
 
+def test_shuffle_sim_refuses_a_b_list_that_does_not_parse(tmp_path, capsys):
+    out = tmp_path / "comm.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["shuffle-sim", "--B", "64,x", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "argument --B: not a comma list of int values: '64,x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:.*wrap:RuntimeWarning")
 def test_shuffle_sim_rows_replay_from_their_streams(tmp_path):
     # the i-th shuffle round draws from make_rng(seed, (3, i)), the central release from 4
@@ -407,6 +430,15 @@ def test_coreset_check_subcommand(tmp_path):
         kappa = float(row["empirical_kappa"])
         fitted = float(row["fitted_C"])
         assert fitted == pytest.approx(kappa * 1e6 / np.sqrt(float(row["k"])))
+
+
+def test_coreset_check_refuses_a_k_list_that_does_not_parse(tmp_path, capsys):
+    out = tmp_path / "reports.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["coreset-check", "--k", "1,2.5", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "argument --k: not a comma list of int values: '1,2.5'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 SWEEP_ARGS = [
@@ -528,6 +560,42 @@ def test_sweep_refuses_a_name_it_cannot_parse_before_any_trial(tmp_path, capsys,
         main(args + ["--out-dir", str(out_dir)])
     assert exit_info.value.code == 2
     assert f"emdheat sweep: error: cannot parse algorithm {bad}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--eps", "1,0"], "eps must be finite and positive, got 0.0"),
+     (["--eps", "nan"], "eps must be finite and positive, got nan"),
+     (["--algorithms", "baseline-top", "--top-pct", "150"],
+      "cannot parse algorithm 'baseline-top-150': the percentage must lie in (0, 100]"),
+     (["--algorithms", "baseline-top", "--top-pct", "0"],
+      "cannot parse algorithm 'baseline-top-0': the percentage must lie in (0, 100]"),
+     (["--algorithms", "ours,shuffle-0"], "cannot parse algorithm 'shuffle-0': B must be >= 1")],
+)
+def test_sweep_refuses_a_value_no_release_accepts_before_any_trial(
+    tmp_path, capsys, flags, message
+):
+    # each would fail every trial, leaving a header-only trials.csv
+    out_dir = tmp_path / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        main(SWEEP_ARGS + flags + ["--out-dir", str(out_dir)])
+    assert exit_info.value.code == 2
+    assert f"emdheat sweep: error: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, kind",
+    [("--eps", "1,one", "float"), ("--n", "5,ten", "int"), ("--delta-grid", "8,", "int")],
+)
+def test_sweep_refuses_a_list_flag_that_does_not_parse(tmp_path, capsys, flag, value, kind):
+    out_dir = tmp_path / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        main(SWEEP_ARGS + [flag, value, "--out-dir", str(out_dir)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: not a comma list of {kind} values: {value!r}" in err
     assert not out_dir.exists()
 
 

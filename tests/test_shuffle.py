@@ -1,6 +1,7 @@
 """Split-and-mix shuffle protocol: encoding, decoding, communication."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,15 @@ def test_share_sums_reproduce_noised_vector():
     np.testing.assert_array_equal(sums, z_noised % params.q)
 
 
+def test_encoded_rows_are_coordinate_major():
+    # r rows per coordinate, coordinates in order
+    params = make_params()
+    p = rand_sparse(np.random.default_rng(4), 4, 3)
+    messages = encode_client_detailed(p, params, make_rng(80))[0]
+    assert messages.shape == (params.m * params.r, 2)
+    np.testing.assert_array_equal(messages[:, 0], np.repeat(np.arange(params.m), params.r))
+
+
 def test_client_rounding_error_below_inverse_b():
     params = make_params()
     p = rand_sparse(np.random.default_rng(1), 4, 5)
@@ -134,6 +144,17 @@ def test_analyze_is_order_invariant():
     forward = analyze(msgs, params)
     backward = analyze(msgs[::-1], params)
     for a, b in zip(forward.levels, backward.levels):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_analyze_reads_any_memory_layout():
+    params = make_params()
+    rng = make_rng(84)
+    users = [rand_sparse(np.random.default_rng(3 + i), 4, 3) for i in range(4)]
+    msgs = np.concatenate([encode_client_detailed(p, params, rng)[0] for p in users])
+    c_order = analyze(np.ascontiguousarray(msgs), params)
+    f_order = analyze(np.asfortranarray(msgs), params)
+    for a, b in zip(c_order.levels, f_order.levels):
         np.testing.assert_array_equal(a, b)
 
 
@@ -236,6 +257,21 @@ def test_theory_rounds_decode_the_root_without_wrapping():
             side = 1 << lv
             expect = 2.0**-lv * (true[offset : offset + count].reshape(side, side) / params.B)
             np.testing.assert_array_equal(y_prime.level(lv), expect)
+
+
+def test_simulate_round_holds_one_message_table():
+    # the round's traced peak stays near the m*n*r (coordinate, share)
+    # int64 rows it shuffles: no second copy of the table is made
+    schedule = budget_schedule(5.0, num_levels(16), 20, 2 ** -0.5, 1)
+    params = ShuffleParams.from_schedule(256, 50, 1e-5, schedule, 16)
+    users = [rand_sparse(np.random.default_rng([7, k]), 16, 5) for k in range(params.n)]
+    tracemalloc.start()
+    try:
+        simulate_round(users, params, make_rng(93))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * params.m * params.n * params.r * 16
 
 
 def test_simulate_round_flags_saturation():
