@@ -51,7 +51,7 @@ from .datagen import (
     synth_users,
     write_dataset,
 )
-from .grid import GridPoint, SparseDist, next_pow2, user_sum
+from .grid import GridPoint, SparseDist, is_power_of_two, next_pow2, user_sum
 from .heatmap import (
     HeatmapGrid, checked_mass, heatmap, heatmap_padded, metrics, read_csv, read_pgm, write_csv, write_pgm,
 )
@@ -220,6 +220,23 @@ def _list_of(parse: Callable[[str], object]) -> Callable[[str], list]:
             ) from None
 
     return parse_list
+
+
+def _int_where(holds: Callable[[int], bool], requirement: str) -> Callable[[str], int]:
+    """An argparse type: an int for which `holds` is true, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse and _list_of name the type in their messages
+    return parse
+
+
+_power_of_two = _int_where(is_power_of_two, "must be a power of two")
+_positive = _int_where(lambda n: n >= 1, "must be >= 1")
 
 
 # ---------------------------------------------------------------- sweep
@@ -499,6 +516,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             _release(alg)
         except ValueError as exc:
             _usage_error(args, f"cannot parse algorithm {alg!r}: {exc}")
+    shuffles = [alg for alg in algorithms if alg.startswith("shuffle-")]
+    if shuffles and min(args.n) < 2:
+        _usage_error(args, f"{shuffles[0]} needs n >= 2 users, got --n {min(args.n)}")
     for eps in args.eps:
         try:
             AggregationConfig(eps, args.w, args.mode, args.gamma)
@@ -560,17 +580,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic mixture dataset")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--gaussians", type=int, default=20)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--delta-grid", type=int, default=64)
+    p.add_argument("--n", type=_positive, default=200)
+    p.add_argument("--gaussians", type=_positive, default=20)
+    p.add_argument("--samples", type=_positive, default=50)
+    p.add_argument("--delta-grid", type=_power_of_two, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ingest", help="build per-cell datasets from check-ins")
     p.add_argument("--input", required=True)
-    p.add_argument("--delta-grid", type=int, default=64)
+    p.add_argument("--delta-grid", type=_power_of_two, default=64)
     p.add_argument("--coarse", type=int, default=300)
     p.add_argument("--top-cells", type=int, default=30)
     p.add_argument("--min-users", type=int, default=200)
@@ -614,15 +634,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=_list_of(int), default="64,256,1024")
     p.add_argument("--eps", type=float, default=5.0)
     p.add_argument("--delta", type=float, default=1e-5)
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--delta-grid", type=int, default=16)
+    p.add_argument("--n", type=_positive, default=50)
+    p.add_argument("--delta-grid", type=_power_of_two, default=16)
     p.add_argument("--w", type=int, default=20)
     p.add_argument("--mode", choices=["theory", "experiment"], default="theory")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--sigma", type=float, default=0.2)
-    p.add_argument("--gaussians", type=int, default=4)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--gaussians", type=_positive, default=4)
+    p.add_argument("--samples", type=_positive, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_shuffle_sim)
@@ -634,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=None,
                    help="multiplicative slack (default sqrt(k/w))")
     p.add_argument("--n-points", type=int, default=50)
-    p.add_argument("--delta-grid", type=int, default=16)
+    p.add_argument("--delta-grid", type=_power_of_two, default=16)
     p.add_argument("--candidate-side", type=int, default=8)
     p.add_argument("--mode", choices=["theory", "experiment"], default="theory")
     p.add_argument("--seed", type=int, default=0)
@@ -643,16 +663,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="full experiment sweep to CSV")
     p.add_argument("--eps", type=_list_of(float), default="0.1,0.5,1,2,5,10")
-    p.add_argument("--n", type=_list_of(int), default="200")
-    p.add_argument("--delta-grid", type=_list_of(int), default="64")
+    p.add_argument("--n", type=_list_of(_positive), default="200")
+    p.add_argument("--delta-grid", type=_list_of(_power_of_two), default="64")
     p.add_argument("--w", type=int, default=20)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--mode", choices=["theory", "experiment"], default="experiment")
     p.add_argument("--sigma", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gaussians", type=int, default=20)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--gaussians", type=_positive, default=20)
+    p.add_argument("--samples", type=_positive, default=50)
     p.add_argument("--algorithms", default="ours,baseline,baseline-top")
     p.add_argument("--top-pct", default="1",
                    help="comma list of percentages for baseline-top")

@@ -2,8 +2,10 @@
 
 Synthetic users draw from a shared Gaussian mixture; sparsity of the
 pooled support is steered by the component count, covariance size, and
-samples per user.  Each user's samples are counted per grid cell with
-np.unique, never in a d x d array.
+samples per user.  Synthesis draws user by user, in one fixed RNG
+order, and only draws in that loop; then one np.unique bins and counts
+all users' samples per grid cell (never in a d x d array), and one
+SparseDist.split builds every user.
 
 Ingestion parses tab-separated check-in logs into columns (`Checkins`:
 user ids, calendar day, latitude, longitude; the time of day and the
@@ -24,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -95,29 +97,41 @@ def synth_users(spec: MixtureSpec) -> tuple[list[SparseDist], float]:
         raise ValueError("every covariance must be SPD") from exc
 
     rng = make_rng(spec.seed)
-    d = spec.resolution
-    occupied = []
-    users = []
-    for _ in range(spec.n_users):
-        comps = rng.integers(0, spec.num_gaussians, size=spec.samples_per_user)
-        pts = np.empty((spec.samples_per_user, 2))
-        pending = np.arange(spec.samples_per_user)
-        while pending.size:
-            z = rng.standard_normal((pending.size, 2))
-            draw = spec.means[comps[pending]] + np.einsum(
-                "nij,nj->ni", chols[comps[pending]], z
-            )
-            ok = np.all((draw >= 0.0) & (draw < 1.0), axis=1)
-            pts[pending[ok]] = draw[ok]
-            pending = pending[~ok]
-        ix = np.floor(pts[:, 0] * d).astype(int)
-        iy = np.floor(pts[:, 1] * d).astype(int)
-        # row-major cell order, as SparseDist.from_dense lists a dense array
-        cells, counts = np.unique(iy * d + ix, return_counts=True)
-        occupied.append(cells)
-        users.append(SparseDist.from_keys(d, cells, counts / spec.samples_per_user))
-    sparsity = np.unique(np.concatenate(occupied)).size / float(d * d)
-    return users, sparsity
+    d, n, s = spec.resolution, spec.n_users, spec.samples_per_user
+    # row g: (mean, Cholesky column 0, column 1) of component g, per axis
+    table = np.stack([spec.means, chols[:, :, 0], chols[:, :, 1]], axis=-1)
+    rows = table.tolist()
+    pts = np.empty((n * s, 2))
+    for u in range(n):
+        comps = rng.integers(0, spec.num_gaussians, size=s)
+        z = rng.standard_normal((s, 2))
+        t = table[comps]
+        # the products and sums, in the order einsum("nij,nj->ni") takes them
+        draw = pts[u * s : (u + 1) * s]
+        np.add(t[..., 0], t[..., 1] * z[:, :1] + t[..., 2] * z[:, 1:], out=draw)
+        out = (draw < 0.0) | (draw >= 1.0)
+        pending = np.flatnonzero(out[:, 0] | out[:, 1]).tolist()
+        # redraws come a handful per pass: Python floats beat numpy calls there
+        comps = comps.tolist()
+        while pending:
+            z = rng.standard_normal((len(pending), 2)).tolist()
+            missed = []
+            for j, (z0, z1) in zip(pending, z):
+                (m0, a0, b0), (m1, a1, b1) = rows[comps[j]]
+                x, y = m0 + (a0 * z0 + b0 * z1), m1 + (a1 * z0 + b1 * z1)
+                if 0.0 <= x < 1.0 and 0.0 <= y < 1.0:
+                    draw[j] = x, y
+                else:
+                    missed.append(j)
+            pending = missed
+    ix, iy = np.floor(pts * d).astype(np.int64).T
+    cells, cell_of = np.unique(iy * d + ix, return_inverse=True)
+    # users tag cell ranks, not keys, so tags stay below n * n * s on any grid;
+    # each user's cells come in row-major order, as SparseDist.from_dense lists them
+    pairs, counts = np.unique(np.repeat(np.arange(n), s) * cells.size + cell_of, return_counts=True)
+    user, cell = np.divmod(pairs, cells.size)
+    users = SparseDist.split(d, cells[cell], counts / s, np.bincount(user, minlength=n))
+    return users, cells.size / float(d * d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,11 +347,8 @@ def _cell_users(
 
 def _split_users(uids, codes, sizes, keys, masses, resolution: int) -> dict[str, SparseDist]:
     """User uids[codes[j]] holds the j-th run of sizes[j] consecutive (key, mass) pairs."""
-    ends = np.cumsum(sizes).tolist()
-    return {
-        uids[code]: SparseDist.from_keys(resolution, keys[a:b], masses[a:b])
-        for code, a, b in zip(codes.tolist(), [0] + ends[:-1], ends)
-    }
+    users = SparseDist.split(resolution, keys, masses, sizes)
+    return {uids[code]: p for code, p in zip(codes.tolist(), users)}
 
 
 def _dataset_path(csv_path: str | Path) -> Path:
@@ -361,20 +372,23 @@ def write_dataset(
     file is written.
     """
     csv_path = _dataset_path(csv_path)
-    # rows in user-id order, each user's points in (iy, ix) order; csv
-    # writes a float as its repr, which reads back bit for bit
-    rows = []
-    for uid in sorted(users):
-        p = users[uid]
+    uids = sorted(users)
+    dists = [users[uid] for uid in uids]
+    for uid, p in zip(uids, dists):
         if p.resolution != resolution:
             raise ValueError(f"user {uid!r} has resolution {p.resolution}, not {resolution}")
-        order = np.argsort(p.keys)
-        iy, ix = np.divmod(p.keys[order], p.resolution)
-        rows += zip(repeat(uid), ix.tolist(), iy.tolist(), p.masses[order].tolist())
+    sizes = [len(p) for p in dists]
+    keys = np.concatenate([np.empty(0, np.int64)] + [p.keys for p in dists])
+    masses = np.concatenate([np.empty(0)] + [p.masses for p in dists])
+    # rows in user-id order, each user's points in (iy, ix) order; csv
+    # writes a float as its repr, which reads back bit for bit
+    order = np.lexsort((keys, np.repeat(np.arange(len(uids)), sizes)))
+    iy, ix = np.divmod(keys[order], resolution)
+    user_ids = chain.from_iterable(map(repeat, uids, sizes))
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["user_id", "ix", "iy", "mass"])
-        writer.writerows(rows)
+        writer.writerows(zip(user_ids, ix.tolist(), iy.tolist(), masses[order].tolist()))
     manifest = {"resolution": resolution, "n_users": len(users)}
     if manifest_extra:
         manifest.update(manifest_extra)

@@ -295,6 +295,9 @@ def _min_cost_flow(
     b[g.terminal] = supply
     cost = g.length / d
     incidence = _incidence(g.n_nodes, g.arcs)
+    if slack is None and not g.fold.size:  # nothing to fold: the incidence rows as they are
+        res = _linprog(g, "primal", 0, cost, A_eq=incidence, b_eq=b, options=_PRIMAL_OPTIONS)
+        return float(res.fun), res.x
     if slack is None:
         # a folded leaf's supply x0 rides the arc to its nearer corner; a redirect
         # column, capped at x0, moves flow from that arc to the farther corner's

@@ -8,6 +8,10 @@ has one parent and four children, and level-l cells coincide with grid
 points.  A level-i cell is its row-major key cy * 2**i + cx (int64).
 `pyramid` and `recovery` hold cell sets as sorted key arrays; a
 `SparseDist` holds level-l keys with an aligned array of masses.
+`SparseDist.split` is its one checked constructor: it checks a batch
+of distributions at once, and `from_keys` and `SparseDist(d, entries)`
+are its one-run case.  A batch's distributions are views of one shared
+read-only buffer, so one kept alive keeps the batch's arrays alive.
 
 `snap` stays public with no caller here: `datagen` states its binning
 contract against it (each point lands where snap() would put it).
@@ -114,35 +118,67 @@ class SparseDist:
         ix, iy, res = np.fromiter(chain.from_iterable(entries), np.int64, 3 * n).reshape(n, 3).T
         if ((res != resolution) | (ix < 0) | (ix >= resolution)).any():
             raise ValueError(f"a point lies off the {resolution} x {resolution} grid")
-        self._store(resolution, iy * resolution + ix, np.fromiter(entries.values(), np.float64, n))
+        masses = np.fromiter(entries.values(), np.float64, n)
+        vars(self).update(vars(SparseDist.split(resolution, iy * resolution + ix, masses, [n])[0]))
 
     @classmethod
     def from_keys(cls, resolution: int, keys, masses) -> "SparseDist":
         """The distribution with masses[j] at cell key keys[j]; keys must be distinct."""
-        dist = cls.__new__(cls)
-        dist._store(resolution, np.asarray(keys, np.int64), np.asarray(masses, np.float64))
-        return dist
+        return cls.split(resolution, keys, masses, [np.size(keys)])[0]
 
-    def _store(self, d: int, keys: np.ndarray, masses: np.ndarray) -> None:
+    @classmethod
+    def split(cls, resolution: int, keys, masses, sizes) -> list["SparseDist"]:
+        """One distribution per run: the j-th holds the next sizes[j] (key, mass) pairs.
+
+        Checks a whole batch at once: keys lie on the grid and are distinct
+        within their run, masses are finite and nonnegative; zero masses
+        are dropped.  The runs' arrays are read-only views of one copy.
+        """
+        d = resolution
         if not is_power_of_two(d):
             raise ValueError(f"resolution must be a power of two, got {d}")
+        keys, masses = np.asarray(keys, np.int64), np.asarray(masses, np.float64)
+        sizes = np.asarray(sizes, np.int64)
         if keys.ndim != 1 or keys.shape != masses.shape:
             raise ValueError(f"keys {keys.shape} and masses {masses.shape} are not aligned")
-        ordered = np.sort(keys)
-        if keys.size and not 0 <= ordered[0] <= ordered[-1] < d * d:
+        ends = sizes.cumsum()
+        total = ends[-1] if ends.size else 0
+        # one run's size is its key count; only more runs can hide a negative
+        if sizes.ndim != 1 or total != keys.size or sizes.size > 1 and sizes.min() < 0:
+            raise ValueError(f"run sizes must be nonnegative and add up to the {keys.size} keys")
+        # as unsigned, a negative key is too large
+        if keys.size and not keys.view(np.uint64).max() < d * d:
             raise ValueError(f"a cell key lies off the {d} x {d} grid")
+        # keys tagged with their run's offset are distinct iff no run repeats
+        # a key; where the offsets would overflow int64, key ranks stand in
+        ordered = keys.copy()
+        if sizes.size > 1:
+            span = d * d
+            if sizes.size * span >= 2**63:
+                span, ordered = keys.size, np.unique(keys, return_inverse=True)[1]
+            ordered += np.repeat(np.arange(sizes.size) * span, sizes)
+        ordered.sort()
         if not (ordered[1:] > ordered[:-1]).all():
             raise ValueError("cell keys repeat")
-        bad = np.flatnonzero(~((masses >= 0.0) & (masses < np.inf)))[:1]
-        if bad.size:
+        # min() is NaN where any mass is
+        lo, hi = (masses.min(), masses.max()) if masses.size else (1.0, 1.0)
+        if not (lo >= 0.0 and hi < np.inf):
+            bad = np.flatnonzero(~((masses >= 0.0) & (masses < np.inf)))[:1]
             point = grid_points(keys[bad], d)[0]
             raise ValueError(f"mass {masses[bad][0]} at {point} is negative or not finite")
-        # boolean indexing copies, so no caller holds a writeable alias
-        keep = masses > 0.0
-        keys, masses = keys[keep], masses[keep]
+        # copies, so no caller holds a writeable alias
+        if lo > 0.0:
+            keys, masses = keys.copy(), masses.copy()
+        else:
+            keep = masses > 0.0
+            ends = np.concatenate(([0], keep.cumsum()))[ends]
+            keys, masses = keys[keep], masses[keep]
         keys.flags.writeable = masses.flags.writeable = False
-        for name, value in (("resolution", d), ("keys", keys), ("masses", masses)):
-            object.__setattr__(self, name, value)
+        ends = ends.tolist()
+        dists = [cls.__new__(cls) for _ in ends]
+        for dist, a, b in zip(dists, [0] + ends[:-1], ends):
+            vars(dist).update(resolution=d, keys=keys[a:b], masses=masses[a:b])
+        return dists
 
     def __reduce__(self):
         # a plain unpickle would give writeable arrays

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -223,6 +224,17 @@ def dense_count_synth(spec: MixtureSpec) -> tuple[list[SparseDist], float]:
         pooled += counts
         users.append(SparseDist.from_dense(counts / spec.samples_per_user, d))
     return users, np.count_nonzero(pooled) / float(d * d)
+
+
+def loop_write_csv(path, users: dict[str, SparseDist], resolution: int) -> None:
+    """Reference dataset CSV: one csv row per point, users in id order, points by key."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["user_id", "ix", "iy", "mass"])
+        for uid in sorted(users):
+            p = users[uid]
+            for key, mass in sorted(zip(p.keys.tolist(), p.masses.tolist())):
+                writer.writerow([uid, key % resolution, key // resolution, mass])
 
 
 def fit_objective(y_hat: PyramidVec, dist: SparseDist) -> float:

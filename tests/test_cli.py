@@ -599,6 +599,56 @@ def test_sweep_refuses_a_list_flag_that_does_not_parse(tmp_path, capsys, flag, v
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "command, value",
+    [(["synth", "--out", "{out}/users.csv"], "12"),
+     (["ingest", "--input", "{out}/log.tsv", "--out-dir", "{out}/cells"], "12"),
+     (["shuffle-sim", "--simulate", "--out", "{out}/ss.csv"], "0"),
+     (["coreset-check", "--out", "{out}/cc.csv"], "12"),
+     (SWEEP_ARGS + ["--out-dir", "{out}/run"], "12"),
+     (SWEEP_ARGS + ["--out-dir", "{out}/run"], "8,12")],
+    ids=["synth", "ingest", "shuffle-sim", "coreset-check", "sweep", "sweep-list"],
+)
+def test_every_delta_grid_must_be_a_power_of_two(tmp_path, capsys, command, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(out=out) for arg in command] + ["--delta-grid", value])
+    assert exit_info.value.code == 2
+    bad = value.split(",")[-1]
+    assert f"argument --delta-grid: must be a power of two, got {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--n", "--gaussians", "--samples"])
+@pytest.mark.parametrize("command", ["synth", "shuffle-sim", "sweep"])
+def test_every_count_must_be_at_least_one(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    args = {
+        "synth": ["synth", "--out", str(out / "users.csv")],
+        "shuffle-sim": ["shuffle-sim", "--simulate", "--out", str(out / "ss.csv")],
+        "sweep": SWEEP_ARGS + ["--out-dir", str(out)],
+    }[command]
+    value = "5,0" if command == "sweep" and flag == "--n" else "0"
+    with pytest.raises(SystemExit) as exit_info:
+        main(args + [flag, value])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_refuses_one_user_for_a_shuffle_before_any_trial(tmp_path, capsys):
+    # a shuffle round needs n >= 2: every shuffle row would be missing
+    out_dir = tmp_path / "run"
+    flags = ["--n", "5,1", "--algorithms", "ours,shuffle-64", "--out-dir", str(out_dir)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(SWEEP_ARGS + flags)
+    assert exit_info.value.code == 2
+    assert "emdheat sweep: error: shuffle-64 needs n >= 2 users, got --n 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+    # without a shuffle, one user is a valid sweep point
+    assert main(SWEEP_ARGS + ["--n", "1", "--trials", "1", "--out-dir", str(out_dir)]) == 0
+
+
 @pytest.mark.parametrize("workers", ["two", "0", "-1", "1.5", ""])
 def test_sweep_refuses_a_worker_count_that_is_not_a_positive_integer(
     tmp_path, capsys, monkeypatch, workers

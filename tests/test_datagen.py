@@ -24,7 +24,14 @@ from emdheat.datagen import (
 )
 from emdheat.grid import SparseDist
 
-from helpers import assert_same_cells, dense_count_synth, gp, loop_build_cells, rand_sparse
+from helpers import (
+    assert_same_cells,
+    dense_count_synth,
+    gp,
+    loop_build_cells,
+    loop_write_csv,
+    rand_sparse,
+)
 
 
 def test_parse_single_line():
@@ -315,11 +322,26 @@ def test_synth_users_deterministic():
     assert all(a.entries == b.entries for a, b in zip(u1, u2))
 
 
+def border_heavy_spec() -> MixtureSpec:
+    """Means within 0.03 of the edges: 59% of samples are redrawn, 36% twice or more."""
+    rng = np.random.default_rng(71)
+    means = np.array([[0.01, 0.01], [0.99, 0.02], [0.02, 0.985], [0.975, 0.99], [0.01, 0.5]])
+    covs = []
+    for theta in rng.uniform(0.0, 2.0 * math.pi, size=len(means)):
+        c, s = math.cos(theta), math.sin(theta)
+        rot = np.array([[c, -s], [s, c]])
+        covs.append(rot @ np.diag(rng.uniform(1e-3, 1e-2, size=2)) @ rot.T)
+    return MixtureSpec(means, np.array(covs), samples_per_user=30, n_users=40, resolution=32, seed=9)
+
+
 @pytest.mark.parametrize(
-    "gaussians, n, samples, d, seed", [(5, 12, 40, 16, 1), (8, 100, 40, 64, 2), (3, 20, 50, 1024, 3)]
+    "spec",
+    [pytest.param(random_mixture_spec(*args[:4], seed=args[4]), id="-".join(map(str, args)))
+     for args in [(5, 12, 40, 16, 1), (8, 100, 40, 64, 2), (3, 20, 50, 1024, 3)]]
+    + [pytest.param(border_heavy_spec(), id="border-heavy"),
+       pytest.param(random_mixture_spec(4, 1, 1, 8, seed=5), id="one-sample-one-user")],
 )
-def test_synth_users_matches_dense_counts(gaussians, n, samples, d, seed):
-    spec = random_mixture_spec(gaussians, n, samples, d, seed=seed)
+def test_synth_users_matches_dense_counts(spec):
     users, sparsity = synth_users(spec)
     want, want_sparsity = dense_count_synth(spec)
     assert sparsity == want_sparsity
@@ -366,6 +388,26 @@ def test_dataset_round_trip(tmp_path):
     assert back.keys() == users.keys()
     for uid in users:
         assert back[uid].entries == users[uid].entries
+
+
+def test_write_dataset_writes_the_bytes_of_a_row_by_row_loop(tmp_path):
+    rng = np.random.default_rng(62)
+    users = {
+        uid: SparseDist.from_keys(64, keys, rng.dirichlet(np.ones(len(keys))))
+        for uid, keys in [
+            ('say "hi"', [4095, 3, 64, 0]),
+            ("b,c", [7, 6, 5]),
+            ("a", [1000]),
+            ("z\nline", [12, 2048, 11]),
+        ]
+    }
+    users["empty"] = SparseDist(64)
+    users["fine"] = rand_sparse(rng, 64, 50)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_dataset(got, users, 64)
+    loop_write_csv(want, users, 64)
+    assert got.read_bytes() == want.read_bytes()
+    assert b'"b,c"' in got.read_bytes() and b'"say ""hi"""' in got.read_bytes()
 
 
 def test_dataset_round_trip_is_bit_exact_on_a_fine_grid(tmp_path):

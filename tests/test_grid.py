@@ -210,6 +210,55 @@ def test_from_keys_validation():
         SparseDist.from_keys(4, [0, 9], [1.0, np.nan])
 
 
+def test_split_refuses_what_from_keys_refuses_naming_the_point():
+    keys, sizes = [3, 1, 3, 0, 9], [2, 3]
+    masses = [0.25, 0.75, 0.5, 0.25, 0.25]
+    assert [p.keys.tolist() for p in SparseDist.split(4, keys, masses, sizes)] == [[3, 1], [3, 0, 9]]
+    with pytest.raises(ValueError, match="repeat"):
+        SparseDist.split(4, keys, masses, [3, 2])
+    for key in (-1, 16):
+        with pytest.raises(ValueError, match="off the 4 x 4 grid"):
+            SparseDist.split(4, [3, 1, 3, 0, key], masses, sizes)
+    for bad in (-0.5, np.nan, np.inf):
+        want = rf"mass {bad} at GridPoint\(ix=1, iy=2, resolution=4\) is negative or not finite"
+        with pytest.raises(ValueError, match=want):
+            SparseDist.split(4, [3, 1, 3, 9, 0], [0.25, 0.75, 0.5, bad, 0.25], sizes)
+    with pytest.raises(ValueError, match="power of two"):
+        SparseDist.split(6, keys, masses, sizes)
+    for bad_sizes in ([2, 2], [2, 4], [6, -1], [5, 0, -1, 1], []):
+        with pytest.raises(ValueError, match="run sizes must be nonnegative and add up to the 5 keys"):
+            SparseDist.split(4, keys, masses, bad_sizes)
+
+
+def test_split_tags_runs_without_overflow_on_the_finest_grids():
+    # at d = 2**31 two runs' tag offsets would pass 2**63
+    d, far = 2**31, 2**62 - 1
+    p, q = SparseDist.split(d, [far, 0, far], [0.5, 0.5, 1.0], [2, 1])
+    assert p.keys.tolist() == [far, 0] and q.keys.tolist() == [far]
+    with pytest.raises(ValueError, match="repeat"):
+        SparseDist.split(d, [far, 0, 5, 5], [0.25] * 4, [2, 2])
+
+
+def test_split_drops_zeros_per_run_into_views_of_one_read_only_copy():
+    keys = np.array([5, 2, 7, 5, 1, 2])
+    masses = np.array([0.5, 0.0, 0.5, 0.0, 0.0, 1.0])
+    users = SparseDist.split(4, keys, masses, [3, 0, 2, 1])
+    assert [p.keys.tolist() for p in users] == [[5, 7], [], [], [2]]
+    assert [p.masses.tolist() for p in users] == [[0.5, 0.5], [], [], [1.0]]
+    assert users[1] == users[2] == SparseDist(4) and len(users[2]) == 0
+    assert users[0].keys.base is users[3].keys.base
+    for p in users:
+        assert not p.keys.flags.writeable and not p.masses.flags.writeable
+        with pytest.raises(ValueError):
+            p.keys.flags.writeable = True
+    keys[0], masses[0] = 6, 0.25
+    assert users[0].keys[0] == 5 and users[0].masses[0] == 0.5
+    assert SparseDist.split(4, [], [], []) == []
+    for p in users:
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and not back.keys.flags.writeable and not back.masses.flags.writeable
+
+
 def test_entries_follow_array_order():
     d = 16
     p = SparseDist(d, {gp(3, 9, d): 0.25, gp(0, 0, d): 0.5, gp(15, 2, d): 0.25})
