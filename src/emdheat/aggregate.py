@@ -14,26 +14,32 @@ sum to a coarse grid chosen from the total budget, noise every cell,
 project back in EMD norm with emd's flow LP (emd.nearest_nonnegative).
 baseline_laplace: per-cell noise, optional keep-top-t-percent threshold.
 
-All mechanisms take the unnormalized sum s = sum_u p_u, formed once by
-grid.user_sum in O(total support) and densified once to the d x d array
-the measurements need; no user is expanded to a dense array.  Each user's
-distribution has unit mass and the level sums partition the grid, so
-one user changes each level of P s by at most 1 in l1; Lap(1/eps_i)
-per cell therefore spends eps_i per level and sum(eps_i) = eps total.
-Everything after the noisy release is post-processing.
+All three measure the same way: the unnormalized sum s = sum_u p_u is
+formed once by grid.user_sum in O(total support), re-gridded to the
+finest measured level, densified once and halved into a NoisyPyramid
+under a NoiseSchedule; no user is expanded to a dense array.  Dense and
+baseline measure one level at the whole budget, NoiseSchedule((eps,),
+eps, level), and read it whole, so they draw what `s + rng.laplace(0,
+1/eps, s.shape)` would, and need a PCG64 or PCG64DXSM generator as the
+central release does.  Each user's distribution has unit mass and the
+level sums partition the grid, so one user changes each level of P s by
+at most 1 in l1; Lap(1/eps_i) per cell therefore spends eps_i per level
+and sum(eps_i) = eps total.  Everything after the noisy release is
+post-processing.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .emd import nearest_nonnegative
 from .grid import GridPoint, SparseDist, num_levels, user_sum
-from .noise import NoiseSchedule, budget_schedule, check_eps, laplace, pivot_level
+from .noise import NoiseSchedule, budget_schedule, check_eps, pivot_level
 from .pyramid import NoisyPyramid, level_sums
 from .recovery import reconstruct
 
@@ -79,41 +85,69 @@ class AggregationConfig:
 class AggregateResult:
     """A release plus its trace.
 
-    `trace` holds the stage timings `sum_s`, `measure_s` (partition sums
-    and noise) and `reconstruct_s`, the sizes `n_users`, `input_entries`
-    and `sum_support`, and the per-level Laplace scales `noise_scales`.
-    Aligned with `noise_scales`, `cells_read` and `cells_noised` count
-    per measured level the distinct cells the recovery read and the
-    Laplace values drawn: one per cell read in the central release,
-    every coarse cell in the dense one.
+    `y_prime` is the noisy measurement the release was computed from,
+    under `schedule`.  `trace` holds the stage timings `sum_s`,
+    `measure_s` (partition sums and noise) and `reconstruct_s`, the
+    sizes `n_users`, `input_entries` and `sum_support`, and the
+    per-level Laplace scales `noise_scales`.  Aligned with
+    `noise_scales`, `cells_read` and `cells_noised` count per measured
+    level the distinct cells the recovery read and the Laplace values
+    drawn: one per cell read in the central release, every coarse cell
+    in the dense one.
     """
 
     a_hat: SparseDist
     s_hat: SparseDist
-    y_prime: NoisyPyramid | None
-    schedule: NoiseSchedule | None
+    y_prime: NoisyPyramid
+    schedule: NoiseSchedule
     degenerate: bool = False
     n_users: int = 0
     trace: dict = field(default_factory=dict)
 
 
-def _dense_sum(dists: list[SparseDist], resolution: int | None = None) -> tuple[np.ndarray, dict]:
-    """The checked user sum densified once, with its trace entries.
+def _measure(
+    dists: list[SparseDist],
+    schedule_at: Callable[[int], NoiseSchedule],
+    rng: np.random.Generator,
+) -> tuple[NoisyPyramid, dict]:
+    """y' of the checked user sum under `schedule_at(resolution)`, with its trace entries.
 
-    With `resolution`, the sum is re-gridded to it before densifying.
+    The sum is re-gridded to the schedule's finest level, densified once
+    and halved into the measured levels; the noise is drawn from `rng`
+    as y' is read.
     """
     start = time.perf_counter()
     total = user_sum(dists)
-    if resolution is not None:
-        total = total.at_resolution(resolution)
+    schedule = schedule_at(total.resolution)
+    total = total.at_resolution(1 << schedule.max_level)
     s = total.to_dense()
+    t0 = time.perf_counter()
+    y_prime = NoisyPyramid(level_sums(s, schedule.start_level), schedule.start_level, schedule, rng)
     trace = {
-        "sum_s": time.perf_counter() - start,
+        "sum_s": t0 - start,
         "n_users": len(dists),
         "input_entries": sum(map(len, dists)),
         "sum_support": len(total),
+        "measure_s": time.perf_counter() - t0,
     }
-    return s, trace
+    return y_prime, trace
+
+
+def _finish(
+    s_hat: SparseDist, y_prime: NoisyPyramid, trace: dict, started: float, cells_read: list[int]
+) -> AggregateResult:
+    """The normalized release of `s_hat`, its trace closed; reconstruction began at `started`."""
+    a_hat, degenerate = normalize(s_hat)
+    schedule = y_prime.schedule
+    # noise is drawn as y' is read; it counts as measurement
+    trace.update(
+        measure_s=trace["measure_s"] + y_prime.noise_s,
+        reconstruct_s=time.perf_counter() - started - y_prime.noise_s,
+        noise_scales=[1.0 / eps_i for eps_i in schedule.epsilons],
+        cells_read=cells_read,
+        cells_noised=y_prime.cells_noised,
+    )
+    return AggregateResult(a_hat, s_hat, y_prime, schedule, degenerate, trace["n_users"], trace)
 
 
 def aggregate_central(
@@ -122,26 +156,10 @@ def aggregate_central(
     rng: np.random.Generator,
 ) -> AggregateResult:
     """Noisy pyramid release of the user sum, then sparse recovery."""
-    s, trace = _dense_sum(dists)
-    resolution = s.shape[0]
-    schedule = cfg.schedule(resolution)
-    start, ell = schedule.start_level, schedule.max_level
-
-    t0 = time.perf_counter()
-    y_prime = NoisyPyramid(level_sums(s, start), start, schedule, rng)
-    t1 = time.perf_counter()
-
+    y_prime, trace = _measure(dists, cfg.schedule, rng)
+    started = time.perf_counter()
     s_hat = reconstruct(y_prime, cfg.w)
-    a_hat, degenerate = normalize(s_hat)
-    # noise is drawn during the descent; it counts as measurement
-    trace.update(
-        measure_s=t1 - t0 + y_prime.noise_s,
-        reconstruct_s=time.perf_counter() - t1 - y_prime.noise_s,
-        noise_scales=[schedule.scale(i) for i in range(start, ell + 1)],
-        cells_read=y_prime.cells_read,
-        cells_noised=y_prime.cells_noised,
-    )
-    return AggregateResult(a_hat, s_hat, y_prime, schedule, degenerate, len(dists), trace)
+    return _finish(s_hat, y_prime, trace, started, y_prime.cells_read)
 
 
 def normalize(s_hat: SparseDist) -> tuple[SparseDist, bool]:
@@ -165,24 +183,15 @@ def aggregate_dense(
     check_eps(eps)
     if not dists:
         raise ValueError("need at least one user distribution")
-    n = len(dists)
-    ell_star = max(0, int(math.floor(math.log2(math.sqrt(eps * n)))))
-    coarse = min(1 << ell_star, dists[0].resolution)
-    s, trace = _dense_sum(dists, coarse)
-
-    t0 = time.perf_counter()
-    noisy = s + laplace(1.0 / eps, rng, s.shape)
-    t1 = time.perf_counter()
-    s_hat = SparseDist.from_dense(nearest_nonnegative(noisy), coarse)
-    a_hat, degenerate = normalize(s_hat)
-    trace.update(
-        measure_s=t1 - t0,
-        reconstruct_s=time.perf_counter() - t1,
-        noise_scales=[1.0 / eps],
-        cells_read=[s.size],
-        cells_noised=[s.size],
+    ell_star = max(0, int(math.floor(math.log2(math.sqrt(eps * len(dists))))))
+    y_prime, trace = _measure(
+        dists, lambda d: NoiseSchedule((eps,), eps, min(ell_star, num_levels(d))), rng
     )
-    return AggregateResult(a_hat, s_hat, None, None, degenerate, n, trace)
+    started = time.perf_counter()
+    coarse = y_prime.resolution
+    noisy = y_prime.level(y_prime.max_level) * coarse
+    s_hat = SparseDist.from_dense(nearest_nonnegative(noisy), coarse)
+    return _finish(s_hat, y_prime, trace, started, [coarse * coarse])
 
 
 def baseline_laplace(
@@ -196,9 +205,9 @@ def baseline_laplace(
     check_eps(eps)
     if threshold_pct is not None and not 0 < threshold_pct <= 100:
         raise ValueError("threshold_pct must lie in (0, 100]")
-    s = user_sum(dists).to_dense()
-    d = s.shape[0]
-    noisy = s + laplace(1.0 / eps, rng, s.shape)
+    y_prime, _ = _measure(dists, lambda d: NoiseSchedule((eps,), eps, num_levels(d)), rng)
+    d = y_prime.resolution
+    noisy = y_prime.level(y_prime.max_level) * d
 
     if threshold_pct is not None:
         keep = math.ceil(threshold_pct / 100.0 * d * d)

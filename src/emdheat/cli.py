@@ -37,7 +37,7 @@ from .aggregate import (
     coreset,
     normalize,
 )
-from .clustering import coreset_check, write_reports_csv
+from .clustering import COMBINATION_BUDGET, center_sets, coreset_check, write_reports_csv
 from .datagen import (
     US_BBOX,
     BBox,
@@ -53,9 +53,10 @@ from .datagen import (
 )
 from .grid import GridPoint, SparseDist, is_power_of_two, next_pow2, user_sum
 from .heatmap import (
-    HeatmapGrid, checked_mass, heatmap, heatmap_padded, metrics, read_csv, read_pgm, write_csv, write_pgm,
+    HeatmapGrid, check_sigma, checked_mass, heatmap, heatmap_padded, metrics, read_csv, read_pgm,
+    write_csv, write_pgm,
 )
-from .noise import make_rng
+from .noise import check_eps, make_rng
 from .recovery import reconstruct
 from .shuffle import ShuffleParams, communication, simulate_round
 
@@ -222,21 +223,45 @@ def _list_of(parse: Callable[[str], object]) -> Callable[[str], list]:
     return parse_list
 
 
-def _int_where(holds: Callable[[int], bool], requirement: str) -> Callable[[str], int]:
-    """An argparse type: an int for which `holds` is true, else a usage error."""
+def _checked(convert: Callable[[str], object], check: Callable) -> Callable:
+    """An argparse type: `convert(text)`, refused with the message of the ValueError `check` raises."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if not holds(value):
-            raise argparse.ArgumentTypeError(f"{requirement}, got {value}")
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
-    parse.__name__ = "int"  # argparse and _list_of name the type in their messages
+    parse.__name__ = convert.__name__  # argparse and _list_of name the type in their messages
     return parse
 
 
-_power_of_two = _int_where(is_power_of_two, "must be a power of two")
-_positive = _int_where(lambda n: n >= 1, "must be >= 1")
+def _where(convert: Callable[[str], object], holds: Callable, requirement: str) -> Callable:
+    """An argparse type: a `convert`ed value for which `holds` is true, else a usage error."""
+
+    def check(value) -> None:
+        if not holds(value):
+            raise ValueError(f"{requirement}, got {value}")
+
+    return _checked(convert, check)
+
+
+_power_of_two = _where(int, is_power_of_two, "must be a power of two")
+_positive = _where(int, lambda n: n >= 1, "must be >= 1")
+_non_negative = _where(int, lambda n: n >= 0, "must be >= 0")
+_delta = _where(float, lambda p: 0.0 < p < 1.0, "must lie in (0, 1)")
+_eps = _checked(float, check_eps)
+_sigma = _checked(float, check_sigma)
+
+
+def _config(args: argparse.Namespace, eps: float) -> AggregationConfig:
+    """The release config of `args` at `eps`; a usage error where the flags do not make one."""
+    try:
+        return AggregationConfig(eps, args.w, args.mode, args.gamma)
+    except ValueError as exc:
+        _usage_error(args, str(exc))
 
 
 # ---------------------------------------------------------------- sweep
@@ -396,7 +421,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         release = _release(algorithm)
     except ValueError as exc:  # --algorithm has fixed choices, so only --top-pct gets here
         _usage_error(args, f"--top-pct: {exc}")
-    cfg = AggregationConfig(eps=args.eps, w=args.w, mode=args.mode, gamma=args.gamma)
+    cfg = _config(args, args.eps)
     # aggregate offers no shuffle release, so no shuffle delta
     a_hat, trace = release(dists, cfg, make_rng(args.seed), None)
     write_dataset(
@@ -445,7 +470,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_shuffle_sim(args: argparse.Namespace) -> int:
-    cfg = AggregationConfig(eps=args.eps, w=args.w, mode=args.mode, gamma=args.gamma)
+    if args.n < 2:
+        _usage_error(args, f"a shuffle round needs n >= 2 users, got --n {args.n}")
+    cfg = _config(args, args.eps)
     schedule = cfg.schedule(args.delta_grid)
     comm_rows = [
         communication(ShuffleParams.from_schedule(b, args.n, args.delta, schedule, args.delta_grid))
@@ -474,8 +501,14 @@ def _cmd_shuffle_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_coreset_check(args: argparse.Namespace) -> int:
-    rng = make_rng(args.seed, 5)
     d = args.delta_grid
+    if d % args.candidate_side:
+        _usage_error(args, f"--candidate-side {args.candidate_side} must divide --delta-grid {d}")
+    for k in args.k:
+        if center_sets(args.candidate_side**2, k) > COMBINATION_BUDGET:
+            _usage_error(args, f"--k {k} enumerates more than {COMBINATION_BUDGET} center sets "
+                         f"on a --candidate-side {args.candidate_side} grid")
+    rng = make_rng(args.seed, 5)
     points = [
         GridPoint(int(ix), int(iy), d)
         for ix, iy in rng.integers(0, d, size=(args.n_points, 2))
@@ -520,10 +553,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if shuffles and min(args.n) < 2:
         _usage_error(args, f"{shuffles[0]} needs n >= 2 users, got --n {min(args.n)}")
     for eps in args.eps:
-        try:
-            AggregationConfig(eps, args.w, args.mode, args.gamma)
-        except ValueError as exc:
-            _usage_error(args, str(exc))
+        _config(args, eps)
     workers = os.environ.get("EMDHEAT_WORKERS", "1")
     if not (workers.isdecimal() and int(workers) >= 1):
         _usage_error(args, f"EMDHEAT_WORKERS must be a positive integer, got {workers!r}")
@@ -591,8 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="build per-cell datasets from check-ins")
     p.add_argument("--input", required=True)
     p.add_argument("--delta-grid", type=_power_of_two, default=64)
-    p.add_argument("--coarse", type=int, default=300)
-    p.add_argument("--top-cells", type=int, default=30)
+    p.add_argument("--coarse", type=_positive, default=300)
+    p.add_argument("--top-cells", type=_non_negative, default=30)
     p.add_argument("--min-users", type=int, default=200)
     p.add_argument("--date-from", type=date.fromisoformat, default=None)
     p.add_argument("--date-to", type=date.fromisoformat, default=None)
@@ -603,8 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aggregate", help="run one private aggregation")
     p.add_argument("--input", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--w", type=int, default=20)
+    p.add_argument("--eps", type=_eps, required=True)
+    p.add_argument("--w", type=_positive, default=20)
     p.add_argument("--mode", choices=["theory", "experiment"], default="experiment")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--algorithm", default="ours",
@@ -617,9 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heatmap", help="render a dataset or aggregate to PGM")
     p.add_argument("--input", required=True)
-    p.add_argument("--sigma", type=float, default=0.05)
+    p.add_argument("--sigma", type=_sigma, default=0.05)
     p.add_argument("--padded", action="store_true")
-    p.add_argument("--pad", type=int, default=None)
+    p.add_argument("--pad", type=_non_negative, default=None)
     p.add_argument("--csv-out", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_heatmap)
@@ -631,16 +661,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("shuffle-sim", help="shuffle-model accounting and simulation")
-    p.add_argument("--B", type=_list_of(int), default="64,256,1024")
-    p.add_argument("--eps", type=float, default=5.0)
-    p.add_argument("--delta", type=float, default=1e-5)
+    p.add_argument("--B", type=_list_of(_positive), default="64,256,1024")
+    p.add_argument("--eps", type=_eps, default=5.0)
+    p.add_argument("--delta", type=_delta, default=1e-5)
     p.add_argument("--n", type=_positive, default=50)
     p.add_argument("--delta-grid", type=_power_of_two, default=16)
-    p.add_argument("--w", type=int, default=20)
+    p.add_argument("--w", type=_positive, default=20)
     p.add_argument("--mode", choices=["theory", "experiment"], default="theory")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--simulate", action="store_true")
-    p.add_argument("--sigma", type=float, default=0.2)
+    p.add_argument("--sigma", type=_sigma, default=0.2)
     p.add_argument("--gaussians", type=_positive, default=4)
     p.add_argument("--samples", type=_positive, default=50)
     p.add_argument("--seed", type=int, default=0)
@@ -648,14 +678,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_shuffle_sim)
 
     p = sub.add_parser("coreset-check", help="empirical coreset quality report")
-    p.add_argument("--k", type=_list_of(int), default="1,2")
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--w", type=int, default=20)
+    p.add_argument("--k", type=_list_of(_positive), default="1,2")
+    p.add_argument("--eps", type=_eps, default=1.0)
+    p.add_argument("--w", type=_positive, default=20)
     p.add_argument("--lam", type=float, default=None,
                    help="multiplicative slack (default sqrt(k/w))")
-    p.add_argument("--n-points", type=int, default=50)
+    p.add_argument("--n-points", type=_positive, default=50)
     p.add_argument("--delta-grid", type=_power_of_two, default=16)
-    p.add_argument("--candidate-side", type=int, default=8)
+    p.add_argument("--candidate-side", type=_positive, default=8)
     p.add_argument("--mode", choices=["theory", "experiment"], default="theory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -665,18 +695,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_list_of(float), default="0.1,0.5,1,2,5,10")
     p.add_argument("--n", type=_list_of(_positive), default="200")
     p.add_argument("--delta-grid", type=_list_of(_power_of_two), default="64")
-    p.add_argument("--w", type=int, default=20)
+    p.add_argument("--w", type=_positive, default=20)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--mode", choices=["theory", "experiment"], default="experiment")
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--sigma", type=_sigma, default=0.05)
+    p.add_argument("--trials", type=_positive, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gaussians", type=_positive, default=20)
     p.add_argument("--samples", type=_positive, default=50)
     p.add_argument("--algorithms", default="ours,baseline,baseline-top")
     p.add_argument("--top-pct", default="1",
                    help="comma list of percentages for baseline-top")
-    p.add_argument("--delta", type=float, default=1e-5,
+    p.add_argument("--delta", type=_delta, default=1e-5,
                    help="shuffle delta when a shuffle-B algorithm is listed")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_sweep)

@@ -95,6 +95,11 @@ def subgrid_candidates(resolution: int, candidate_side: int) -> list[GridPoint]:
     ]
 
 
+def center_sets(n_candidates: int, k: int) -> int:
+    """The center sets of size 1..k that `coreset_check` enumerates from n_candidates."""
+    return sum(math.comb(n_candidates, j) for j in range(1, min(k, n_candidates) + 1))
+
+
 def coreset_check(
     points: list[GridPoint],
     s_hat: SparseDist,
@@ -113,8 +118,7 @@ def coreset_check(
     if not points:
         raise ValueError("need at least one data point")
     candidates = subgrid_candidates(s_hat.resolution, candidate_side)
-    total = sum(math.comb(len(candidates), j) for j in range(1, min(k, len(candidates)) + 1))
-    if total > COMBINATION_BUDGET:
+    if center_sets(len(candidates), k) > COMBINATION_BUDGET:
         raise ValueError("candidate combinations exceed the enumeration budget")
 
     dist_x = _distance_matrix(points, candidates)

@@ -74,7 +74,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .grid import GridPoint, SparseDist, grid_side
+from .grid import GridPoint, SparseDist, grid_points, grid_side
 
 SLACK_RATE = 2.0
 MAX_COMBINED_SUPPORT = 2000
@@ -99,7 +99,7 @@ class TransportPlan:
     `flows` is solved on first read, as one more LP: the bipartite
     transport on |supp p| * |supp q| arcs, one per (source, sink) pair,
     a zero-length one carrying the mass two cells share.  Only the tests
-    read it; ROADMAP item 4 moves it into the tests.
+    read it; ROADMAP item 7 moves it into the tests.
     """
 
     def __init__(self, cost: float, p: SparseDist, q: SparseDist) -> None:
@@ -119,7 +119,7 @@ class TransportPlan:
         supply = np.concatenate([mass_p, -mass_q * (p.total_mass / q.total_mass)])
         _, flow = _min_cost_flow(g, supply, d)
         moved = np.flatnonzero(flow > 0.0)
-        pts_p, pts_q = p.support(), q.support()
+        pts_p, pts_q = (grid_points(np.sort(x.keys), x.resolution) for x in (p, q))
         ends = zip(*np.divmod(moved, len(keys_q)), flow[moved])
         return {(pts_p[i], pts_q[j]): float(x) for i, j, x in ends}
 

@@ -209,9 +209,6 @@ class SparseDist:
         """The masses added left to right in array order, as `user_sum` checks them."""
         return float(self.masses.cumsum()[-1]) if len(self) else 0.0
 
-    def support(self) -> list[GridPoint]:
-        return grid_points(np.sort(self.keys), self.resolution)
-
     def scaled(self, factor: float) -> "SparseDist":
         if factor < 0:
             raise ValueError("scaling factor must be nonnegative")

@@ -60,10 +60,15 @@ def _axis_kernel(sigma: float, resolution: int) -> np.ndarray:
     return np.exp(-(diff**2) / (2.0 * sigma**2))
 
 
-def heatmap(p: SparseDist, sigma: float) -> HeatmapGrid:
-    """Truncated heatmap: per-source normalizer keeps total mass 1."""
+def check_sigma(sigma: float) -> None:
+    """Refuse a kernel width that is not finite and positive (NaN included)."""
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
+
+
+def heatmap(p: SparseDist, sigma: float) -> HeatmapGrid:
+    """Truncated heatmap: per-source normalizer keeps total mass 1."""
+    check_sigma(sigma)
     d = p.resolution
     g = _axis_kernel(sigma, d)
     z = g.sum(axis=0)
@@ -82,8 +87,7 @@ def heatmap_padded(p: SparseDist, sigma: float, pad: int | None = None) -> Heatm
     each source sheds only the tail mass beyond the padding (< 1e-8 at
     pad >= ceil(6 * sigma * resolution)).
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    check_sigma(sigma)
     d = p.resolution
     if pad is None:
         pad = default_pad(sigma, d)

@@ -17,6 +17,9 @@ release draws noise only at the cells its support descent reads.  A
 cell never read cannot change the output, and every read cell gets
 exactly the value the dense draws would give it, so a given seed yields
 the same release as noising every cell, with the same privacy argument.
+The dense and baseline releases read the same stream through a
+one-level schedule, in which every cell is read, so all three
+central-model releases draw Laplace noise through `LaplaceStream` alone.
 
 The shuffle protocol replaces continuous Laplace with a sum of integer
 Polya shares: n i.i.d. Polya(1/n, alpha) variables sum to a negative
@@ -51,13 +54,13 @@ def check_eps(eps: float) -> None:
 class NoiseSchedule:
     """Per-level budgets eps_i for levels start_level..max_level.
 
-    Invariants: the budgets sum to `total` exactly up to float rounding,
-    and adjacent ratios are gamma or 1/gamma.
+    Invariant: the budgets sum to `total` up to float rounding.
+    `budget_schedule` splits a budget geometrically over many levels;
+    the dense and baseline releases measure one level at the whole
+    budget, `NoiseSchedule((eps,), eps, level)`.
     """
 
     epsilons: tuple[float, ...]
-    gamma: float
-    q_level: int
     total: float
     start_level: int
 
@@ -87,9 +90,10 @@ def budget_schedule(
 ) -> NoiseSchedule:
     """Geometric budget split eps_i = gamma^|i-q| * eps / Z over levels.
 
-    Z normalizes over the scheduled levels [start_level, ell] so the
-    budgets sum to eps.  The utility analysis needs gamma in (0.5, 1):
-    below 0.5 the per-level noise sums diverge with depth.
+    q is `pivot_level(w)`, and Z normalizes over the scheduled levels
+    [start_level, ell] so the budgets sum to eps; adjacent budgets differ
+    by a factor gamma or 1/gamma.  The utility analysis needs gamma in
+    (0.5, 1): below 0.5 the per-level noise sums diverge with depth.
     """
     check_eps(eps)
     if not 0.5 < gamma < 1.0:
@@ -104,7 +108,7 @@ def budget_schedule(
     )
     z = weights.sum()
     eps_i = tuple(float(v) for v in weights * (eps / z))
-    return NoiseSchedule(eps_i, gamma, q, eps, start_level)
+    return NoiseSchedule(eps_i, eps, start_level)
 
 
 def laplace(

@@ -14,9 +14,11 @@ Level sums are built bottom up by 2x2 halving: `level_sums` forms every
 level from the finest in one O(d^2) pass plus a geometric tail.
 
 PyramidVec holds every level as a dense array.  NoisyPyramid is the
-central release's y': the level sums plus Laplace noise that is drawn
-only at the cells a reader asks for.  Both answer `values(i, keys)` at
-cell keys cy * 2**i + cx, the only way `recovery` reads y'.
+noisy measurement of every central-model release: the level sums plus
+Laplace noise that is drawn only at the cells a reader asks for.  Both
+answer `values(i, keys)` at cell keys cy * 2**i + cx, the only way
+`recovery` reads y'; the dense and baseline releases read their one
+level whole through `NoisyPyramid.level`.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ class NoisyPyramid:
     it is asked for that it has not drawn before, one stream read per run
     of consecutive keys, and keeps them per level as sorted key and noise
     arrays.  `level` and `levels` evaluate whole levels from the same
-    positions, equal bit for bit to what `values` returns.  `rng` itself
+    positions, equal bit for bit to what `values` returns.  `values` and
+    `level` add the time they spend drawing to `noise_s`.  `rng` itself
     moves past all the draws.
     """
 
@@ -121,7 +124,7 @@ class NoisyPyramid:
         self._noise = [np.empty(0) for _ in sums]
         # per level: the values read from the stream, by `values` and `level`
         self._drawn = [0 for _ in sums]
-        # seconds spent drawing noise in `values`
+        # seconds spent drawing noise in `values` and `level`
         self.noise_s = 0.0
 
     def _index(self, i: int) -> int:
@@ -166,7 +169,9 @@ class NoisyPyramid:
         """The whole of level i, every cell drawn."""
         j = self._index(i)
         sums = self._sums[j]
+        t0 = time.perf_counter()
         noise = self._stream.draw(self.schedule.scale(i), self._offsets[j], sums.shape)
+        self.noise_s += time.perf_counter() - t0
         self._drawn[j] += noise.size
         return self._noisy(i, sums, noise)
 

@@ -12,7 +12,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from emdheat.datagen import US_BBOX, BBox, CellDataset, Checkins, MixtureSpec
-from emdheat.grid import GridPoint, SparseDist, num_levels, snap
+from emdheat.grid import GridPoint, SparseDist, grid_points, num_levels, snap
 from emdheat.noise import make_rng
 from emdheat.pyramid import PyramidVec, apply_pyramid
 
@@ -23,6 +23,11 @@ def gp(ix: int, iy: int, d: int) -> GridPoint:
 
 def delta(ix: int, iy: int, d: int, mass: float = 1.0) -> SparseDist:
     return SparseDist(d, {GridPoint(ix, iy, d): mass})
+
+
+def support(p: SparseDist) -> list[GridPoint]:
+    """p's support points in row-major order."""
+    return grid_points(np.sort(p.keys), p.resolution)
 
 
 def rand_sparse(rng: np.random.Generator, d: int, k: int, mass: float = 1.0) -> SparseDist:

@@ -1,6 +1,7 @@
 """End-to-end aggregation mechanisms: central, dense, baseline, coreset."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from emdheat.aggregate import (
     coreset,
     normalize,
 )
-from emdheat.emd import CapacityError, emd, emd_norm
-from emdheat.grid import GridPoint, SparseDist
+from emdheat.emd import CapacityError, emd, emd_norm, nearest_nonnegative
+from emdheat.grid import GridPoint, SparseDist, user_sum
 from emdheat.noise import budget_schedule, make_rng, pivot_level
 from emdheat.pyramid import PyramidVec, partition_sums
 from emdheat.recovery import reconstruct
@@ -332,3 +333,61 @@ def test_aggregate_trace():
     assert central.trace["noise_scales"] == [schedule.scale(i) for i in levels]
     assert central.trace["sum_support"] == len(np.flatnonzero(dense_loop_sum(dists)))
     assert dense.trace["noise_scales"] == [1.0]
+
+
+def _replay_baseline(dists, eps, threshold_pct, replay):
+    """baseline_laplace from dense draws: top-t%, clip and normalize of s + Lap(1/eps)."""
+    s = dense_loop_sum(dists)
+    d = s.shape[0]
+    noisy = (s + replay.laplace(0.0, 1.0 / eps, s.shape)).reshape(-1)
+    if threshold_pct is not None:
+        keep = np.argsort(-noisy, kind="stable")[: math.ceil(threshold_pct / 100.0 * d * d)]
+        noisy = np.where(np.isin(np.arange(d * d), keep), noisy, 0.0)
+    return normalize(SparseDist.from_dense(np.maximum(noisy, 0.0).reshape(d, d), d))[0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("d", [8, 64, 256])
+def test_dense_and_baseline_replay_the_generators_laplace_draws(d, seed):
+    # each release equals its formula over dense rng.laplace draws, and
+    # leaves the caller's RNG where those draws leave a second generator
+    data = np.random.default_rng([71, d, seed])
+    dists = [rand_sparse(data, d, int(data.integers(1, 9))) for _ in range(int(data.integers(2, 90)))]
+    eps = float(data.uniform(0.2, 4.0))
+    for threshold_pct in (None, 10.0):
+        rng, replay = make_rng(seed, 1), make_rng(seed, 1)
+        got = baseline_laplace(dists, eps, threshold_pct, rng=rng)
+        want = _replay_baseline(dists, eps, threshold_pct, replay)
+        assert got.keys.tolist() == want.keys.tolist()
+        assert got.masses.tolist() == want.masses.tolist()
+        assert rng.random() == replay.random()
+
+    rng, replay = make_rng(seed, 2), make_rng(seed, 2)
+    res = aggregate_dense(dists, eps, rng=rng)
+    c = res.s_hat.resolution
+    s_c = user_sum(dists).at_resolution(c).to_dense()
+    want = SparseDist.from_dense(nearest_nonnegative(s_c + replay.laplace(0.0, 1.0 / eps, (c, c))), c)
+    assert res.s_hat.keys.tolist() == want.keys.tolist()
+    assert res.s_hat.masses.tolist() == want.masses.tolist()
+    assert rng.random() == replay.random()
+
+
+def test_dense_release_reports_its_one_level_schedule():
+    rng = np.random.default_rng(72)
+    dists = [rand_sparse(rng, 64, 3) for _ in range(64)]
+    res = aggregate_dense(dists, eps=2.0, rng=make_rng(7))
+    c = res.s_hat.resolution
+    # floor(log2(sqrt(128))) = 3: one level, the 8 x 8 grid, at the whole budget
+    assert c == 8
+    assert (res.schedule.epsilons, res.schedule.total, res.schedule.start_level) == ((2.0,), 2.0, 3)
+    assert res.y_prime.schedule is res.schedule
+    assert res.trace["noise_scales"] == [0.5]
+    assert res.trace["cells_read"] == res.trace["cells_noised"] == [c * c]
+
+
+def test_dense_and_baseline_refuse_a_generator_they_cannot_read_by_position():
+    users = [delta(1, 2, 8), delta(5, 6, 8)]
+    for release in (aggregate_dense, baseline_laplace):
+        rng = np.random.Generator(np.random.MT19937(3))
+        with pytest.raises(TypeError, match="needs a PCG64 or PCG64DXSM generator, got MT19937"):
+            release(users, 1.0, rng=rng)

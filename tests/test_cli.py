@@ -679,3 +679,95 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setenv("EMDHEAT_WORKERS", "2")
     main(SWEEP_ARGS + ["--out-dir", str(parallel)])
     assert strip_wall(serial / "trials.csv") == strip_wall(parallel / "trials.csv")
+
+
+def _refused(argv, out, capsys):
+    """The stderr of `main(argv)`, which must exit 2 and leave `out` unwritten."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--eps", "0"], "argument --eps: eps must be finite and positive, got 0.0"),
+     (["--eps", "nan"], "argument --eps: eps must be finite and positive, got nan"),
+     (["--eps", "1", "--w", "0"], "argument --w: must be >= 1, got 0"),
+     (["--eps", "1", "--gamma", "0.3"], "emdheat aggregate: error: gamma must lie in (0.5, 1)")],
+)
+def test_aggregate_refuses_a_bad_parameter_with_status_2(tmp_path, capsys, flags, message):
+    data = tmp_path / "users.csv"
+    main(["synth", "--n", "3", "--delta-grid", "8", "--out", str(data)])
+    out = tmp_path / "agg.csv"
+    assert message in _refused(["aggregate", "--input", str(data), *flags, "--out", str(out)], out, capsys)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--sigma", "0"], "argument --sigma: sigma must be finite and positive, got 0.0"),
+     (["--padded", "--pad", "-1"], "argument --pad: must be >= 0, got -1")],
+)
+def test_heatmap_refuses_a_bad_parameter_with_status_2(tmp_path, capsys, flags, message):
+    data = tmp_path / "users.csv"
+    main(["synth", "--n", "3", "--delta-grid", "8", "--out", str(data)])
+    out = tmp_path / "h.pgm"
+    assert message in _refused(["heatmap", "--input", str(data), *flags, "--out", str(out)], out, capsys)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--n", "1"], "emdheat shuffle-sim: error: a shuffle round needs n >= 2 users, got --n 1"),
+     (["--B", "64,0"], "argument --B: must be >= 1, got 0"),
+     (["--delta", "0"], "argument --delta: must lie in (0, 1), got 0.0"),
+     (["--delta", "1.5"], "argument --delta: must lie in (0, 1), got 1.5"),
+     (["--eps", "0"], "argument --eps: eps must be finite and positive, got 0.0"),
+     (["--w", "0"], "argument --w: must be >= 1, got 0"),
+     (["--sigma", "-1"], "argument --sigma: sigma must be finite and positive, got -1.0"),
+     (["--gamma", "1"], "emdheat shuffle-sim: error: gamma must lie in (0.5, 1)")],
+)
+def test_shuffle_sim_refuses_a_bad_parameter_with_status_2(tmp_path, capsys, flags, message):
+    # the communication table is written before the simulation, so every check comes first
+    out = tmp_path / "ss.csv"
+    assert message in _refused(["shuffle-sim", "--simulate", *flags, "--out", str(out)], out, capsys)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--candidate-side", "3"], "error: --candidate-side 3 must divide --delta-grid 16"),
+     (["--candidate-side", "32"], "error: --candidate-side 32 must divide --delta-grid 16"),
+     (["--n-points", "0"], "argument --n-points: must be >= 1, got 0"),
+     (["--w", "0"], "argument --w: must be >= 1, got 0"),
+     (["--eps", "-1"], "argument --eps: eps must be finite and positive, got -1.0"),
+     (["--k", "1,0"], "argument --k: must be >= 1, got 0"),
+     (["--k", "1,5"], "error: --k 5 enumerates more than 1000000 center sets on a --candidate-side 8 grid")],
+)
+def test_coreset_check_refuses_a_bad_parameter_with_status_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "cc.csv"
+    assert message in _refused(["coreset-check", *flags, "--out", str(out)], out, capsys)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--delta", "0", "--algorithms", "ours,shuffle-64"], "argument --delta: must lie in (0, 1), got 0.0"),
+     (["--w", "0"], "argument --w: must be >= 1, got 0"),
+     (["--sigma", "nan"], "argument --sigma: sigma must be finite and positive, got nan"),
+     (["--trials", "0"], "argument --trials: must be >= 1, got 0"),
+     (["--gamma", "0.5"], "emdheat sweep: error: gamma must lie in (0.5, 1)")],
+)
+def test_sweep_refuses_a_bad_parameter_with_status_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "run"
+    assert message in _refused(SWEEP_ARGS + flags + ["--out-dir", str(out)], out, capsys)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--coarse", "0"], "argument --coarse: must be >= 1, got 0"),
+     (["--top-cells", "-1"], "argument --top-cells: must be >= 0, got -1")],
+)
+def test_ingest_refuses_a_bad_parameter_with_status_2(tmp_path, capsys, flags, message):
+    log = tmp_path / "log.tsv"
+    log.write_text("a\t2011-03-02T10:00:00Z\t30.25\t-97.70\n")
+    out = tmp_path / "cells"
+    assert message in _refused(["ingest", "--input", str(log), *flags, "--out-dir", str(out)], out, capsys)

@@ -31,6 +31,7 @@ from helpers import (
     loop_build_cells,
     loop_write_csv,
     rand_sparse,
+    support,
 )
 
 
@@ -421,13 +422,13 @@ def test_dataset_round_trip_is_bit_exact_on_a_fine_grid(tmp_path):
     for uid, p in users.items():
         q = back[uid]
         assert q.resolution == 1024
-        assert list(q.entries) == p.support()
+        assert list(q.entries) == support(p)
         assert all(q.entries[g] == m for g, m in p.entries.items())
     # the on-disk format: rows by user id, then (iy, ix); masses as repr
     lines = ["user_id,ix,iy,mass"] + [
         f"{uid},{g.ix},{g.iy},{users[uid].entries[g]!r}"
         for uid in sorted(users)
-        for g in users[uid].support()
+        for g in support(users[uid])
     ]
     assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
 

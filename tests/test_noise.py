@@ -26,7 +26,7 @@ def test_pivot_level_examples():
 def test_budget_schedule_frozen_example():
     # eps=1, ell=4, w=20, gamma=0.8: pivot q=2, weights gamma^|i-2|
     sched = budget_schedule(1.0, 4, 20, 0.8)
-    assert sched.q_level == 2
+    assert pivot_level(20) == 2
     expected = [0.164948, 0.206186, 0.257732, 0.206186, 0.164948]
     np.testing.assert_allclose(sched.epsilons, expected, atol=5e-7)
     assert sum(sched.epsilons) == pytest.approx(1.0, abs=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emdheat.grid import SparseDist, num_levels
-from emdheat.noise import budget_schedule
+from emdheat.noise import NoiseSchedule, budget_schedule, make_rng
 from emdheat.pyramid import (
     NoisyPyramid,
     PyramidVec,
@@ -207,3 +207,16 @@ def test_noisy_pyramid_counts_the_values_it_draws():
     y.level(1)
     assert y.cells_read == [0, 0, 5, 0]
     assert y.cells_noised == [0, 4, 5, 0]
+
+
+def test_one_level_noisy_pyramid_is_the_dense_laplace_draw():
+    # the dense and baseline releases read their noise through this
+    for seed in range(50):
+        data = np.random.default_rng([73, seed])
+        ell = int(data.integers(0, 9))
+        s = data.random((1 << ell, 1 << ell)) * data.integers(1, 100)
+        eps = float(data.uniform(0.05, 10.0))
+        rng, replay = make_rng(seed, 3), make_rng(seed, 3)
+        y = NoisyPyramid([s], ell, NoiseSchedule((eps,), eps, ell), rng)
+        assert np.array_equal(y.level(ell) * 2**ell, s + replay.laplace(0.0, 1.0 / eps, s.shape))
+        assert rng.bit_generator.state == replay.bit_generator.state
