@@ -9,6 +9,7 @@ k-median is solved on the summary, and the chosen centers are scored
 against the optimum on the true points.
 """
 
+import csv
 import os
 import tempfile
 
@@ -20,7 +21,6 @@ from emdheat.clustering import (
     coreset_check,
     cost_points,
     subgrid_candidates,
-    write_reports_csv,
 )
 from emdheat.grid import GridPoint, SparseDist
 from emdheat.noise import make_rng
@@ -64,5 +64,8 @@ for rep in reports:
     print(f"  {rep['k']}   {rep['empirical_kappa']:.3f}")
 
 out = os.path.join(tempfile.mkdtemp(prefix="coreset_"), "reports.csv")
-write_reports_csv(reports, out)
+with open(out, "w", newline="") as f:
+    writer = csv.DictWriter(f, fieldnames=list(reports[0]))
+    writer.writeheader()
+    writer.writerows(reports)
 print(f"\nwrote {out}")

@@ -194,6 +194,12 @@ def aggregate_dense(
     return _finish(s_hat, y_prime, trace, started, [coarse * coarse])
 
 
+def check_top_pct(pct: float) -> None:
+    """Refuse a kept percentage outside (0, 100] (NaN included)."""
+    if not 0.0 < pct <= 100.0:
+        raise ValueError(f"the percentage must lie in (0, 100], got {pct}")
+
+
 def baseline_laplace(
     dists: list[SparseDist],
     eps: float,
@@ -203,8 +209,8 @@ def baseline_laplace(
 ) -> SparseDist:
     """Per-cell Laplace on the sum, clip negatives, optional top-t% keep."""
     check_eps(eps)
-    if threshold_pct is not None and not 0 < threshold_pct <= 100:
-        raise ValueError("threshold_pct must lie in (0, 100]")
+    if threshold_pct is not None:
+        check_top_pct(threshold_pct)
     y_prime, _ = _measure(dists, lambda d: NoiseSchedule((eps,), eps, num_levels(d)), rng)
     d = y_prime.resolution
     noisy = y_prime.level(y_prime.max_level) * d

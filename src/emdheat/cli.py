@@ -34,10 +34,11 @@ from .aggregate import (
     aggregate_central,
     aggregate_dense,
     baseline_laplace,
+    check_top_pct,
     coreset,
     normalize,
 )
-from .clustering import COMBINATION_BUDGET, center_sets, coreset_check, write_reports_csv
+from .clustering import COMBINATION_BUDGET, center_sets, coreset_check
 from .datagen import (
     US_BBOX,
     BBox,
@@ -58,7 +59,7 @@ from .heatmap import (
 )
 from .noise import check_eps, make_rng
 from .recovery import reconstruct
-from .shuffle import ShuffleParams, communication, simulate_round
+from .shuffle import ShuffleParams, check_b_scale, communication, simulate_round
 
 TRIAL_CSV_FIELDS = [
     "run_id",
@@ -121,21 +122,21 @@ def _load_grid(path: str) -> np.ndarray:
     return read_csv(path)
 
 
-def _ours(users, cfg, rng, shuffle_delta):
+def _ours(users, cfg, rng):
     res = aggregate_central(users, cfg, rng=rng)
     return res.a_hat, res.trace
 
 
-def _dense(users, cfg, rng, shuffle_delta):
+def _dense(users, cfg, rng):
     res = aggregate_dense(users, cfg.eps, rng=rng)
     return res.a_hat, res.trace
 
 
-def _baseline(top_pct, users, cfg, rng, shuffle_delta):
+def _baseline(top_pct, users, cfg, rng):
     return baseline_laplace(users, cfg.eps, top_pct, rng=rng), {}
 
 
-def _shuffle(b_scale, users, cfg, rng, shuffle_delta):
+def _shuffle(b_scale, shuffle_delta, users, cfg, rng):
     d = users[0].resolution
     params = ShuffleParams.from_schedule(b_scale, len(users), shuffle_delta, cfg.schedule(d), d)
     y_prime, report = simulate_round(users, params, rng)
@@ -143,48 +144,36 @@ def _shuffle(b_scale, users, cfg, rng, shuffle_delta):
     return a_hat, {"wraparound_violations": report["wraparound_violations"]}
 
 
-def _top_pct(text: str) -> float:
-    pct = float(text)
-    if not 0.0 < pct <= 100.0:
-        raise ValueError(f"the percentage must lie in (0, 100], got {text}")
-    return pct
-
-
-def _b_scale(text: str) -> int:
-    b_scale = int(text)
-    if b_scale < 1:
-        raise ValueError(f"B must be >= 1, got {text}")
-    return b_scale
-
-
 RELEASES = {"ours": _ours, "dense": _dense, "baseline": functools.partial(_baseline, None)}
-# the families named <prefix><parameter>: how the parameter parses, and the release it feeds
-FAMILIES = {"baseline-top-": (_top_pct, _baseline), "shuffle-": (_b_scale, _shuffle)}
 
 
-def _release(algorithm: str) -> Callable[..., tuple[SparseDist, dict]]:
-    """The release named `algorithm`, as f(users, cfg, rng, shuffle_delta) -> (a_hat, trace).
+def _release(algorithm: str, shuffle_delta: float) -> Callable[..., tuple[SparseDist, dict]]:
+    """The release named `algorithm`, as f(users, cfg, rng) -> (a_hat, trace).
 
-    Names: ours, dense, baseline, baseline-top-<pct> and shuffle-<B>.
-    A shuffle's trace holds its wraparound_violations; a baseline's is
-    empty.  Raises ValueError on any other name, or on a parameter that
-    does not parse or lies outside its range (0 < pct <= 100, B >= 1).
+    Names: ours, dense, baseline, baseline-top-<pct> and shuffle-<B>; a
+    shuffle runs at `shuffle_delta`.  A shuffle's trace holds its
+    wraparound_violations; a baseline's is empty.  Raises ValueError on
+    any other name or on a parameter that is no number, and
+    argparse.ArgumentTypeError on one the library refuses (the
+    `_percentage` and `_share_scale` types).
     """
     if algorithm in RELEASES:
         return RELEASES[algorithm]
-    for prefix, (parse, family) in FAMILIES.items():
-        if algorithm.startswith(prefix):
-            return functools.partial(family, parse(algorithm.removeprefix(prefix)))
+    if algorithm.startswith("baseline-top-"):
+        return functools.partial(_baseline, _percentage(algorithm.removeprefix("baseline-top-")))
+    if algorithm.startswith("shuffle-"):
+        b_scale = _share_scale(algorithm.removeprefix("shuffle-"))
+        return functools.partial(_shuffle, b_scale, shuffle_delta)
     raise ValueError("not one of ours, dense, baseline, baseline-top-<pct>, shuffle-<B>")
 
 
-def _score(algorithm, users, h_true, sigma, cfg, rng, shuffle_delta) -> tuple[dict, dict]:
-    """Release `users` by name, render it on their grid and score it against `h_true`.
+def _score(release, users, h_true, sigma, cfg, rng) -> tuple[dict, dict]:
+    """Release `users` with `release`, render it on their grid and score it against `h_true`.
 
     Returns the metrics plus the release's wraparound_violations (0 for
     any release but a shuffle), and the release's trace.
     """
-    a_hat, trace = _release(algorithm)(users, cfg, rng, shuffle_delta)
+    a_hat, trace = release(users, cfg, rng)
     # a dense release is coarser; it renders on the users' grid, as EMD scores it
     met = metrics(h_true, heatmap(a_hat.at_resolution(users[0].resolution), sigma))
     return {**met, "wraparound_violations": trace.get("wraparound_violations", 0)}, trace
@@ -253,7 +242,21 @@ _positive = _where(int, lambda n: n >= 1, "must be >= 1")
 _non_negative = _where(int, lambda n: n >= 0, "must be >= 0")
 _delta = _where(float, lambda p: 0.0 < p < 1.0, "must lie in (0, 1)")
 _eps = _checked(float, check_eps)
+_percentage = _checked(float, check_top_pct)
+_share_scale = _checked(int, check_b_scale)
 _sigma = _checked(float, check_sigma)
+
+
+def _bbox(text: str) -> BBox:
+    """An argparse type: lon_min,lon_max,lat_min,lat_max, four finite numbers, each min < max."""
+    try:
+        box = BBox(*map(float, text.split(",")))
+        if all(map(math.isfinite, box)) and box.lon_min < box.lon_max and box.lat_min < box.lat_max:
+            return box
+    except (TypeError, ValueError):  # TypeError: not four parts; ValueError: a part is no number
+        pass
+    raise argparse.ArgumentTypeError(f"--bbox needs lon_min,lon_max,lat_min,lat_max: four finite "
+                                     f"numbers, each min below its max, got {text!r}")
 
 
 def _config(args: argparse.Namespace, eps: float) -> AggregationConfig:
@@ -267,8 +270,10 @@ def _config(args: argparse.Namespace, eps: float) -> AggregationConfig:
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_trial(config: dict, point: tuple) -> tuple[list[dict], list[str]]:
+def _sweep_trial(config: dict, configs: list, point: tuple) -> tuple[list[dict], list[str]]:
     """All algorithm rows for one ((eps_index, eps), n, delta_grid, trial) point.
+
+    `configs` holds the release config at each of config["eps_list"].
 
     A row leaves out the trace columns its release has no value for, and
     the trials CSV writes them empty.
@@ -284,8 +289,8 @@ def _sweep_trial(config: dict, point: tuple) -> tuple[list[dict], list[str]]:
         rng = make_rng(seed, (2, dgrid, n, trial, alg_idx, eps_index))
         start = time.perf_counter()
         try:
-            cfg = AggregationConfig(eps, config["w"], config["mode"], config["gamma"])
-            scores, trace = _score(algorithm, users, h_true, sigma, cfg, rng, delta)
+            release = _release(algorithm, delta)
+            scores, trace = _score(release, users, h_true, sigma, configs[eps_index], rng)
         except Exception as exc:  # failures recorded, sweep continues
             errors.append(
                 f"eps={eps} n={n} delta_grid={dgrid} trial={trial} {algorithm}: {exc}"
@@ -353,13 +358,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     records_parsed = len(checkins)
     checkins = filter_date_range(checkins, args.date_from, args.date_to)
 
-    bbox = US_BBOX
-    if args.bbox:
-        try:
-            bbox = BBox(*map(float, args.bbox.split(",")))
-        except (TypeError, ValueError):
-            # TypeError: not four parts; ValueError: a part is no number
-            raise SystemExit("--bbox needs lon_min,lon_max,lat_min,lat_max") from None
+    bbox = args.bbox or US_BBOX
     t0 = time.perf_counter()
     cells = build_cells(
         checkins,
@@ -410,20 +409,15 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
+    if args.top_pct is not None and args.algorithm != "baseline":
+        _usage_error(args, f"--top-pct applies to --algorithm baseline, not {args.algorithm}")
     users, manifest = read_dataset(args.input)
     dists = [users[uid] for uid in sorted(users)]
-    algorithm = args.algorithm
+    release = RELEASES[args.algorithm]
     if args.top_pct is not None:
-        if algorithm != "baseline":
-            _usage_error(args, f"--top-pct applies to --algorithm baseline, not {algorithm}")
-        algorithm = f"baseline-top-{args.top_pct!r}"
-    try:
-        release = _release(algorithm)
-    except ValueError as exc:  # --algorithm has fixed choices, so only --top-pct gets here
-        _usage_error(args, f"--top-pct: {exc}")
+        release = functools.partial(_baseline, args.top_pct)
     cfg = _config(args, args.eps)
-    # aggregate offers no shuffle release, so no shuffle delta
-    a_hat, trace = release(dists, cfg, make_rng(args.seed), None)
+    a_hat, trace = release(dists, cfg, make_rng(args.seed))
     write_dataset(
         args.out,
         {"aggregate": a_hat},
@@ -486,12 +480,11 @@ def _cmd_shuffle_sim(args: argparse.Namespace) -> int:
             args.gaussians, args.n, args.samples, args.delta_grid, args.seed, args.sigma
         )
         # the i-th shuffle round draws from stream (3, i), the central release from 4
-        runs = [(b, f"shuffle-{b}", (3, i)) for i, b in enumerate(args.B)]
+        runs = [(b, f"shuffle-{b}", functools.partial(_shuffle, b, args.delta), (3, i))
+                for i, b in enumerate(args.B)]
         sim_rows = []
-        for b_scale, algorithm, stream in runs + [("", "ours", 4)]:
-            rng = make_rng(args.seed, stream)
-            scores, _ = _score(algorithm, users, h_true, args.sigma, cfg, rng, args.delta)
-            name = algorithm if b_scale else "central"
+        for b_scale, name, release, stream in runs + [("", "central", _ours, 4)]:
+            scores, _ = _score(release, users, h_true, args.sigma, cfg, make_rng(args.seed, stream))
             sim_rows.append({"B": b_scale, "algorithm": name, **scores})
         sim_path = Path(args.out).with_suffix(".metrics.csv")
         _write_rows(sim_path, list(sim_rows[0]), sim_rows)
@@ -521,7 +514,7 @@ def _cmd_coreset_check(args: argparse.Namespace) -> int:
         reports.append(
             coreset_check(points, s_hat, k, lam, args.eps, args.candidate_side)
         )
-    write_reports_csv(reports, args.out)
+    _write_rows(args.out, list(reports[0]), reports)
     write_manifest(Path(args.out).with_suffix(".manifest.json"), vars_clean(args))
     for rep in reports:
         print(f"k={rep['k']} kappa={rep['empirical_kappa']:.6f} C={rep['fitted_C']:.6f}")
@@ -546,14 +539,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             algorithms.append(alg)
     for alg in algorithms:
         try:
-            _release(alg)
-        except ValueError as exc:
+            _release(alg, args.delta)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             _usage_error(args, f"cannot parse algorithm {alg!r}: {exc}")
     shuffles = [alg for alg in algorithms if alg.startswith("shuffle-")]
     if shuffles and min(args.n) < 2:
         _usage_error(args, f"{shuffles[0]} needs n >= 2 users, got --n {min(args.n)}")
-    for eps in args.eps:
-        _config(args, eps)
+    configs = [_config(args, eps) for eps in args.eps]
     workers = os.environ.get("EMDHEAT_WORKERS", "1")
     if not (workers.isdecimal() and int(workers) >= 1):
         _usage_error(args, f"EMDHEAT_WORKERS must be a positive integer, got {workers!r}")
@@ -576,7 +568,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    trial = functools.partial(_sweep_trial, config)
+    trial = functools.partial(_sweep_trial, config, configs)
     points = itertools.product(
         enumerate(config["eps_list"]), config["n_list"], config["delta_list"], range(args.trials)
     )
@@ -626,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-users", type=int, default=200)
     p.add_argument("--date-from", type=date.fromisoformat, default=None)
     p.add_argument("--date-to", type=date.fromisoformat, default=None)
-    p.add_argument("--bbox", default=None,
+    p.add_argument("--bbox", type=_bbox, default=None,
                    help="lon_min,lon_max,lat_min,lat_max (default continental US)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_ingest)
@@ -637,9 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=_positive, default=20)
     p.add_argument("--mode", choices=["theory", "experiment"], default="experiment")
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--algorithm", default="ours",
-                   choices=["ours", "baseline", "dense"])
-    p.add_argument("--top-pct", type=float, default=None,
+    p.add_argument("--algorithm", default="ours", choices=list(RELEASES))
+    p.add_argument("--top-pct", type=_percentage, default=None,
                    help="baseline threshold percentage")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -7,11 +7,9 @@ exhaustively under an explicit combination budget.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
@@ -137,19 +135,3 @@ def coreset_check(
         "empirical_kappa": kappa,
         "fitted_C": kappa * eps / math.sqrt(k),
     }
-
-
-def write_reports_csv(reports: list[dict], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["k", "lambda", "eps", "empirical_kappa", "fitted_C"])
-        for rep in reports:
-            writer.writerow(
-                [
-                    rep["k"],
-                    repr(float(rep["lambda"])),
-                    repr(float(rep["eps"])),
-                    repr(float(rep["empirical_kappa"])),
-                    repr(float(rep["fitted_C"])),
-                ]
-            )

@@ -55,6 +55,12 @@ from .noise import NoiseSchedule, discrete_laplace_share
 from .pyramid import PyramidVec, level_sums
 
 
+def check_b_scale(B: int) -> None:
+    """Refuse a share scale B below 1."""
+    if B < 1:
+        raise ValueError(f"B must be >= 1, got {B}")
+
+
 @dataclass(frozen=True)
 class ShuffleParams:
     """Protocol parameters; q, m, r are derived in from_schedule."""
@@ -78,8 +84,7 @@ class ShuffleParams:
         schedule: NoiseSchedule,
         resolution: int,
     ) -> "ShuffleParams":
-        if B < 1:
-            raise ValueError("B must be >= 1")
+        check_b_scale(B)
         ell = num_levels(resolution)
         if schedule.start_level + len(schedule.epsilons) - 1 != ell:
             raise ValueError("schedule does not match the grid resolution")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,14 +12,23 @@ import numpy as np
 import pytest
 
 import emdheat
-from emdheat.aggregate import AggregationConfig, aggregate_central, normalize
+from emdheat.aggregate import (
+    AggregationConfig,
+    aggregate_central,
+    baseline_laplace,
+    coreset,
+    normalize,
+)
 from emdheat.cli import TRIAL_CSV_FIELDS, _branch_seed, embed_square, main
+from emdheat.clustering import coreset_check
 from emdheat.datagen import random_mixture_spec, read_dataset, synth_users
-from emdheat.grid import SparseDist, num_levels, user_sum
+from emdheat.grid import GridPoint, SparseDist, num_levels, user_sum
 from emdheat.heatmap import HeatmapGrid, heatmap, metrics, read_csv, write_pgm
 from emdheat.noise import budget_schedule, make_rng
 from emdheat.recovery import reconstruct
 from emdheat.shuffle import ShuffleParams, simulate_round
+
+from helpers import delta
 
 
 def read_rows(path):
@@ -218,12 +228,31 @@ def test_ingest_rejects_a_reversed_date_window_with_status_2(tmp_path, capsys):
     assert not (tmp_path / "cells").exists()
 
 
-@pytest.mark.parametrize("bbox", ["-100,-90,20", "-100,-90,20,north", "-100,-90,20,40,1"])
-def test_ingest_rejects_a_bad_bbox(tmp_path, bbox):
+@pytest.mark.parametrize(
+    "bbox",
+    ["-100,-90,20", "-100,-90,20,north", "-100,-90,20,40,1",
+     "-90,-100,20,40", "-100,-90,40,20", "-100,-90,20,inf"],
+)
+def test_ingest_rejects_a_bad_bbox(tmp_path, capsys, bbox):
     log = tmp_path / "log.tsv"
     log.write_text("u\t2011-02-10T00:00:00Z\t30.0\t-97.0\n")
-    with pytest.raises(SystemExit, match="--bbox needs lon_min,lon_max,lat_min,lat_max"):
+    with pytest.raises(SystemExit) as exit_info:
         main(["ingest", "--input", str(log), f"--bbox={bbox}", "--out-dir", str(tmp_path / "cells")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "emdheat ingest: error: argument --bbox: --bbox needs lon_min,lon_max,lat_min,lat_max" in err
+    assert not (tmp_path / "cells").exists()
+
+
+def test_ingest_records_a_given_bbox_as_a_list(tmp_path):
+    log = tmp_path / "log.tsv"
+    log.write_text("u\t2011-02-10T00:00:00Z\t30.0\t-97.0\n")
+    out_dir = tmp_path / "cells"
+    assert main(["ingest", "--input", str(log), "--bbox=-100,-90,20,40", "--min-users", "1",
+                 "--delta-grid", "8", "--out-dir", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"]["bbox"] == [-100.0, -90.0, 20.0, 40.0]
+    assert manifest["trace"]["records_in_bbox"] == 1
 
 
 def test_aggregate_rejects_unknown_algorithm(tmp_path):
@@ -424,12 +453,21 @@ def test_coreset_check_subcommand(tmp_path):
          "--seed", "7", "--out", str(out)]
     )
     assert rc == 0
+    with open(out, newline="") as f:
+        assert next(csv.reader(f)) == ["k", "lambda", "eps", "empirical_kappa", "fitted_C"]
     rows = read_rows(out)
     assert [int(r["k"]) for r in rows] == [1, 2]
     for row in rows:
         kappa = float(row["empirical_kappa"])
         fitted = float(row["fitted_C"])
         assert fitted == pytest.approx(kappa * 1e6 / np.sqrt(float(row["k"])))
+    # every value reads back bit for bit as the report the command computed
+    points = [GridPoint(int(ix), int(iy), 8) for ix, iy in make_rng(7, 5).integers(0, 8, size=(10, 2))]
+    for row in rows:
+        k = int(row["k"])
+        s_hat = coreset(points, 1e6, 8, mode="theory", rng=make_rng(7, (6, k)))
+        want = coreset_check(points, s_hat, k, math.sqrt(k / 8), 1e6, 4)
+        assert {key: float(value) for key, value in row.items()} == want
 
 
 def test_coreset_check_refuses_a_k_list_that_does_not_parse(tmp_path, capsys):
@@ -583,6 +621,42 @@ def test_sweep_refuses_a_value_no_release_accepts_before_any_trial(
     assert exit_info.value.code == 2
     assert f"emdheat sweep: error: {message}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def _baseline_at(pct: float) -> None:
+    baseline_laplace([delta(0, 0, 4)], 1.0, pct, rng=make_rng(0))
+
+
+def _shuffle_params_at(b_scale: int) -> None:
+    ShuffleParams.from_schedule(b_scale, 4, 1e-2, budget_schedule(1.0, num_levels(4), 20, 0.8, 0), 4)
+
+
+_AGGREGATE = ["aggregate", "--input", "users.csv", "--eps", "1", "--algorithm", "baseline",
+              "--out", "agg.csv"]
+_SWEEP = SWEEP_ARGS[: SWEEP_ARGS.index("--algorithms")] + ["--out-dir", "run"]
+_PCT_MESSAGE = "the percentage must lie in (0, 100], got"
+
+
+@pytest.mark.parametrize(
+    "refuse, value, cli_args, message",
+    [(_baseline_at, 0.0, _AGGREGATE + ["--top-pct", "0"], f"{_PCT_MESSAGE} 0.0"),
+     (_baseline_at, 150.0, _AGGREGATE + ["--top-pct", "150"], f"{_PCT_MESSAGE} 150.0"),
+     (_baseline_at, math.nan, _AGGREGATE + ["--top-pct", "nan"], f"{_PCT_MESSAGE} nan"),
+     (_shuffle_params_at, 0, _SWEEP + ["--algorithms", "ours,shuffle-0"], "B must be >= 1, got 0")],
+    ids=["pct-0", "pct-150", "pct-nan", "B-0"],
+)
+def test_the_library_refuses_with_the_message_the_cli_prints(
+    tmp_path, capsys, monkeypatch, refuse, value, cli_args, message
+):
+    with pytest.raises(ValueError) as info:
+        refuse(value)
+    assert str(info.value) == message
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(cli_args)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

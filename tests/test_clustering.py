@@ -1,6 +1,5 @@
 """k-median costs, exhaustive optima, and coreset quality reports."""
 
-import csv
 import math
 from itertools import combinations
 
@@ -14,7 +13,6 @@ from emdheat.clustering import (
     cost_points,
     cost_vec,
     subgrid_candidates,
-    write_reports_csv,
 )
 from emdheat.emd import emd
 from emdheat.grid import SparseDist
@@ -162,19 +160,3 @@ def test_coreset_check_validation():
 def test_center_set_validation():
     with pytest.raises(ValueError):
         CenterSet(())
-
-
-def test_reports_csv_round_trip(tmp_path):
-    reports = [
-        {"k": 1, "lambda": 0.1, "eps": 1.0, "empirical_kappa": 0.25, "fitted_C": 0.25},
-        {"k": 2, "lambda": 0.0, "eps": 2.0, "empirical_kappa": 0.125, "fitted_C": 0.176776695296636893},
-    ]
-    path = tmp_path / "reports.csv"
-    write_reports_csv(reports, path)
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["k", "lambda", "eps", "empirical_kappa", "fitted_C"]
-    assert len(rows) == 3
-    assert int(rows[1][0]) == 1
-    assert float(rows[2][3]) == 0.125
-    assert float(rows[2][4]) == 0.176776695296636893
