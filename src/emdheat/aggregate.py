@@ -1,31 +1,33 @@
 """End-to-end private aggregation mechanisms.
 
 aggregate_central: pyramid measurements of the user sum with per-level
-Laplace noise, then sparse reconstruction; one pass halves the dense sum
-into every measured level, and y' is a pyramid.NoisyPyramid over those
-sums.  Its noise comes from the caller's RNG by position (see
-noise.LaplaceStream): each cell gets the draw that dense per-level
-`rng.laplace` calls in ascending level order would give it, but only
-the cells the support descent reads are drawn.  Noise at a cell that is
-never read cannot change the output, so a given seed gives the same
-release, with the same privacy, as noising every cell, and the RNG
-ends where those dense draws would leave it.  aggregate_dense: snap the
-sum to a coarse grid chosen from the total budget, noise every cell,
-project back in EMD norm with emd's flow LP (emd.nearest_nonnegative).
-baseline_laplace: per-cell noise, optional keep-top-t-percent threshold.
+Laplace noise, then sparse reconstruction; pyramid.level_sums halves the
+sum into every measured level, on its cell keys while they are sparse,
+and y' is a pyramid.NoisyPyramid over those sums.  Its noise comes from
+the caller's RNG by position (see noise.LaplaceStream): each cell gets
+the draw that dense per-level `rng.laplace` calls in ascending level
+order would give it, but only the cells the support descent reads are
+drawn.  Noise at a cell that is never read cannot change the output, so
+a given seed gives the same release, with the same privacy, as noising
+every cell, and the RNG ends where those dense draws would leave it.
+aggregate_dense: snap the sum to a coarse grid chosen from the total
+budget, noise every cell, project back in EMD norm with emd's flow LP
+(emd.nearest_nonnegative).  baseline_laplace: per-cell noise, optional
+keep-top-t-percent threshold.
 
 All three measure the same way: the unnormalized sum s = sum_u p_u is
 formed once by grid.user_sum in O(total support), re-gridded to the
-finest measured level, densified once and halved into a NoisyPyramid
-under a NoiseSchedule; no user is expanded to a dense array.  Dense and
-baseline measure one level at the whole budget, NoiseSchedule((eps,),
-eps, level), and read it whole, so they draw what `s + rng.laplace(0,
-1/eps, s.shape)` would, and need a PCG64 or PCG64DXSM generator as the
-central release does.  Each user's distribution has unit mass and the
-level sums partition the grid, so one user changes each level of P s by
-at most 1 in l1; Lap(1/eps_i) per cell therefore spends eps_i per level
-and sum(eps_i) = eps total.  Everything after the noisy release is
-post-processing.
+finest measured level and halved, on its cell keys while they are
+sparse, into a NoisyPyramid under a NoiseSchedule; only the finest
+level's array is d x d, and no user is expanded to a dense array.
+Dense and baseline measure one level at the whole budget,
+NoiseSchedule((eps,), eps, level), and read it whole, so they draw
+what `s + rng.laplace(0, 1/eps, s.shape)` would, and need a PCG64 or
+PCG64DXSM generator as the central release does.  Each user's
+distribution has unit mass and the level sums partition the grid, so
+one user changes each level of P s by at most 1 in l1; Lap(1/eps_i) per
+cell therefore spends eps_i per level and sum(eps_i) = eps total.
+Everything after the noisy release is post-processing.
 """
 
 from __future__ import annotations
@@ -112,17 +114,17 @@ def _measure(
 ) -> tuple[NoisyPyramid, dict]:
     """y' of the checked user sum under `schedule_at(resolution)`, with its trace entries.
 
-    The sum is re-gridded to the schedule's finest level, densified once
-    and halved into the measured levels; the noise is drawn from `rng`
-    as y' is read.
+    The sum is re-gridded to the schedule's finest level and halved,
+    on its cell keys while they are sparse, into the measured levels
+    (pyramid.level_sums), so `measure_s` includes the finest level's
+    to_dense; the noise is drawn from `rng` as y' is read.
     """
     start = time.perf_counter()
     total = user_sum(dists)
     schedule = schedule_at(total.resolution)
     total = total.at_resolution(1 << schedule.max_level)
-    s = total.to_dense()
     t0 = time.perf_counter()
-    y_prime = NoisyPyramid(level_sums(s, schedule.start_level), schedule.start_level, schedule, rng)
+    y_prime = NoisyPyramid(level_sums(total, schedule.start_level), schedule.start_level, schedule, rng)
     trace = {
         "sum_s": t0 - start,
         "n_users": len(dists),

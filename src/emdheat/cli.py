@@ -430,6 +430,8 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
+    if args.pad is not None and not args.padded:
+        _usage_error(args, "--pad applies to --padded rendering")
     users, manifest = read_dataset(args.input)
     avg = user_sum(list(users.values())).scaled(1.0 / len(users))
     if args.padded:
@@ -448,7 +450,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     a = _load_grid(args.a)
     b = _load_grid(args.b)
     if a.shape != b.shape:
-        raise SystemExit(f"grid shapes differ: {a.shape} vs {b.shape}")
+        _usage_error(args, f"grid shapes differ: {a.shape} vs {b.shape}")
     a_emb, mask = embed_square(a / checked_mass(a, "a"))
     b_emb, _ = embed_square(b / checked_mass(b, "b"))
     d = a_emb.shape[0]

@@ -289,8 +289,12 @@ def _min_cost_flow(
     zero; g.fold's leaves are folded into their corners, the rest is
     solved in primal form without presolve, and the flows are mapped back
     onto g's arcs.  With slack, mass may also be created or destroyed at
-    each terminal at that rate per unit; that is solved in dual form.
+    each terminal at that rate per unit; that is solved in dual form,
+    unless g has no arcs (every terminal of one sign), where all of the
+    supply is slack.
     """
+    if slack is not None and not len(g.arcs):  # a 0-row dual: nothing can move
+        return slack * float(np.abs(supply).sum()), np.zeros(0)
     b = np.zeros(g.n_nodes)
     b[g.terminal] = supply
     cost = g.length / d

@@ -359,13 +359,14 @@ def test_metrics_accepts_rectangular_grids(tmp_path, capsys):
     assert 0.0 < sim <= 1.0
 
 
-def test_metrics_rejects_shape_mismatch(tmp_path):
+def test_metrics_rejects_shape_mismatch(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
+    out = tmp_path / "m.json"
     np.savetxt(a, np.ones((2, 2)), delimiter=",")
     np.savetxt(b, np.ones((3, 3)), delimiter=",")
-    with pytest.raises(SystemExit):
-        main(["metrics", "--a", str(a), "--b", str(b)])
+    err = _refused(["metrics", "--a", str(a), "--b", str(b), "--out", str(out)], out, capsys)
+    assert "emdheat metrics: error: grid shapes differ: (2, 2) vs (3, 3)" in err
 
 
 def test_metrics_rejects_an_all_zero_pgm(tmp_path):
@@ -781,7 +782,8 @@ def test_aggregate_refuses_a_bad_parameter_with_status_2(tmp_path, capsys, flags
 @pytest.mark.parametrize(
     "flags, message",
     [(["--sigma", "0"], "argument --sigma: sigma must be finite and positive, got 0.0"),
-     (["--padded", "--pad", "-1"], "argument --pad: must be >= 0, got -1")],
+     (["--padded", "--pad", "-1"], "argument --pad: must be >= 0, got -1"),
+     (["--pad", "3"], "emdheat heatmap: error: --pad applies to --padded rendering")],
 )
 def test_heatmap_refuses_a_bad_parameter_with_status_2(tmp_path, capsys, flags, message):
     data = tmp_path / "users.csv"

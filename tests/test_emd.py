@@ -308,6 +308,22 @@ def test_emd_norm_of_a_one_signed_vector_is_pure_slack(graphs):
     assert graphs == ["pair"] * 2
 
 
+def test_one_signed_emd_norm_needs_no_lp(monkeypatch):
+    # with every cell of one sign the flow graph has no arcs: all slack
+    def refuse(*args, **kwargs):
+        raise AssertionError("an arc-less graph went to the LP solver")
+
+    rng = np.random.default_rng(38)
+    cases = [{g: sign * abs(v) for g, v in rand_signed(rng, 64, 12).items()} for sign in (1.0, -1.0)]
+    cases.append({gp(5, 9, 16): -0.25})
+    expected = [direct_norm(w) for w in cases]
+    monkeypatch.setattr(emd_module, "_linprog", refuse)
+    for w, want in zip(cases, expected):
+        assert emd_norm(w) == pytest.approx(want, abs=1e-9)
+    noisy = -np.abs(rng.normal(size=(8, 8)))
+    assert not nearest_nonnegative(noisy).any()
+
+
 def test_emd_norm_hangs_the_small_side_off_a_grid(leaf_graphs):
     # a dense block of positive cells against a few scattered negative ones
     rng = np.random.default_rng(37)

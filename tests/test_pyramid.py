@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from emdheat import pyramid
 from emdheat.grid import SparseDist, num_levels
 from emdheat.noise import NoiseSchedule, budget_schedule, make_rng
 from emdheat.pyramid import (
@@ -150,6 +151,56 @@ def test_partition_sums_finest_level_is_a_read_only_view():
     arr = delta(1, 2, 4).to_dense()
     finest = partition_sums(arr, 2)
     assert np.shares_memory(finest, arr)
+    with pytest.raises(ValueError):
+        finest[0, 0] = 1.0
+
+
+def _sparse_cases(d: int) -> dict[str, SparseDist]:
+    rng = np.random.default_rng(16 + d)
+    k = min(d * d, 3000)
+    keys = rng.choice(d * d, size=k, replace=False)
+    # magnitudes far apart, so a change in the order of addition shows
+    masses = rng.random(k) * 10.0 ** rng.integers(-6, 7, size=k)
+    cases = {
+        "empty": SparseDist(d),
+        "one cell": delta(d - 1, d // 2, d, 0.3),
+        "random": SparseDist.from_keys(d, keys, masses),
+    }
+    if d > 1:
+        # the four children of one level-(l - 1) cell, off the origin
+        x0 = d // 4 * 2
+        for dx in (0, 1):
+            for dy in (0, 1):
+                cases[f"slot {dx}{dy}"] = delta(x0 + dx, x0 + dy, d, 0.7)
+    return cases
+
+
+@pytest.fixture(params=["hybrid", "keys only"])
+def halving(request, monkeypatch):
+    # the default halves an input on keys only while its levels are sparse;
+    # a threshold of 0 halves every level on keys
+    if request.param == "keys only":
+        monkeypatch.setattr(pyramid, "_DENSE_CELLS_PER_KEY", 0)
+    return request.param
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 1024])
+def test_sparse_level_sums_equal_the_dense_halving_bit_for_bit(d, halving):
+    ell = num_levels(d)
+    for name, p in _sparse_cases(d).items():
+        for start in (0, ell):
+            got, want = level_sums(p, start), level_sums(p.to_dense(), start)
+            assert len(got) == len(want) == ell - start + 1
+            for i, (a, b) in enumerate(zip(got, want), start):
+                assert a.shape == (1 << i, 1 << i)
+                assert np.array_equal(a, b), (name, start, i)
+
+
+def test_sparse_level_sums_finest_level_is_a_read_only_view():
+    p = _sparse_cases(8)["random"]
+    finest = level_sums(p)[-1]
+    assert finest.base is not None and not finest.flags.writeable
+    assert np.array_equal(finest, p.to_dense())
     with pytest.raises(ValueError):
         finest[0, 0] = 1.0
 
