@@ -59,7 +59,7 @@ from .heatmap import (
 )
 from .noise import check_eps, make_rng
 from .recovery import reconstruct
-from .shuffle import ShuffleParams, check_b_scale, communication, simulate_round
+from .shuffle import ShuffleParams, check_b_scale, check_delta, communication, simulate_round
 
 TRIAL_CSV_FIELDS = [
     "run_id",
@@ -240,8 +240,8 @@ def _where(convert: Callable[[str], object], holds: Callable, requirement: str) 
 _power_of_two = _where(int, is_power_of_two, "must be a power of two")
 _positive = _where(int, lambda n: n >= 1, "must be >= 1")
 _non_negative = _where(int, lambda n: n >= 0, "must be >= 0")
-_delta = _where(float, lambda p: 0.0 < p < 1.0, "must lie in (0, 1)")
 _eps = _checked(float, check_eps)
+_delta = _checked(float, check_delta)
 _percentage = _checked(float, check_top_pct)
 _share_scale = _checked(int, check_b_scale)
 _sigma = _checked(float, check_sigma)

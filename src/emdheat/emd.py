@@ -23,8 +23,9 @@ the fewest arcs; all give the exact distance:
 * bipartite: one arc per (source, sink) pair.  This wins when a few
   points are spread far apart.
 
-The sources are supp(p) and the sinks supp(q) for `emd`; for the other
-two they are the positive and the negative cells.  By the triangle
+All three take the sources and the sinks as the positive and the
+negative cells of one signed vector; for `emd` that vector is p - q,
+after the mass the two share on a cell has cancelled.  By the triangle
 inequality, mass never needs to pass through a third terminal on its way
 from a source to a sink, so a one-signed vector is pure slack: mass
 created or destroyed at rate 2 per unit, the l1 diameter of the domain.
@@ -286,9 +287,9 @@ def _min_cost_flow(
     """Cost and arc flows of the cheapest flow with net outflow `supply`.
 
     supply holds one value per terminal.  Without slack it must sum to
-    zero; g.fold's leaves are folded into their corners, the rest is
-    solved in primal form without presolve, and the flows are mapped back
-    onto g's arcs.  With slack, mass may also be created or destroyed at
+    zero; g.fold's leaves, if any, are folded into their corners, the
+    rest is solved in primal form without presolve, and the flows are
+    mapped back onto g's arcs.  With slack, mass may also be created or destroyed at
     each terminal at that rate per unit; that is solved in dual form,
     unless g has no arcs (every terminal of one sign), where all of the
     supply is slack.
@@ -299,9 +300,6 @@ def _min_cost_flow(
     b[g.terminal] = supply
     cost = g.length / d
     incidence = _incidence(g.n_nodes, g.arcs)
-    if slack is None and not g.fold.size:  # nothing to fold: the incidence rows as they are
-        res = _linprog(g, "primal", 0, cost, A_eq=incidence, b_eq=b, options=_PRIMAL_OPTIONS)
-        return float(res.fun), res.x
     if slack is None:
         # a folded leaf's supply x0 rides the arc to its nearer corner; a redirect
         # column, capped at x0, moves flow from that arc to the farther corner's
@@ -310,11 +308,18 @@ def _min_cost_flow(
         m, k = len(cost), len(far2)
         x0 = np.zeros(m)
         x0[near] = np.abs(b[leaf])
-        free = np.isin(np.arange(m), np.r_[near, far2], invert=True)
-        redirect = (np.repeat([1.0, -1.0], k), (np.r_[far2, near2], np.tile(np.arange(k), 2)))
-        lift = sparse.hstack([sparse.eye(m, format="csc")[:, free], sparse.csc_matrix(redirect, (m, k))])
-        live = np.isin(np.arange(g.n_nodes), leaf, invert=True)
-        ub = np.r_[np.full(np.count_nonzero(free), np.inf), x0[near2]]
+        free = np.ones(m, dtype=bool)
+        free[np.r_[near, far2]] = False
+        kept = np.flatnonzero(free)
+        cols = np.arange(len(kept) + k)
+        # one identity column per unfolded arc, then (+1 far, -1 near) per redirect
+        lift = sparse.csc_matrix(
+            (np.r_[np.ones(len(cols)), -np.ones(k)], (np.r_[kept, far2, near2], np.r_[cols, cols[len(kept):]])),
+            shape=(m, len(cols)),
+        )
+        live = np.ones(g.n_nodes, dtype=bool)
+        live[leaf] = False
+        ub = np.r_[np.full(len(kept), np.inf), x0[near2]]
         if not len(ub):  # a one-node core: every leaf folded, no LP left
             return float(cost @ x0), x0
         res = _linprog(
@@ -353,32 +358,30 @@ def emd(p: SparseDist, q: SparseDist) -> tuple[float, TransportPlan]:
     d = max(p.resolution, q.resolution)
     keys_p, mass_p = _keys_on(p, d)
     keys_q, mass_q = _keys_on(q, d)
-    mass_q *= mp / mq
-
-    # cancel overlapping mass in place (zero-distance flow)
-    _, ip, iq = np.intersect1d(keys_p, keys_q, return_indices=True)
-    shared = np.minimum(mass_p[ip], mass_q[iq])
-    mass_p[ip] -= shared
-    mass_q[iq] -= shared
-    keep_p = mass_p > _FLOW_EPS * max(1.0, mp)
-    keep_q = mass_q > _FLOW_EPS * max(1.0, mp)
-    rem_p, rem_q = mass_p[keep_p].sum(), mass_q[keep_q].sum()
+    # p - q on the union of the supports: bincount adds p's mass first, so a
+    # shared cell holds exactly a - b, the shared mass moved at zero cost
+    keys, where = np.unique(np.concatenate([keys_p, keys_q]), return_inverse=True)
+    values = np.bincount(where, np.concatenate([mass_p, -mass_q * (mp / mq)]), len(keys))
+    values[np.abs(values) <= _FLOW_EPS * max(1.0, mp)] = 0.0
+    rem_p, rem_q = values[values > 0.0].sum(), -values[values < 0.0].sum()
     if min(rem_p, rem_q) <= _BALANCE_TOL * max(1.0, mp):
         # residue is cancellation dust on both sides; not worth an LP
         return 0.0, TransportPlan(0.0, p, q)
     # filtering may break balance at machine precision; restore it exactly
-    supply = np.concatenate([mass_p[keep_p], -mass_q[keep_q] * (rem_p / rem_q)])
-    iy, ix = np.divmod(np.concatenate([keys_p[keep_p], keys_q[keep_q]]), d)
-    g = _flow_graph(np.stack([ix, iy], axis=1), int(np.count_nonzero(keep_p)))
-    cost, _ = _min_cost_flow(g, supply, d)
+    values[values < 0.0] *= rem_p / rem_q
+    iy, ix = np.divmod(keys, d)
+    cost, _ = _signed_flow(np.stack([ix, iy], axis=1), values, d, None)
     return cost, TransportPlan(cost, p, q)
 
 
-def _signed_flow(cells: np.ndarray, values: np.ndarray, d: int) -> tuple[float, np.ndarray]:
+def _signed_flow(
+    cells: np.ndarray, values: np.ndarray, d: int, slack: float | None
+) -> tuple[float, np.ndarray]:
     """Cost and per-cell net outflow of the cheapest flow with supply `values` at `cells`.
 
     The positive cells are the sources and the negative ones the sinks;
-    zero cells stay out of the graph.  Slack costs SLACK_RATE per unit.
+    zero cells stay out of the graph.  Slack costs `slack` per unit; with
+    None, `values` must sum to zero and the flow is balanced transport.
     """
     src = np.flatnonzero(values > 0.0)
     order = np.concatenate([src, np.flatnonzero(values < 0.0)])
@@ -386,7 +389,7 @@ def _signed_flow(cells: np.ndarray, values: np.ndarray, d: int) -> tuple[float, 
     if not order.size:
         return 0.0, net
     g = _flow_graph(cells[order], len(src))
-    cost, flow = _min_cost_flow(g, values[order], d, SLACK_RATE)
+    cost, flow = _min_cost_flow(g, values[order], d, slack)
     out = np.bincount(g.arcs[:, 0], flow, g.n_nodes) - np.bincount(g.arcs[:, 1], flow, g.n_nodes)
     net[order] = out[g.terminal]
     return cost, net
@@ -424,7 +427,7 @@ def emd_norm(
     # mixed resolutions may put several points on one cell
     cells, where = np.unique(cells, axis=0, return_inverse=True)
     values = np.bincount(where.ravel(), weights=values, minlength=len(cells))
-    val, _ = _signed_flow(cells, values, d)
+    val, _ = _signed_flow(cells, values, d, SLACK_RATE)
     return 0.0 if val < _FLOW_EPS * max(1.0, np.abs(values).max(initial=0.0)) else val
 
 
@@ -437,7 +440,7 @@ def nearest_nonnegative(noisy: np.ndarray) -> np.ndarray:
     cap: a full array of side 1024 raises CapacityError.
     """
     iy, ix = np.nonzero(noisy)
-    _, net = _signed_flow(np.stack([ix, iy], axis=1), -noisy[iy, ix], grid_side(noisy))
+    _, net = _signed_flow(np.stack([ix, iy], axis=1), -noisy[iy, ix], grid_side(noisy), SLACK_RATE)
     v = noisy[iy, ix] + net
     out = np.zeros_like(noisy, dtype=float)
     # the solver's rounding leaves dust where the answer is 0

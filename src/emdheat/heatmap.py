@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emd import MAX_COMBINED_SUPPORT, emd
+from .emd import CapacityError, emd
 from .grid import SparseDist, next_pow2
 from .pyramid import pyramid_l1
 
@@ -116,7 +116,7 @@ def checked_mass(values: np.ndarray, name: str) -> float:
 
 
 def _emd_between(h: HeatmapGrid, g: HeatmapGrid) -> tuple[float, bool]:
-    """Exact EMD when supports are small, else the pyramid surrogate.
+    """Exact EMD, or the pyramid surrogate when `emd` raises CapacityError.
 
     Physical point spacing is 1/base_resolution, so values embedded in a
     power-of-two grid of side D have their costs rescaled by
@@ -126,13 +126,12 @@ def _emd_between(h: HeatmapGrid, g: HeatmapGrid) -> tuple[float, bool]:
     d_embed = next_pow2(size)
     scale = d_embed / h.base_resolution
     a, b = (np.pad(x.values, (0, d_embed - size)) for x in (h, g))
-    support = np.count_nonzero(a) + np.count_nonzero(b)
-    if support <= MAX_COMBINED_SUPPORT:
-        p = SparseDist.from_dense(a / a.sum(), d_embed)
-        q = SparseDist.from_dense(b / b.sum(), d_embed)
-        cost, _ = emd(p, q)
-        return cost * scale, False
-    return pyramid_l1(a / a.sum() - b / b.sum()) * scale, True
+    a, b = a / a.sum(), b / b.sum()
+    try:
+        cost, _ = emd(SparseDist.from_dense(a, d_embed), SparseDist.from_dense(b, d_embed))
+    except CapacityError:
+        return pyramid_l1(a - b) * scale, True
+    return cost * scale, False
 
 
 def metrics(h: HeatmapGrid, g: HeatmapGrid, mask: np.ndarray | None = None) -> dict:

@@ -162,13 +162,8 @@ class LaplaceStream:
         return out
 
 
-def polya(
-    r: float,
-    p: float,
-    rng: np.random.Generator,
-    size: int | tuple[int, ...] | None = None,
-):
-    """Polya (negative binomial with real shape r) draw(s).
+def polya(r: float, p: float, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+    """An int64 array of Polya (negative binomial with real shape r) draws.
 
     Sampled as Poisson(Gamma(r, p/(1-p))); mean r p / (1 - p).  The
     family is infinitely divisible: n draws at shape r/n sum to one draw
@@ -179,19 +174,13 @@ def polya(
     if r <= 0:
         raise ValueError("r must be positive")
     lam = rng.gamma(r, p / (1.0 - p), size)
-    draw = rng.poisson(lam)
-    if size is None:
-        return int(draw)
-    return draw.astype(np.int64)
+    return rng.poisson(lam).astype(np.int64)
 
 
 def discrete_laplace_share(
-    n: int,
-    eps_i: float,
-    rng: np.random.Generator,
-    size: int | tuple[int, ...] | None = None,
-):
-    """One client's additive noise share: X+ - X- with Polya(1/n, e^-eps_i).
+    n: int, eps_i: float, rng: np.random.Generator, size: int | tuple[int, ...]
+) -> np.ndarray:
+    """One client's additive noise shares: X+ - X- with Polya(1/n, e^-eps_i), as int64.
 
     Summed over n clients the shares are exactly discrete Laplace with
     pmf proportional to e^{-eps_i |k|}.
@@ -201,8 +190,4 @@ def discrete_laplace_share(
     if eps_i <= 0:
         raise ValueError("eps_i must be positive")
     alpha = exp(-eps_i)
-    plus = polya(1.0 / n, alpha, rng, size)
-    minus = polya(1.0 / n, alpha, rng, size)
-    if size is None:
-        return int(plus) - int(minus)
-    return (plus - minus).astype(np.int64)
+    return polya(1.0 / n, alpha, rng, size) - polya(1.0 / n, alpha, rng, size)

@@ -61,6 +61,12 @@ def check_b_scale(B: int) -> None:
         raise ValueError(f"B must be >= 1, got {B}")
 
 
+def check_delta(delta: float) -> None:
+    """Refuse a shuffle delta outside the open interval (0, 1), NaN included."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
 @dataclass(frozen=True)
 class ShuffleParams:
     """Protocol parameters; q, m, r are derived in from_schedule."""
@@ -108,8 +114,7 @@ def compute_r(eps: float, delta: float, m: int, q: int, n: int) -> int:
     """Shares per coordinate so the split-and-mix sum hides each client."""
     if n < 2:
         raise ValueError("need n >= 2 users")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    check_delta(delta)
     num = 2.0 * math.log(math.exp(eps) + 1.0) + 2.0 * math.log(m / delta) + math.log(q)
     return math.ceil(num / math.log(n) + 1.0)
 

@@ -796,8 +796,8 @@ def test_heatmap_refuses_a_bad_parameter_with_status_2(tmp_path, capsys, flags, 
     "flags, message",
     [(["--n", "1"], "emdheat shuffle-sim: error: a shuffle round needs n >= 2 users, got --n 1"),
      (["--B", "64,0"], "argument --B: must be >= 1, got 0"),
-     (["--delta", "0"], "argument --delta: must lie in (0, 1), got 0.0"),
-     (["--delta", "1.5"], "argument --delta: must lie in (0, 1), got 1.5"),
+     (["--delta", "0"], "argument --delta: delta must lie in (0, 1), got 0.0"),
+     (["--delta", "1.5"], "argument --delta: delta must lie in (0, 1), got 1.5"),
      (["--eps", "0"], "argument --eps: eps must be finite and positive, got 0.0"),
      (["--w", "0"], "argument --w: must be >= 1, got 0"),
      (["--sigma", "-1"], "argument --sigma: sigma must be finite and positive, got -1.0"),
@@ -826,7 +826,7 @@ def test_coreset_check_refuses_a_bad_parameter_with_status_2(tmp_path, capsys, f
 
 @pytest.mark.parametrize(
     "flags, message",
-    [(["--delta", "0", "--algorithms", "ours,shuffle-64"], "argument --delta: must lie in (0, 1), got 0.0"),
+    [(["--delta", "0", "--algorithms", "ours,shuffle-64"], "argument --delta: delta must lie in (0, 1), got 0.0"),
      (["--w", "0"], "argument --w: must be >= 1, got 0"),
      (["--sigma", "nan"], "argument --sigma: sigma must be finite and positive, got nan"),
      (["--trials", "0"], "argument --trials: must be >= 1, got 0"),

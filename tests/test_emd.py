@@ -170,7 +170,15 @@ def test_best_k_sparse_error_regime_guard():
 # direct transportation LP over every pair of support points
 
 def direct_transport(p: SparseDist, q: SparseDist) -> float:
-    """Textbook transportation LP on supp(p) x supp(q), one variable per pair."""
+    """Textbook transportation LP on supp(p) x supp(q), one variable per pair.
+
+    The masses are scaled up by 1e6, above HiGHS's tolerances; the LP is
+    linear in them.  Unscaled, HiGHS may leave dust of up to its 1e-7
+    feasibility tolerance unrouted, and its presolve calls criterion 06's
+    first heatmap pair infeasible.  Presolve stays off: on a scaled
+    1000 x 40 instance it took 36 s, against 0.25 s without it (2-vCPU VM).
+    """
+    p, q = p.scaled(1e6), q.scaled(1e6)
     sp, sq = list(p.entries), list(q.entries)
     cost = np.array([l1_distance(a, b) for a in sp for b in sq])
     rows, cols = [], []
@@ -183,18 +191,9 @@ def direct_transport(p: SparseDist, q: SparseDist) -> float:
         (np.ones(len(rows)), (rows, cols)), shape=(len(sp) + len(sq), len(sp) * len(sq))
     )
     b_eq = [p.entries[a] for a in sp] + [q.entries[b] * p.total_mass / q.total_mass for b in sq]
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options={"presolve": False})
     assert res.status == 0
-    return res.fun
-
-
-def scaled_direct_transport(p: SparseDist, q: SparseDist) -> float:
-    """direct_transport with the masses scaled up by 1e6, above HiGHS's tolerances.
-
-    The LP is linear in the masses; unscaled, HiGHS may leave dust of up to
-    its 1e-7 feasibility tolerance unrouted.
-    """
-    return direct_transport(p.scaled(1e6), q.scaled(1e6)) / 1e6
+    return res.fun / 1e6
 
 
 def direct_norm(w: dict[GridPoint, float]) -> float:
@@ -408,6 +407,20 @@ def on_core_lines(rng: np.random.Generator, d: int) -> tuple[SparseDist, SparseD
     return spread(leaves), spread(core)
 
 
+def criterion_06_first_heatmaps() -> tuple:
+    """Criterion 06's first pair of padded heatmaps at sigma=0.1 (seed 60), 18 x 18 cells each."""
+    rng = np.random.default_rng(60)
+    p = rand_sparse(rng, 8, int(rng.integers(1, 7)))
+    q = rand_sparse(rng, 8, int(rng.integers(1, 7)))
+    return heatmap_module.heatmap_padded(p, 0.1), heatmap_module.heatmap_padded(q, 0.1)
+
+
+def embedded(h) -> SparseDist:
+    """h as `metrics` hands it to `emd`: unit mass, on the d=32 grid that holds it."""
+    a = np.pad(h.values, (0, 32 - h.size))
+    return SparseDist.from_dense(a / a.sum(), 32)
+
+
 def leaf_cases() -> list:
     """One case per one-sided Hanan shape, with the side expected as leaves."""
     rng = np.random.default_rng(36)
@@ -422,6 +435,8 @@ def leaf_cases() -> list:
         pytest.param(*on_core_lines(rng, 64), "sources", id="on_lines"),
         # a small source side against a large sink side
         pytest.param(rand_sparse(rng, 64, 30), rand_sparse(rng, 64, 800), "sinks", id="sink_leaves"),
+        # 324 against 324 cells, supplies down to 1e-12: the unscaled reference LP failed here
+        pytest.param(*map(embedded, criterion_06_first_heatmaps()), "sources", id="criterion_06"),
     ]
 
 
@@ -485,7 +500,7 @@ def test_emd_folded_leaves_match_direct_lp(monkeypatch, side):
         p, q = (leaves, core) if side == "sources" else (core, leaves)
         cost, _ = emd(p, q)
         assert seen[-1] == ("grid", side, n_folded)
-        assert cost == pytest.approx(scaled_direct_transport(p, q), rel=1e-12, abs=0)
+        assert cost == pytest.approx(direct_transport(p, q), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("side", ["sources", "sinks"])
@@ -505,21 +520,74 @@ def test_one_node_core_folds_every_leaf_and_leaves_no_lp(monkeypatch, side):
     np.testing.assert_array_equal(flow, masses)
 
 
+def four_corner_leaves(rng: np.random.Generator, d: int, k: int) -> tuple[SparseDist, SparseDist]:
+    """k leaves strictly inside the cells of a 6-point core's grid, and that core."""
+    xs = np.arange(d // 4, 3 * d // 4, d // 10)[:6]
+    ys = rng.permutation(xs)
+    inside = np.setdiff1d(np.arange(xs[0], xs[-1]), xs)
+    cells = [(int(x), int(y)) for x in inside for y in inside]
+    leaves = [cells[i] for i in rng.choice(len(cells), k, replace=False)]
+
+    def spread(pts):
+        return SparseDist(d, {gp(x, y, d): float(m) for (x, y), m in zip(pts, rng.dirichlet(np.ones(len(pts))))})
+
+    return spread(leaves), spread(list(zip(xs.tolist(), ys.tolist())))
+
+
+def test_graphs_with_nothing_to_fold_solve_once_on_the_primal_path(monkeypatch):
+    # the balanced LP has one form: with no 1- or 2-corner leaf its lift is the identity
+    seen = spy_on_solves(monkeypatch, lambda g: (g.kind, g.leaves, g.fold.shape[1]))
+    forms = []
+    solve = emd_module._linprog
+
+    def spy(g, form, folded, *args, **kwargs):
+        # the identity lift leaves one bounded column per arc
+        forms.append((form, folded, len(kwargs.get("bounds", ())) == len(g.arcs)))
+        return solve(g, form, folded, *args, **kwargs)
+
+    monkeypatch.setattr(emd_module, "_linprog", spy)
+    rng = np.random.default_rng(43)
+    cases = [
+        (rand_sparse(rng, 8, 40), rand_sparse(rng, 8, 40), ("grid", None, 0)),
+        (rand_sparse(rng, 1024, 5), rand_sparse(rng, 1024, 4), ("pair", None, 0)),
+        (*four_corner_leaves(rng, 64, 100), ("grid", "sources", 0)),
+    ]
+    for p, q, want in cases:
+        seen.clear()
+        forms.clear()
+        cost, _ = emd(p, q)
+        assert seen == [want]
+        assert forms == [("primal", 0, True)]
+        assert cost == pytest.approx(direct_transport(p, q), abs=1e-9)
+
+
+def test_emd_of_cancelling_mass_needs_no_lp(monkeypatch):
+    # below 1e-12 per cell, or 1e-9 in all, what p - q leaves is dust: no LP
+    rng = np.random.default_rng(44)
+    p = rand_sparse(rng, 8, 12)
+    half = {gp(1, 2, 8): 0.5, gp(6, 3, 8): 0.5}
+    cases = [
+        (p, p),
+        (p, p.at_resolution(64)),  # the same points on a finer grid
+        (p, SparseDist.from_keys(8, p.keys, p.masses + rng.uniform(-1e-13, 1e-13, len(p)))),
+        (SparseDist(8, half), SparseDist(8, {gp(1, 2, 8): 0.5 + 4e-10, gp(6, 3, 8): 0.5 - 4e-10})),
+    ]
+    monkeypatch.setattr(emd_module, "_linprog", lambda *a, **k: pytest.fail("an LP was solved"))
+    for p, q in cases:
+        cost, _ = emd(p, q)
+        assert cost == 0.0
+
+
 def test_criterion_06_first_pair_matches_direct_lp(monkeypatch):
     # criterion 06's first pair at sigma=0.1 (seed 60): 95 one-arc leaves
     # and supplies down to 1e-12, on which HiGHS presolve calls the
     # primal form infeasible; at HiGHS's default 1e-7 feasibility
     # tolerance the primal objective is 3.8e-8 off
     seen = spy_on_solves(monkeypatch, lambda g: (g.kind, g.leaves, g.n_nodes, g.fold.shape[1]))
-    rng = np.random.default_rng(60)
-    p = rand_sparse(rng, 8, int(rng.integers(1, 7)))
-    q = rand_sparse(rng, 8, int(rng.integers(1, 7)))
-    hp, hq = heatmap_module.heatmap_padded(p, 0.1), heatmap_module.heatmap_padded(q, 0.1)
+    hp, hq = criterion_06_first_heatmaps()
     got = heatmap_module.metrics(hp, hq)["emd"]
     assert seen == [("grid", "sources", 207, 95)]
-    a, b = (np.pad(h.values, (0, 32 - h.size)) for h in (hp, hq))
-    want = scaled_direct_transport(SparseDist.from_dense(a / a.sum(), 32), SparseDist.from_dense(b / b.sum(), 32))
-    assert got == pytest.approx(want * 32 / 8, rel=1e-10)
+    assert got == pytest.approx(direct_transport(embedded(hp), embedded(hq)) * 32 / 8, rel=1e-10)
 
 
 @pytest.mark.parametrize("form", ["primal", "dual"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import emdheat.emd as emd_module
 from emdheat.emd import emd
 from emdheat.grid import SparseDist
 from emdheat.heatmap import (
@@ -16,6 +17,7 @@ from emdheat.heatmap import (
     write_csv,
     write_pgm,
 )
+from emdheat.pyramid import pyramid_l1
 
 from helpers import delta, gp, rand_sparse
 
@@ -127,6 +129,20 @@ def test_surrogate_kicks_in_on_large_grids():
     m = metrics(h, g)
     assert m["emd_is_surrogate"]
     assert m["emd"] > 0
+
+
+def test_metrics_falls_back_to_the_surrogate_when_emd_refuses(monkeypatch):
+    # emd alone holds the size cap; metrics takes its CapacityError as the signal
+    rng = np.random.default_rng(75)
+    h = heatmap(rand_sparse(rng, 8, 4), 0.1)
+    g = heatmap(rand_sparse(rng, 8, 4), 0.1)
+    exact = metrics(h, g)
+    monkeypatch.setattr(emd_module, "MAX_COMBINED_SUPPORT", 10)
+    m = metrics(h, g)
+    assert not exact["emd_is_surrogate"] and m["emd_is_surrogate"]
+    assert m["emd"] == pyramid_l1(h.values / h.total_mass - g.values / g.total_mass)
+    assert m["emd"] >= exact["emd"]
+    assert {k: m[k] for k in ("sim", "pearson", "kl")} == {k: exact[k] for k in ("sim", "pearson", "kl")}
 
 
 def test_mask_restricts_statistics():

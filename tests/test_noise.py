@@ -191,8 +191,8 @@ def test_invalid_sampler_parameters():
     with pytest.raises(ValueError):
         laplace(0.0, rng)
     with pytest.raises(ValueError):
-        polya(1.0, 1.0, rng)
+        polya(1.0, 1.0, rng, 1)
     with pytest.raises(ValueError):
-        polya(0.0, 0.5, rng)
+        polya(0.0, 0.5, rng, 1)
     with pytest.raises(ValueError):
-        discrete_laplace_share(0, 1.0, rng)
+        discrete_laplace_share(0, 1.0, rng, 1)

@@ -300,8 +300,9 @@ def test_compute_r_monotonicity_and_validation():
     assert compute_r(5.0, 1e-5, 341, 12800, 5000) <= base
     with pytest.raises(ValueError):
         compute_r(5.0, 1e-5, 341, 12800, 1)
-    with pytest.raises(ValueError):
-        compute_r(5.0, 0.0, 341, 12800, 50)
+    for bad in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\), got "):
+            compute_r(5.0, bad, 341, 12800, 50)
 
 
 def test_from_schedule_validation():
